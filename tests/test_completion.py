@@ -121,6 +121,150 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch):
     np.testing.assert_array_equal(whole.depth_m, chunked.depth_m)
 
 
+# ---------- tie order: byte-exact argsort reference ----------
+
+def _complete_argsort(sparse, rgb, params):
+    """`complete` with the neighbour search it was first written with.
+
+    Every pending pixel stable-argsorts its squared distance to every
+    sample, so ties at the k-th distance go to the lower sample index.
+    The weight arithmetic is the library's, step for step, so `complete`
+    must match this reference byte for byte.
+    """
+    ys = np.array([s.pixel_y for s in sparse.samples], dtype=np.int64)
+    xs = np.array([s.pixel_x for s in sparse.samples], dtype=np.int64)
+    zs = np.array([s.range_m for s in sparse.samples], dtype=np.float64)
+    colors = rgb[ys, xs].astype(np.float64)
+    k = min(params.k_neighbors, len(zs))
+    inv_2ss = 1.0 / (2.0 * params.sigma_spatial_px**2)
+    inv_2sc = 0.0 if math.isinf(params.sigma_color) else 1.0 / (2.0 * params.sigma_color**2)
+    out = sparse.depth_m.copy()
+    miss_y, miss_x = np.nonzero(sparse.depth_m <= 0)
+    rgb_f = rgb.astype(np.float64)
+    for lo in range(0, miss_y.size, 2048):
+        my = miss_y[lo:lo + 2048]
+        mx = miss_x[lo:lo + 2048]
+        d2 = (
+            (my[:, None] - ys[None, :]) ** 2 + (mx[:, None] - xs[None, :]) ** 2
+        ).astype(np.float64)
+        nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        rows = np.arange(nn.shape[0])[:, None]
+        d2_k = d2[rows, nn]
+        w_spatial = np.exp(-d2_k * inv_2ss)
+        if inv_2sc > 0.0:
+            dc = rgb_f[my, mx][:, None, :] - colors[nn]
+            c2 = np.sum(dc * dc, axis=2)
+            weight = w_spatial * np.exp(-c2 * inv_2sc)
+        else:
+            weight = w_spatial
+        z_k = zs[nn]
+        wsum = weight.sum(axis=1)
+        ok = wsum > 0
+        vals = np.empty(nn.shape[0])
+        vals[ok] = (weight[ok] * z_k[ok]).sum(axis=1) / wsum[ok]
+        if not ok.all():
+            if params.fallback == "nearest":
+                vals[~ok] = z_k[~ok, 0]
+            else:
+                vals[~ok] = z_k[~ok].mean(axis=1)
+        out[my, mx] = vals
+    return out
+
+
+def _ties_across_kth(sparse, k):
+    """Pending pixels whose k-th and (k+1)-th nearest samples are equidistant."""
+    ys = np.array([s.pixel_y for s in sparse.samples])
+    xs = np.array([s.pixel_x for s in sparse.samples])
+    my, mx = np.nonzero(sparse.depth_m <= 0)
+    d2 = np.sort((my[:, None] - ys) ** 2 + (mx[:, None] - xs) ** 2, axis=1)
+    return int(np.sum(d2[:, k - 1] == d2[:, k]))
+
+
+def _lattice_capture(shape, n):
+    """gen_full_fov's raster on a flat 2 m plane: a near-regular pixel lattice."""
+    h, w = shape
+    rng = np.random.default_rng(n)
+    frame = make_frame(np.full(shape, 2.0),
+                       rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    pattern = gen_full_fov(model_with_budget(n), 10.0, (w, h))
+    return capture(frame, pattern, CaptureConfig(noise_coeff=0.05), noise_seed=n), frame.rgb
+
+
+def _square_lattice(shape, pitch, seed):
+    h, w = shape
+    rng = np.random.default_rng(seed)
+    pixels = {(x, y): rng.uniform(0.5, 4.0)
+              for y in range(1, h, pitch) for x in range(2, w, pitch)}
+    return _sparse_from_pixels(shape, pixels)
+
+
+def _symmetric_rings(shape, seed):
+    """Samples on rings about the image centre with 12-16 lattice points each."""
+    h, w = shape
+    cy, cx = h // 2, w // 2
+    rng = np.random.default_rng(seed)
+    pixels = {}
+    for a, b in ((0, 5), (3, 4), (1, 7), (5, 5), (1, 8), (4, 7), (2, 9), (6, 7)):
+        for dx, dy in ((a, b), (b, a)):
+            for sx in (-1, 1):
+                for sy in (-1, 1):
+                    pixels[(cx + sx * dx, cy + sy * dy)] = rng.uniform(0.5, 4.0)
+    return _sparse_from_pixels(shape, pixels)
+
+
+def _tie_layouts():
+    shape = (30, 41)
+    rgb = np.random.default_rng(11).integers(0, 256, (*shape, 3), dtype=np.uint8)
+    yield "full_fov", *_lattice_capture((36, 48), 120)
+    yield "square", _square_lattice(shape, 4, 1), rgb
+    yield "square_dense", _square_lattice(shape, 3, 2), rgb
+    yield "rings", _symmetric_rings(shape, 3), rgb
+
+
+_TIE_PARAMS = (
+    {},
+    {"sigma_color": math.inf},
+    {"sigma_spatial_px": 0.5, "fallback": "nearest"},
+    {"sigma_spatial_px": 0.5, "fallback": "mean"},
+)
+
+
+@pytest.mark.parametrize("slack", [completion._TIE_SLACK, 0])
+@pytest.mark.parametrize("k_of_n", [
+    lambda n: 1, lambda n: 16, lambda n: n - 1, lambda n: n, lambda n: n + 7,
+], ids=["k1", "k16", "n-1", "n", "over_n"])
+def test_tie_order_matches_argsort_reference(monkeypatch, k_of_n, slack):
+    # slack 0 sends every row through the widened re-query
+    monkeypatch.setattr(completion, "_TIE_SLACK", slack)
+    monkeypatch.setattr(completion, "_CHUNK_TARGET", 4000)
+    ties, below_n = 0, False
+    for name, sparse, rgb in _tie_layouts():
+        n = len(sparse.samples)
+        k = k_of_n(n)
+        if k < n:
+            below_n = True
+            ties += _ties_across_kth(sparse, k)
+        for extra in _TIE_PARAMS:
+            params = GuidedFillParams(k_neighbors=k, **extra)
+            np.testing.assert_array_equal(
+                complete(sparse, rgb, params).depth_m,
+                _complete_argsort(sparse, rgb, params),
+                err_msg=f"{name} k={k} {extra}",
+            )
+    assert ties > 0 or not below_n  # the layouts must put ties across the k-th place
+
+
+def test_tie_order_matches_argsort_reference_1503_samples(textured_frame):
+    pattern = gen_full_fov(model_with_budget(1503), 10.0, (160, 120))
+    sparse = capture(textured_frame, pattern, CaptureConfig(), noise_seed=4)
+    assert len(sparse.samples) > 1400
+    params = GuidedFillParams()
+    np.testing.assert_array_equal(
+        complete(sparse, textured_frame.rgb, params).depth_m,
+        _complete_argsort(sparse, textured_frame.rgb, params),
+    )
+
+
 # ---------- color guidance ----------
 
 def test_guidance_blocks_cross_edge_bleed():
