@@ -117,8 +117,8 @@ def complete(
 
     Pure function of its inputs: no RNG, no iteration order dependence
     (neighbor ties are broken by sample index).  Output values are convex
-    combinations of measured ranges, so they stay within the measured
-    min/max.
+    combinations of measured ranges, clipped to the measured min/max
+    because rounding can land the weighted mean an ulp outside them.
     """
     # deferred: scipy.spatial adds 0.1-0.2 s to a fresh `import memslidar`
     from scipy.spatial import cKDTree
@@ -167,7 +167,7 @@ def complete(
                 vals[~ok] = z_k[~ok, 0]
             else:
                 vals[~ok] = z_k[~ok].mean(axis=1)
-        out[my, mx] = vals
+        out[my, mx] = np.clip(vals, zs.min(), zs.max())
     return DenseDepth(depth_m=out, provenance="completed")
 
 

@@ -89,8 +89,56 @@ def test_output_stays_within_measured_range():
             GuidedFillParams(sigma_spatial_px=0.5, fallback="mean"),
         ):
             dense = complete(sparse, rgb, params)
-            assert dense.depth_m.min() >= min(zs) - 1e-12
-            assert dense.depth_m.max() <= max(zs) + 1e-12
+            assert dense.depth_m.min() >= min(zs)
+            assert dense.depth_m.max() <= max(zs)
+
+
+# (x, y, range_m, rgb) of the 27 returns of a foveated 30 fps frame (160x120,
+# the benchmark's frame-qqvga seed 403, frame 6).  Pixels colored like the
+# nearest sample, (139, 83), weight it almost alone; the weighted mean then
+# rounds one ulp below its range, the smallest measured.
+_ULP_CASE = (
+    (20, 30, 2.49921094608176, (159, 112, 102)),
+    (34, 30, 2.606947598083864, (54, 38, 35)),
+    (47, 30, 2.4608183846615077, (128, 90, 83)),
+    (47, 38, 2.570934266798901, (44, 31, 28)),
+    (34, 38, 2.410589927802687, (116, 82, 75)),
+    (20, 38, 2.449457642335083, (110, 77, 71)),
+    (20, 45, 2.586480944782233, (127, 90, 82)),
+    (34, 45, 2.509881971288084, (142, 100, 91)),
+    (47, 45, 2.5745961193231013, (83, 58, 53)),
+    (34, 53, 2.523182520715995, (79, 55, 50)),
+    (20, 53, 2.601191576572923, (49, 34, 31)),
+    (20, 12, 2.524225921457776, (59, 41, 38)),
+    (60, 12, 2.4764824239562606, (58, 40, 37)),
+    (99, 12, 2.527291046970043, (133, 94, 86)),
+    (139, 12, 2.468263015469165, (56, 39, 36)),
+    (139, 36, 2.48753928908807, (82, 57, 52)),
+    (99, 36, 2.533563229914289, (98, 69, 63)),
+    (60, 36, 2.547071855719285, (67, 47, 43)),
+    (20, 60, 2.523122104688796, (41, 29, 27)),
+    (99, 60, 1.909911393145637, (61, 70, 39)),
+    (139, 60, 1.4318668440454356, (54, 51, 23)),
+    (139, 83, 1.3400185999584189, (218, 207, 92)),
+    (99, 83, 2.4750296595588117, (100, 70, 64)),
+    (60, 83, 2.357523536092858, (58, 41, 37)),
+    (20, 83, 2.4975545402150874, (165, 116, 106)),
+    (20, 107, 2.5874616685442953, (72, 51, 46)),
+    (60, 107, 2.558927916479844, (157, 111, 101)),
+)
+
+
+def test_rounding_cannot_leave_measured_range():
+    shape = (120, 160)
+    sparse = _sparse_from_pixels(shape, {(x, y): z for x, y, z, _ in _ULP_CASE})
+    rgb = np.empty((*shape, 3), dtype=np.uint8)
+    rgb[:] = (218, 207, 92)
+    for x, y, _, color in _ULP_CASE:
+        rgb[y, x] = color
+    zs = sparse.depth_m[sparse.depth_m > 0]
+    dense = complete(sparse, rgb).depth_m
+    assert dense.min() == zs.min()
+    assert dense.max() <= zs.max()
 
 
 # ---------- oracle equivalence ----------
@@ -167,7 +215,7 @@ def _complete_argsort(sparse, rgb, params):
                 vals[~ok] = z_k[~ok, 0]
             else:
                 vals[~ok] = z_k[~ok].mean(axis=1)
-        out[my, mx] = vals
+        out[my, mx] = np.clip(vals, zs.min(), zs.max())
     return out
 
 
