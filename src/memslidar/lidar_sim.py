@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -278,7 +279,7 @@ def save_sparse(sparse: SparseDepth, pgm_path, json_path) -> None:
 
 def load_sparse(pgm_path, json_path) -> SparseDepth:
     depth = millimeters_to_depth(read_pgm16(pgm_path))
-    doc = json.loads(open(json_path).read())
+    doc = json.loads(Path(json_path).read_text())
     return SparseDepth(
         depth_m=depth,
         samples=[DepthSample(**s) for s in doc["samples"]],
