@@ -140,7 +140,6 @@ def complete(
         return DenseDepth(depth_m=out, provenance="completed")
     rgb_f = rgb.astype(np.float64)
 
-    # exact k-NN in blocks of at most _CHUNK_TARGET (pixel, candidate) entries
     tree = cKDTree(np.column_stack((ys, xs)))
     kq = min(k + _TIE_SLACK, len(zs))
     chunk = max(1, _CHUNK_TARGET // kq)
