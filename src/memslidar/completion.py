@@ -176,7 +176,8 @@ def complete_bruteforce(
     """Per-pixel reference implementation; oracle for `complete`.
 
     Same definition executed the slow way: explicit loops, explicit
-    (distance, index) sorting.  Kept for tests; do not use on big frames.
+    (distance, index) sorting, and the same clip to the measured min/max.
+    Kept for tests; do not use on big frames.
     """
     if not sparse.samples:
         raise NoSamples("cannot complete a capture with zero samples")
@@ -184,6 +185,7 @@ def complete_bruteforce(
     h, w = depth.shape
     ys, xs, zs, colors = _sample_arrays(sparse, rgb)
     k = min(params.k_neighbors, len(zs))
+    z_lo, z_hi = zs.min(), zs.max()
     out = depth.copy()
     for py in range(h):
         for px in range(w):
@@ -206,11 +208,12 @@ def complete_bruteforce(
                 wsum += wgt
                 acc += wgt * zs[i]
             if wsum > 0:
-                out[py, px] = acc / wsum
+                z = acc / wsum
             elif params.fallback == "nearest":
-                out[py, px] = zs[cand[0][1]]
+                z = zs[cand[0][1]]
             else:
-                out[py, px] = np.mean([zs[i] for _, i in cand])
+                z = np.mean([zs[i] for _, i in cand])
+            out[py, px] = min(max(z, z_lo), z_hi)
     return DenseDepth(depth_m=out, provenance="completed")
 
 

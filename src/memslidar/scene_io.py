@@ -77,9 +77,21 @@ class SceneMeta:
     mirror_fov_deg: float
 
     def __post_init__(self):
+        for name in ("width", "height", "fps", "fx_px", "fy_px"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0 < self.z_max_m <= MAX_DEPTH_M:
             raise ValueError(
                 f"z_max_m must be in (0, {MAX_DEPTH_M}] m, got {self.z_max_m}"
+            )
+        if not (math.isfinite(self.cx_px) and math.isfinite(self.cy_px)):
+            raise ValueError(
+                f"principal point must be finite, got ({self.cx_px}, {self.cy_px})"
+            )
+        if not 0 < self.mirror_fov_deg <= 180:
+            raise ValueError(
+                f"mirror_fov_deg must be in (0, 180], got {self.mirror_fov_deg}"
             )
 
     @property
@@ -233,10 +245,15 @@ def load_scene(directory: str | Path) -> SceneSequence:
         raw = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise MalformedHeader(f"{meta_path}: invalid JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise MalformedHeader(f"{meta_path}: expected a JSON object")
     missing = [k for k in META_KEYS if k not in raw]
     if missing:
         raise MalformedHeader(f"{meta_path}: missing keys {missing}")
-    meta = SceneMeta(**{k: raw[k] for k in META_KEYS})
+    try:
+        meta = SceneMeta(**{k: raw[k] for k in META_KEYS})
+    except (TypeError, ValueError) as e:
+        raise MalformedHeader(f"{meta_path}: {e}") from None
 
     ppm_stems = {p.stem for p in directory.glob("*.ppm")}
     pgm_stems = {p.stem for p in directory.glob("*.pgm")}

@@ -170,7 +170,8 @@ def test_capture_sample_budget(tmp_path):
     assert int(np.count_nonzero(sparse)) == 27
 
 
-def test_capture_rerun_and_jobs_byte_identical(tmp_path, monkeypatch):
+@pytest.mark.parametrize("regime", ["full", "entropy"])
+def test_capture_rerun_and_jobs_byte_identical(tmp_path, monkeypatch, regime):
     for name in ("r1", "r2"):
         root = tmp_path / name
         root.mkdir()
@@ -180,7 +181,8 @@ def test_capture_rerun_and_jobs_byte_identical(tmp_path, monkeypatch):
             "--out", "scene",
         ) == 0
         assert run(
-            "capture", "--scene", "scene", "--fps", "20", "--out", "cap",
+            "capture", "--scene", "scene", "--fps", "20", "--regime", regime,
+            "--out", "cap",
         ) == 0
     a, b = tmp_path / "r1", tmp_path / "r2"
     names = sorted(p.name for p in (a / "cap").iterdir())
@@ -190,8 +192,8 @@ def test_capture_rerun_and_jobs_byte_identical(tmp_path, monkeypatch):
     # same inputs, more workers: data files must not change
     monkeypatch.chdir(a)
     assert run(
-        "capture", "--scene", "scene", "--fps", "20", "--jobs", "2",
-        "--out", "cap2",
+        "capture", "--scene", "scene", "--fps", "20", "--regime", regime,
+        "--jobs", "2", "--out", "cap2",
     ) == 0
     for name in names:
         if name == "run.json":
@@ -360,6 +362,45 @@ def test_unknown_scene_dir_exit_3(tmp_path):
         "scan", "--scene", tmp_path / "nope", "--fps", "30",
         "--out", tmp_path / "scan",
     ) == 3
+
+
+@pytest.mark.parametrize("command, key, value, code", [
+    ("capture", "fps", 0, 3),
+    ("fovea", "fps", 0, 3),
+    ("capture", "fps", -30.0, 3),
+    ("capture", "width", 0, 3),
+    ("capture", "height", -1, 3),
+    ("capture", "fx_px", 0.0, 3),
+    ("capture", "fy_px", -1.0, 3),
+    ("capture", "z_max_m", -1, 3),
+    ("capture", "fps", "fast", 3),
+    ("capture", "cx_px", math.nan, 3),
+    ("capture", "mirror_fov_deg", -5.0, 3),
+    ("capture", None, 5, 3),
+    ("gen-scene", None, None, 2),
+])
+def test_invalid_scene_metadata_rejected(
+    tmp_path, capsys, command, key, value, code
+):
+    if command == "gen-scene":
+        argv = ["gen-scene", "--preset", "plane", "--fps", "0",
+                "--out", tmp_path / "bad"]
+    else:
+        scene = make_scene(tmp_path, "plane", 1)
+        meta_path = scene / "meta.json"
+        meta = read_json(meta_path)
+        if key is None:
+            meta = value  # not a JSON object at all
+        else:
+            meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        argv = [command, "--scene", scene, "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "error:" in lines[0], err
+    assert "Traceback" not in err
 
 
 def test_run_json_records_resolved_args(tmp_path):

@@ -136,9 +136,10 @@ def test_rounding_cannot_leave_measured_range():
     for x, y, _, color in _ULP_CASE:
         rgb[y, x] = color
     zs = sparse.depth_m[sparse.depth_m > 0]
-    dense = complete(sparse, rgb).depth_m
-    assert dense.min() == zs.min()
-    assert dense.max() <= zs.max()
+    for fill in (complete, complete_bruteforce):
+        dense = fill(sparse, rgb).depth_m
+        assert dense.min() == zs.min(), fill.__name__
+        assert dense.max() <= zs.max(), fill.__name__
 
 
 # ---------- oracle equivalence ----------

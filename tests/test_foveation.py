@@ -67,6 +67,78 @@ def test_entropy_matches_per_pixel_histogram_oracle():
     np.testing.assert_allclose(em.values, expected, atol=1e-9)
 
 
+def _entropy_map_cumsum(rgb, window_px):
+    """`entropy_map` as first written: one float summed-area table per level.
+
+    Levels run in ascending order and each pixel subtracts `p * log2(p)`
+    per level present, as in the library, so `entropy_map` must match
+    this reference byte for byte.
+    """
+    gray = np.round(grayscale(rgb)).astype(np.uint8)
+    h, w = gray.shape
+    half = window_px // 2
+    padded = np.pad(gray, half, mode="edge")
+    area = float(window_px * window_px)
+
+    entropy = np.zeros((h, w))
+    for level in np.unique(padded):
+        ind = (padded == level).astype(np.float64)
+        sat = ind.cumsum(axis=0).cumsum(axis=1)
+        sat = np.pad(sat, ((1, 0), (1, 0)))
+        counts = (
+            sat[window_px:, window_px:]
+            - sat[:-window_px, window_px:]
+            - sat[window_px:, :-window_px]
+            + sat[:-window_px, :-window_px]
+        )
+        p = counts / area
+        nz = p > 0
+        entropy[nz] -= p[nz] * np.log2(p[nz])
+    return entropy
+
+
+def _checker(shape):
+    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
+    return np.where((xx + yy) % 2 == 0, 200, 40)
+
+
+def _speckled(shape, seed):
+    # one dominant level: its window count passes 255 from window 17 up
+    gray = np.full(shape, 77)
+    rng = np.random.default_rng(seed)
+    gray[rng.random(shape) < 0.05] = 200
+    return gray
+
+
+def _all_levels(seed):
+    return np.random.default_rng(seed).permutation(256 * 4).reshape(32, 32) % 256
+
+
+_BYTE_CASES = [
+    *[
+        (f"random-w{w}", np.random.default_rng(10 + w).integers(0, 256, (40, 56)), w)
+        for w in (3, 7, 15, 17, 21, 31)
+    ],
+    *[(f"constant-w{w}", np.full((30, 40), 77), w) for w in (17, 21)],
+    *[(f"checker-w{w}", _checker((36, 44)), w) for w in (17, 21)],
+    *[(f"speckled-w{w}", _speckled((36, 44), seed=w), w) for w in (17, 21)],
+    ("all-levels-w7", _all_levels(8), 7),
+    ("smaller-than-window-w15", np.random.default_rng(9).integers(0, 256, (5, 9)), 15),
+    ("non-square-w9", np.random.default_rng(11).integers(0, 256, (13, 61)), 9),
+]
+
+
+@pytest.mark.parametrize(
+    "gray, window", [c[1:] for c in _BYTE_CASES], ids=[c[0] for c in _BYTE_CASES]
+)
+def test_entropy_matches_cumsum_reference_bytes(gray, window):
+    rgb = _rgb(gray)
+    values = entropy_map(rgb, window_px=window).values
+    expected = _entropy_map_cumsum(rgb, window)
+    assert values.dtype == expected.dtype and values.shape == expected.shape
+    assert values.tobytes() == expected.tobytes()
+
+
 def test_entropy_is_translation_equivariant_in_the_interior():
     rng = np.random.default_rng(5)
     gray = rng.integers(0, 256, size=(32, 40), dtype=np.uint8)
