@@ -41,12 +41,12 @@ def main():
                      image_distance_m=0.010, focal_length_m=0.015),
     ]
     zs = list(log_range_grid(0.5, 1000.0, 100))
-    rows = sweep([tx], receivers, zs)
+    columns = sweep([tx], receivers, zs)
 
     OUT.mkdir(exist_ok=True)
     csv_path = OUT / "receiver_tradeoffs.csv"
-    csv_path.write_text(format_sweep_csv(rows))
-    print(f"swept {len(rows)} design points to {csv_path}")
+    csv_path.write_text(format_sweep_csv(columns))
+    print(f"swept {len(columns['Z_m'])} design points to {csv_path}")
 
     print("\nspot checks at 1 m / 100 m:")
     for rx in receivers:
@@ -56,7 +56,7 @@ def main():
               f"{far.rr_per_m:8.4f} 1/m   fov {math.degrees(near.fov_rad):6.2f} -> "
               f"{math.degrees(far.fov_rad):6.2f} deg   vol {near.volume_m3 * 1e6:.2f} cm^3")
 
-    for c in find_crossovers(rows):
+    for c in find_crossovers(columns):
         if {c["design_a"], c["design_b"]} == {"retroreflective", "single_detector"}:
             print(f"\nsingle detector overtakes retroreflection at "
                   f"Z* = {c['z_star_m']:.0f} m (winner above: {c['winner_above']})")

@@ -175,7 +175,6 @@ def _frame_seed(seed: int, frame_index: int, stream: int) -> int:
 # ---------- optics-sweep ----------
 
 def cmd_optics_sweep(args) -> int:
-    out = _outdir(args)
     kinds = {
         "retro": [DesignKind.RETROREFLECTIVE],
         "array": [DesignKind.RECEIVER_ARRAY],
@@ -211,11 +210,13 @@ def cmd_optics_sweep(args) -> int:
         raise UsageError("empty range grid")
     if not tx_grid or not rx_grid:
         raise UsageError("empty design grid")
-    rows = sweep(tx_grid, rx_grid, z_grid)
-    (out / "sweep.csv").write_text(format_sweep_csv(rows))
-    extra = {"n_rows": len(rows)}
+    columns = sweep(tx_grid, rx_grid, z_grid)
+    n_rows = len(columns["Z_m"])
+    out = _outdir(args)
+    (out / "sweep.csv").write_text(format_sweep_csv(columns))
+    extra = {"n_rows": n_rows}
     if args.find_crossover:
-        crossings = find_crossovers(rows)
+        crossings = find_crossovers(columns)
         (out / "crossovers.json").write_text(json.dumps(crossings, indent=2, sort_keys=True) + "\n")
         extra["n_crossovers"] = len(crossings)
         for c in crossings:
@@ -225,7 +226,7 @@ def cmd_optics_sweep(args) -> int:
                 f"{c['winner_above']} wins above"
             )
     _write_run_json(out, args, extra)
-    print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
+    print(f"wrote {n_rows} rows to {out / 'sweep.csv'}")
     return 0
 
 
@@ -327,7 +328,6 @@ def _preset_spec(args) -> SyntheticSpec:
 
 
 def cmd_gen_scene(args) -> int:
-    out = _outdir(args)
     if args.spec_json:
         raw = json.loads(Path(args.spec_json).read_text())
         prims = tuple(
@@ -338,6 +338,7 @@ def cmd_gen_scene(args) -> int:
     else:
         spec = _preset_spec(args)
     seq = generate_synthetic(spec, seed=args.seed)
+    out = _outdir(args)
     save_scene(seq, out)
     _write_run_json(out, args, {"n_frames": len(seq.frames)})
     print(f"wrote {len(seq.frames)} frame(s) to {out}")

@@ -18,6 +18,20 @@ throughout.  Solid-angle steradians appear only in `acuity_gain`, via
 ``2*pi*(1 - cos(apex/2))``.  Received radiance is reported in inverse
 meters: it is a normalized area-times-solid-angle proxy, useful for
 comparing designs, not an absolute photon count.
+
+Sweeps are columnar.  `sweep` evaluates each (transmitter, receiver) pair
+over the whole range grid in one `_characterize_ranges` call and returns a
+dict of numpy columns keyed by the SWEEP_CSV_HEADER names;
+`format_sweep_csv` formats each distinct float once, and `find_crossovers`
+scans one rr matrix (receiver x range) per transmitter.  `characterize` is
+the same call at a single range.  The columns equal a scalar, row-at-a-time
+evaluation bit for bit, which is why two things stay scalar: each
+transcendental of a range is `math.atan` mapped over the column
+(`np.arctan` and `np.tan` take SIMD paths that differ from libm in the last
+bit on some inputs), and per-design quantities such as ``A**2`` stay
+Python floats (C ``pow`` and numpy's ``x*x`` differ in the last bit on some
+values).  Range-dependent ``+ - * /`` run in numpy in the scalar formula's
+order.
 """
 
 from __future__ import annotations
@@ -213,30 +227,6 @@ def acuity_gain(tx: TransmitterSpec, cam: CameraSpec) -> float:
     return dot_sr / pixel_sr
 
 
-def _focus_kernel_apex(aperture_m: float, u_m: float, f_m: float, z_m: float) -> float:
-    """Blur-kernel apex angle (rad) for a single detector behind a thin lens.
-
-    A target at range Z images at u' = f*Z/(Z - f).  A detector at u sees
-    that image defocused into a kernel of diameter |u - u'| * A / u'; the
-    apex angle is taken at the detector distance u.
-
-    Raises DegenerateFocus at Z == f and ZeroKernel at u == u' (geometry
-    gives a point response; downstream code emits sentinel rows instead
-    of dividing by zero).
-    """
-    if z_m == f_m:
-        raise DegenerateFocus(
-            f"working range {z_m} m equals focal length; image distance diverges"
-        )
-    u_image = f_m * z_m / (z_m - f_m)
-    kernel_diameter_m = abs(u_m - u_image) * aperture_m / u_image
-    if kernel_diameter_m == 0.0:
-        raise ZeroKernel(
-            f"detector exactly in focus at Z={z_m} m (u = u' = {u_m} m)"
-        )
-    return 2.0 * math.atan(kernel_diameter_m / (2.0 * u_m))
-
-
 def fov_limit_underfocused(rx: ReceiverSpec) -> float:
     """Large-range FOV limit (rad) of the under-focused single detector.
 
@@ -255,34 +245,55 @@ def fov_limit_underfocused(rx: ReceiverSpec) -> float:
     return 2.0 * math.atan(a * (f - u) / (2.0 * u * f))
 
 
-def characterize(
-    tx: TransmitterSpec, rx: ReceiverSpec, range_m: float
-) -> DesignCharacterization:
-    """Evaluate FOV, received radiance, and focal volume at one range.
+def _atan(x: np.ndarray) -> np.ndarray:
+    """math.atan over a column; np.arctan's SIMD path differs from libm."""
+    return np.fromiter(map(math.atan, x.tolist()), dtype=np.float64, count=len(x))
 
-    Parameters
-    ----------
-    tx, rx : transmitter and receiver geometry.
-    range_m : working range Z (m); must be > 0, and > f for the
-        single-detector focus geometry.
 
-    Raises
-    ------
-    DegenerateFocus, ZeroKernel for the single-detector singularities;
-    sweep() converts these to sentinel rows rather than dropping them.
+def _min(a, b):
+    """Python's min(a, b) elementwise: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _characterize_ranges(
+    tx: TransmitterSpec, rx: ReceiverSpec, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """fov, rr, volume and flag columns of one design over the ranges z (m).
+
+    This is the one implementation of the receiver formulas.  Per-design
+    quantities are Python floats (``x**2`` is C ``pow``, which differs from
+    numpy's ``x*x`` in the last bit); range-dependent ``+ - * /`` run in
+    numpy in the scalar formula's order, and every transcendental of a
+    range goes through `_atan`, so each entry equals the scalar evaluation
+    bit for bit.  Single-detector singularities become sentinel entries
+    (fov 0, rr +inf) whose flag carries the reason.
+
+    Raises ValueError for the first range, in grid order, that is not
+    finite and > 0, or that lies below a single detector's focal length.
     """
-    if not range_m > 0:
-        raise ValueError(f"range must be > 0, got {range_m}")
+    single = rx.design_kind == DesignKind.SINGLE_DETECTOR
+    bad = ~(np.isfinite(z) & (z > 0))
+    if single:
+        bad |= z < rx.focal_length_m
+    if bad.any():
+        z_bad = z[bad.argmax()].item()
+        if not (math.isfinite(z_bad) and z_bad > 0):
+            raise ValueError(f"range must be finite and > 0, got {z_bad}")
+        raise ValueError(
+            f"single-detector geometry needs Z > f; got Z={z_bad}, "
+            f"f={rx.focal_length_m}"
+        )
     omega_laser = beam_divergence(tx)
     flag = "" if divergence_is_physical(omega_laser) else FLAG_NONPHYSICAL_DIVERGENCE
     omega_mirror = tx.mirror_fov_rad
-    falloff = 2.0 * range_m * math.tan(omega_laser / 2.0)
+    falloff = 2.0 * z * math.tan(omega_laser / 2.0)
+    flags = np.full(len(z), flag)
 
     if rx.design_kind == DesignKind.RETROREFLECTIVE:
         # Mirror is the aperture: receive cone subtends the waist, capped
         # at the transmit divergence (cannot receive more than was sent).
         w0 = tx.waist_radius_m
-        received_apex = min(2.0 * math.atan(w0 / (2.0 * range_m)), omega_laser)
+        received_apex = _min(2.0 * _atan(w0 / (2.0 * z)), omega_laser)
         rr = (received_apex / omega_laser) / falloff
         volume = math.pi * rx.image_distance_m * w0**2 / 12.0
         fov = omega_mirror
@@ -292,37 +303,74 @@ def characterize(
         fov = min(
             2.0 * math.atan(rx.aperture_m / (2.0 * rx.image_distance_m)), omega_mirror
         )
-    elif rx.design_kind == DesignKind.SINGLE_DETECTOR:
-        if range_m < rx.focal_length_m:
-            raise ValueError(
-                f"single-detector geometry needs Z > f; got Z={range_m}, "
-                f"f={rx.focal_length_m}"
+    elif single:
+        # A target at range Z images at u' = f*Z/(Z - f).  A detector at u
+        # sees that image defocused into a kernel of diameter |u - u'| * A / u';
+        # its apex angle is taken at the detector distance u.  Z == f
+        # (degenerate focus) and u == u' (zero kernel) are sentinel rows.
+        a, u, f = rx.aperture_m, rx.image_distance_m, rx.focal_length_m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_image = f * z / (z - f)
+            kernel_diameter = np.abs(u - u_image) * a / u_image
+            kernel_apex = 2.0 * _atan(kernel_diameter / (2.0 * u))
+            rr = 1.0 / (kernel_apex * falloff)
+        volume = math.pi * u * a**2 / 12.0
+        fov = _min(kernel_apex, omega_mirror)
+        degenerate = z == f
+        zero = ~degenerate & (kernel_diameter == 0.0)
+        sentinel = degenerate | zero
+        if sentinel.any():
+            prefix = flag + ";" if flag else ""
+            fov[sentinel] = 0.0
+            rr[sentinel] = math.inf
+            flags = np.where(
+                degenerate, prefix + FLAG_DEGENERATE_FOCUS,
+                np.where(zero, prefix + FLAG_ZERO_KERNEL, flags),
             )
-        kernel_apex = _focus_kernel_apex(
-            rx.aperture_m, rx.image_distance_m, rx.focal_length_m, range_m
-        )
-        rr = 1.0 / (kernel_apex * falloff)
-        volume = math.pi * rx.image_distance_m * rx.aperture_m**2 / 12.0
-        fov = min(kernel_apex, omega_mirror)
     else:  # pragma: no cover - enum is closed
         raise InvalidVariant(f"unknown design kind {rx.design_kind}")
 
-    return DesignCharacterization(
-        fov_rad=fov, rr_per_m=rr, volume_m3=volume, range_m=range_m, flag=flag
+    n = len(z)
+    return (
+        np.broadcast_to(fov, n).astype(np.float64),
+        rr,
+        np.full(n, volume),
+        flags,
     )
 
 
-def _sentinel_characterization(
-    tx: TransmitterSpec, rx: ReceiverSpec, range_m: float, reason: str
+def characterize(
+    tx: TransmitterSpec, rx: ReceiverSpec, range_m: float
 ) -> DesignCharacterization:
-    """Singular-row stand-in: radiance pinned at +inf, FOV at 0."""
-    omega_laser = beam_divergence(tx)
-    flag = reason
-    if not divergence_is_physical(omega_laser):
-        flag = FLAG_NONPHYSICAL_DIVERGENCE + ";" + flag
-    volume = math.pi * rx.image_distance_m * rx.aperture_m**2 / 12.0
+    """Evaluate FOV, received radiance, and focal volume at one range.
+
+    Parameters
+    ----------
+    tx, rx : transmitter and receiver geometry.
+    range_m : working range Z (m); must be finite and > 0, and > f for
+        the single-detector focus geometry.
+
+    Raises
+    ------
+    DegenerateFocus, ZeroKernel for the single-detector singularities;
+    sweep() emits these as sentinel rows rather than dropping them.
+    """
+    fov, rr, volume, flags = _characterize_ranges(
+        tx, rx, np.array([range_m], dtype=np.float64)
+    )
+    flag = str(flags[0])
+    if flag.endswith(FLAG_DEGENERATE_FOCUS):
+        raise DegenerateFocus(
+            f"working range {range_m} m equals focal length; image distance diverges"
+        )
+    if flag.endswith(FLAG_ZERO_KERNEL):
+        raise ZeroKernel(
+            f"detector exactly in focus at Z={range_m} m "
+            f"(u = u' = {rx.image_distance_m} m)"
+        )
     return DesignCharacterization(
-        fov_rad=0.0, rr_per_m=math.inf, volume_m3=volume, range_m=range_m, flag=flag
+        fov_rad=float(fov[0]), rr_per_m=float(rr[0]), volume_m3=float(volume[0]),
+        range_m=range_m, flag=flag,
     )
 
 
@@ -347,132 +395,170 @@ def _check_sweep_bounds(tx_grid, rx_grid) -> None:
             )
 
 
-def sweep(tx_grid, rx_grid, range_grid_m) -> list[dict]:
+def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     """Characterize every (transmitter, receiver, range) combination.
 
+    Returns columns: a dict keyed by the SWEEP_CSV_HEADER names, each a
+    numpy array with one entry per row (``len(columns["Z_m"])`` rows).
     Row order is the lexicographic product of the input grids (tx-major,
     then rx, then range), so output is deterministic and chunkable.
     Singular focus geometries are emitted as sentinel rows with a reason
-    in the ``flag`` column, never dropped.
-
-    Returns a list of row dicts with keys matching SWEEP_CSV_HEADER.
+    in the ``flag`` column, never dropped.  Each (tx, rx) pair is one
+    `_characterize_ranges` call over the whole range grid; its entries
+    equal `characterize` at each range bit for bit.
     """
     tx_grid = list(tx_grid)
     rx_grid = list(rx_grid)
-    range_grid_m = [float(z) for z in range_grid_m]
-    if not tx_grid or not rx_grid or not range_grid_m:
+    z = np.array([float(v) for v in range_grid_m], dtype=np.float64)
+    if not tx_grid or not rx_grid or not len(z):
         raise ValueError("sweep grids must be non-empty")
     _check_sweep_bounds(tx_grid, rx_grid)
 
-    rows = []
-    for tx in tx_grid:
-        for rx in rx_grid:
-            for z in range_grid_m:
-                try:
-                    ch = characterize(tx, rx, z)
-                except DegenerateFocus:
-                    ch = _sentinel_characterization(tx, rx, z, FLAG_DEGENERATE_FOCUS)
-                except ZeroKernel:
-                    ch = _sentinel_characterization(tx, rx, z, FLAG_ZERO_KERNEL)
-                # Effective aperture: the retro design receives through the
-                # mirror, so its aperture column reports the waist.
-                eff_aperture = (
-                    tx.waist_radius_m
-                    if rx.design_kind == DesignKind.RETROREFLECTIVE
-                    else rx.aperture_m
-                )
-                rows.append(
-                    {
-                        "design_kind": rx.design_kind.value,
-                        "M": tx.beam_quality_m,
-                        "w0_m": tx.waist_radius_m,
-                        "lambda_m": tx.wavelength_m,
-                        "n": rx.detector_count_n,
-                        "A_m": eff_aperture,
-                        "u_m": rx.image_distance_m,
-                        "f_m": rx.focal_length_m,
-                        "Z_m": z,
-                        "fov_rad": ch.fov_rad,
-                        "rr_per_m": ch.rr_per_m,
-                        "volume_m3": ch.volume_m3,
-                        "flag": ch.flag,
-                    }
-                )
-    return rows
+    pairs = [(tx, rx) for tx in tx_grid for rx in rx_grid]
+    fov, rr, volume, flag = zip(*(_characterize_ranges(tx, rx, z) for tx, rx in pairs))
+
+    def per_pair(values):
+        return np.repeat(values, len(z))
+
+    return {
+        "design_kind": per_pair([rx.design_kind.value for _, rx in pairs]),
+        "M": per_pair([tx.beam_quality_m for tx, _ in pairs]),
+        "w0_m": per_pair([tx.waist_radius_m for tx, _ in pairs]),
+        "lambda_m": per_pair([tx.wavelength_m for tx, _ in pairs]),
+        "n": per_pair([rx.detector_count_n for _, rx in pairs]),
+        # Effective aperture: the retro design receives through the
+        # mirror, so its aperture column reports the waist.
+        "A_m": per_pair([
+            tx.waist_radius_m if rx.design_kind == DesignKind.RETROREFLECTIVE
+            else rx.aperture_m
+            for tx, rx in pairs
+        ]),
+        "u_m": per_pair([rx.image_distance_m for _, rx in pairs]),
+        "f_m": per_pair([rx.focal_length_m for _, rx in pairs]),
+        "Z_m": np.tile(z, len(pairs)),
+        "fov_rad": np.concatenate(fov),
+        "rr_per_m": np.concatenate(rr),
+        "volume_m3": np.concatenate(volume),
+        "flag": np.concatenate(flag),
+    }
 
 
-def format_sweep_csv(rows) -> str:
-    """Render sweep rows as CSV text (9 significant digits for floats)."""
-    lines = [SWEEP_CSV_HEADER]
-    float_cols = ("M", "w0_m", "lambda_m", "A_m", "u_m", "f_m", "Z_m",
-                  "fov_rad", "rr_per_m", "volume_m3")
-    for row in rows:
-        fields = []
-        for col in SWEEP_CSV_HEADER.split(","):
-            v = row[col]
-            fields.append(f"{v:.9g}" if col in float_cols else str(v))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+_FLOAT_COLUMNS = frozenset(("M", "w0_m", "lambda_m", "A_m", "u_m", "f_m", "Z_m",
+                            "fov_rad", "rr_per_m", "volume_m3"))
 
 
-def find_crossovers(rows) -> list[dict]:
+def _column_text(column: np.ndarray, fmt) -> list[str]:
+    """fmt applied to each distinct entry once, then spread over the rows.
+
+    Floats are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
+    """
+    if column.dtype.kind == "U":
+        return column.tolist()
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([fmt(v) for v in column[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def format_sweep_csv(columns) -> str:
+    """Render sweep columns as CSV text (9 significant digits for floats)."""
+    fields = [
+        _column_text(
+            np.ascontiguousarray(columns[name]),
+            "{:.9g}".format if name in _FLOAT_COLUMNS else str,
+        )
+        for name in SWEEP_CSV_HEADER.split(",")
+    ]
+    return "\n".join([SWEEP_CSV_HEADER, *map(",".join, zip(*fields))]) + "\n"
+
+
+def _group_codes(*columns) -> np.ndarray:
+    """Integer code per row whose order is the order of the row tuples."""
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        values, inverse = np.unique(column, return_inverse=True)
+        code = code * len(values) + inverse
+    return code
+
+
+def find_crossovers(columns) -> list[dict]:
     """Locate ranges where one design's received radiance overtakes another's.
 
-    Scans sweep rows grouped by (transmitter, receiver-geometry) and, for
-    each ordered pair of design kinds sharing a transmitter, reports the
-    first range bracket [z_lo, z_hi] where the sign of (rr_a - rr_b)
-    flips, with a log-interpolated crossover estimate.
+    Unflagged rows are grouped by transmitter (M, w0, lambda), in order of
+    first appearance, and by receiver geometry (design, n, A, u, f) in
+    sorted order; equal values share a group.  Each transmitter gets an
+    rr matrix (receiver x distinct range, ascending).  For each pair of
+    receivers of different design kinds, taken in sorted order, the scan
+    runs over the ranges both have and reports the first bracket
+    [z_lo, z_hi] where the sign of (rr_a - rr_b) flips, with a
+    log-interpolated crossover estimate.  A zero difference never starts
+    a flip but does become the bracket's lower end.
     """
-    # Group rows into per-design range profiles keyed by transmitter params.
-    profiles: dict[tuple, dict[str, list]] = {}
-    for row in rows:
-        if row["flag"]:
-            continue
-        tx_key = (row["M"], row["w0_m"], row["lambda_m"])
-        rxp = profiles.setdefault(tx_key, {})
-        key = (row["design_kind"], row["n"], row["A_m"], row["u_m"], row["f_m"])
-        rxp.setdefault(key, []).append((row["Z_m"], row["rr_per_m"]))
+    ok = np.asarray(columns["flag"]) == ""
+    col = {name: np.asarray(columns[name])[ok] for name in
+           ("design_kind", "M", "w0_m", "lambda_m", "n", "A_m", "u_m", "f_m",
+            "Z_m", "rr_per_m")}
+    if not ok.any():
+        return []
+    _, tx_first, tx_group = np.unique(
+        _group_codes(col["M"], col["w0_m"], col["lambda_m"]),
+        return_index=True, return_inverse=True,
+    )
+    _, rx_first, rx_group = np.unique(
+        _group_codes(col["design_kind"], col["n"], col["A_m"], col["u_m"], col["f_m"]),
+        return_index=True, return_inverse=True,
+    )
+    rx_kind = col["design_kind"][rx_first]
+    z_values, z_index = np.unique(col["Z_m"], return_inverse=True)
+    cols = np.arange(len(z_values))
 
     crossovers = []
-    for tx_key, by_design in profiles.items():
-        keys = sorted(by_design.keys())
-        for i, ka in enumerate(keys):
-            for kb in keys[i + 1:]:
-                if ka[0] == kb[0]:
-                    continue  # same design kind: not a cross-architecture pair
-                prof_a = sorted(by_design[ka])
-                prof_b = sorted(by_design[kb])
-                shared = sorted(
-                    set(z for z, _ in prof_a) & set(z for z, _ in prof_b)
-                )
-                if len(shared) < 2:
-                    continue
-                rr_a = dict(prof_a)
-                rr_b = dict(prof_b)
-                prev_z, prev_d = None, None
-                for z in shared:
-                    d = rr_a[z] - rr_b[z]
-                    if prev_d is not None and d != 0 and (d > 0) != (prev_d > 0):
-                        # log-linear interpolation of the sign change
-                        t = prev_d / (prev_d - d)
-                        z_star = math.exp(
-                            math.log(prev_z) + t * (math.log(z) - math.log(prev_z))
-                        )
-                        crossovers.append(
-                            {
-                                "M": tx_key[0],
-                                "w0_m": tx_key[1],
-                                "lambda_m": tx_key[2],
-                                "design_a": ka[0],
-                                "design_b": kb[0],
-                                "z_lo_m": prev_z,
-                                "z_hi_m": z,
-                                "z_star_m": z_star,
-                                "winner_above": ka[0] if d > 0 else kb[0],
-                            }
-                        )
-                        break
-                    prev_z, prev_d = z, d
+    for t in np.argsort(tx_first, kind="stable"):
+        rows = tx_group == t
+        rx_ids, rx_local = np.unique(rx_group[rows], return_inverse=True)
+        rr = np.zeros((len(rx_ids), len(z_values)))
+        have = np.zeros(rr.shape, dtype=bool)
+        rr[rx_local, z_index[rows]] = col["rr_per_m"][rows]
+        have[rx_local, z_index[rows]] = True
+        kinds = rx_kind[rx_ids]
+        ia, ib = np.triu_indices(len(rx_ids), k=1)
+        cross = kinds[ia] != kinds[ib]
+        ia, ib = ia[cross], ib[cross]
+        d = rr[ia] - rr[ib]
+        shared = have[ia] & have[ib]
+        # prev[p, k]: the last shared range before k for pair p, or -1
+        last = np.maximum.accumulate(np.where(shared, cols, -1), axis=1)
+        prev = np.concatenate([np.full((len(ia), 1), -1), last[:, :-1]], axis=1)
+        pos = d > 0
+        flips = (shared & (prev >= 0) & (d != 0)
+                 & (pos != np.take_along_axis(pos, np.maximum(prev, 0), axis=1)))
+        first = flips.argmax(axis=1)
+
+        i0 = tx_first[t]
+        for p in np.flatnonzero(flips.any(axis=1)).tolist():
+            k = int(first[p])
+            j = int(prev[p, k])
+            prev_z, z = z_values[j].item(), z_values[k].item()
+            prev_d, dk = d[p, j].item(), d[p, k].item()
+            # log-linear interpolation of the sign change
+            frac = prev_d / (prev_d - dk)
+            z_star = math.exp(
+                math.log(prev_z) + frac * (math.log(z) - math.log(prev_z))
+            )
+            kind_a, kind_b = str(kinds[ia[p]]), str(kinds[ib[p]])
+            crossovers.append(
+                {
+                    "M": col["M"][i0].item(),
+                    "w0_m": col["w0_m"][i0].item(),
+                    "lambda_m": col["lambda_m"][i0].item(),
+                    "design_a": kind_a,
+                    "design_b": kind_b,
+                    "z_lo_m": prev_z,
+                    "z_hi_m": z,
+                    "z_star_m": z_star,
+                    "winner_above": kind_a if dk > 0 else kind_b,
+                }
+            )
     return crossovers
 
 

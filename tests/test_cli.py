@@ -73,6 +73,26 @@ def test_optics_sweep_out_of_bounds_exit_2(tmp_path):
     assert run("optics-sweep", "--M", "300", "--out", tmp_path / "oob") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["optics-sweep", "--M", "300"],
+    ["optics-sweep", "--Z-m", "0:100:log5"],
+    ["optics-sweep", "--Z-m", "inf,2"],
+    ["optics-sweep", "--Z-m", "1e400,2"],
+    ["optics-sweep", "--n", "0"],
+    ["optics-sweep", "--mirror-fov-deg", "nan"],
+    ["optics-sweep", "--design", "single", "--Z-m", "0.01,2"],
+    ["gen-scene", "--preset", "plane", "--fps", "0"],
+], ids=" ".join)
+def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_budget_reference_pairs(tmp_path):
     out = tmp_path / "fit"
     assert run("fit-budget", "--out", out) == 0

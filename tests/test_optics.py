@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from memslidar.optics import (
     SWEEP_CSV_HEADER,
     CameraSpec,
     DegenerateFocus,
+    DesignCharacterization,
     DesignKind,
     InvalidVariant,
     ReceiverSpec,
@@ -160,6 +162,15 @@ def test_single_requires_range_beyond_focal():
         characterize(tx(), rx(DesignKind.SINGLE_DETECTOR, u=0.010, f=0.015), 0.010)
 
 
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_range_must_be_finite_and_positive(z):
+    r = rx(DesignKind.RECEIVER_ARRAY, n=4)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        characterize(tx(), r, z)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        sweep([tx(w0=5e-3)], [r], [1.0, z])
+
+
 # ---------- under-focused FOV limit ----------
 
 def test_fov_limit_reference_value():
@@ -238,22 +249,22 @@ def test_characterize_is_pure():
 
 def test_sweep_single_point_matches_characterize():
     t, r = tx(m=2.0, w0=2e-3), rx(DesignKind.RECEIVER_ARRAY, a=0.02, u=0.01, n=4)
-    rows = sweep([t], [r], [3.0])
-    assert len(rows) == 1
+    columns = sweep([t], [r], [3.0])
+    assert len(columns["Z_m"]) == 1
     c = characterize(t, r, 3.0)
-    assert rows[0]["fov_rad"] == c.fov_rad
-    assert rows[0]["rr_per_m"] == c.rr_per_m
-    assert rows[0]["volume_m3"] == c.volume_m3
+    assert columns["fov_rad"][0] == c.fov_rad
+    assert columns["rr_per_m"][0] == c.rr_per_m
+    assert columns["volume_m3"][0] == c.volume_m3
 
 
 def test_sweep_row_count_and_order():
     txs = [tx(m=m, w0=w) for m in (1.0, 100.0) for w in (1e-4, 5e-3)]
     rxs = [rx(DesignKind.RETROREFLECTIVE), rx(DesignKind.SINGLE_DETECTOR, u=0.01)]
     zs = [1.0, 10.0]
-    rows = sweep(txs, rxs, zs)
-    assert len(rows) == 4 * 2 * 2
+    columns = sweep(txs, rxs, zs)
+    assert len(columns["Z_m"]) == 4 * 2 * 2
     # innermost index is Z, then receiver, then transmitter
-    assert [r["Z_m"] for r in rows[:4]] == [1.0, 10.0, 1.0, 10.0]
+    assert columns["Z_m"][:4].tolist() == [1.0, 10.0, 1.0, 10.0]
 
 
 def test_sweep_rejects_out_of_bounds_grid():
@@ -266,13 +277,12 @@ def test_sweep_rejects_out_of_bounds_grid():
 def test_sweep_emits_sentinel_rows():
     # Z = f hits the focus singularity: row kept, flagged, rr sentinel
     r = rx(DesignKind.SINGLE_DETECTOR, a=0.01, u=0.016, f=0.015)
-    rows = sweep([tx(w0=5e-3)], [r], [0.015, 1.0])
-    assert len(rows) == 2
-    bad = rows[0]
-    assert bad["flag"] == "degenerate_focus"
-    assert math.isinf(bad["rr_per_m"])
-    assert bad["fov_rad"] == 0.0
-    assert rows[1]["flag"] == ""
+    columns = sweep([tx(w0=5e-3)], [r], [0.015, 1.0])
+    assert len(columns["Z_m"]) == 2
+    assert columns["flag"][0] == "degenerate_focus"
+    assert math.isinf(columns["rr_per_m"][0])
+    assert columns["fov_rad"][0] == 0.0
+    assert columns["flag"][1] == ""
 
 
 def test_sweep_csv_format():
@@ -307,3 +317,268 @@ def test_log_range_grid_endpoints():
     assert len(g) == 50
     assert g[0] == pytest.approx(0.5)
     assert g[-1] == pytest.approx(100.0)
+
+
+# ---------- row-at-a-time reference for the columnar sweep ----------
+#
+# The scalar characterize, row-dict sweep, CSV writer and crossover finder
+# that the columnar path replaced.  The columnar path must reproduce them bit
+# for bit: math.atan/math.tan on each range and Python-float x**2 per design.
+
+def _focus_kernel_apex_ref(aperture_m, u_m, f_m, z_m):
+    if z_m == f_m:
+        raise DegenerateFocus(
+            f"working range {z_m} m equals focal length; image distance diverges"
+        )
+    u_image = f_m * z_m / (z_m - f_m)
+    kernel_diameter_m = abs(u_m - u_image) * aperture_m / u_image
+    if kernel_diameter_m == 0.0:
+        raise ZeroKernel(
+            f"detector exactly in focus at Z={z_m} m (u = u' = {u_m} m)"
+        )
+    return 2.0 * math.atan(kernel_diameter_m / (2.0 * u_m))
+
+
+def _characterize_ref(t, r, range_m):
+    if not range_m > 0:
+        raise ValueError(f"range must be > 0, got {range_m}")
+    omega_laser = beam_divergence(t)
+    flag = "" if divergence_is_physical(omega_laser) else "nonphysical_divergence"
+    omega_mirror = t.mirror_fov_rad
+    falloff = 2.0 * range_m * math.tan(omega_laser / 2.0)
+    if r.design_kind == DesignKind.RETROREFLECTIVE:
+        w0 = t.waist_radius_m
+        received_apex = min(2.0 * math.atan(w0 / (2.0 * range_m)), omega_laser)
+        rr = (received_apex / omega_laser) / falloff
+        volume = math.pi * r.image_distance_m * w0**2 / 12.0
+        fov = omega_mirror
+    elif r.design_kind == DesignKind.RECEIVER_ARRAY:
+        rr = 1.0 / falloff
+        volume = r.image_distance_m * r.aperture_m**2
+        fov = min(
+            2.0 * math.atan(r.aperture_m / (2.0 * r.image_distance_m)), omega_mirror
+        )
+    else:
+        if range_m < r.focal_length_m:
+            raise ValueError(
+                f"single-detector geometry needs Z > f; got Z={range_m}, "
+                f"f={r.focal_length_m}"
+            )
+        kernel_apex = _focus_kernel_apex_ref(
+            r.aperture_m, r.image_distance_m, r.focal_length_m, range_m
+        )
+        rr = 1.0 / (kernel_apex * falloff)
+        volume = math.pi * r.image_distance_m * r.aperture_m**2 / 12.0
+        fov = min(kernel_apex, omega_mirror)
+    return DesignCharacterization(
+        fov_rad=fov, rr_per_m=rr, volume_m3=volume, range_m=range_m, flag=flag
+    )
+
+
+def _sentinel_ref(t, r, range_m, reason):
+    flag = reason
+    if not divergence_is_physical(beam_divergence(t)):
+        flag = "nonphysical_divergence;" + flag
+    volume = math.pi * r.image_distance_m * r.aperture_m**2 / 12.0
+    return DesignCharacterization(
+        fov_rad=0.0, rr_per_m=math.inf, volume_m3=volume, range_m=range_m, flag=flag
+    )
+
+
+def _sweep_ref(tx_grid, rx_grid, range_grid_m):
+    rows = []
+    for t in tx_grid:
+        for r in rx_grid:
+            for z in [float(z) for z in range_grid_m]:
+                try:
+                    ch = _characterize_ref(t, r, z)
+                except DegenerateFocus:
+                    ch = _sentinel_ref(t, r, z, "degenerate_focus")
+                except ZeroKernel:
+                    ch = _sentinel_ref(t, r, z, "zero_kernel")
+                eff_aperture = (
+                    t.waist_radius_m
+                    if r.design_kind == DesignKind.RETROREFLECTIVE
+                    else r.aperture_m
+                )
+                rows.append({
+                    "design_kind": r.design_kind.value,
+                    "M": t.beam_quality_m,
+                    "w0_m": t.waist_radius_m,
+                    "lambda_m": t.wavelength_m,
+                    "n": r.detector_count_n,
+                    "A_m": eff_aperture,
+                    "u_m": r.image_distance_m,
+                    "f_m": r.focal_length_m,
+                    "Z_m": z,
+                    "fov_rad": ch.fov_rad,
+                    "rr_per_m": ch.rr_per_m,
+                    "volume_m3": ch.volume_m3,
+                    "flag": ch.flag,
+                })
+    return rows
+
+
+def _format_csv_ref(rows):
+    lines = [SWEEP_CSV_HEADER]
+    float_cols = ("M", "w0_m", "lambda_m", "A_m", "u_m", "f_m", "Z_m",
+                  "fov_rad", "rr_per_m", "volume_m3")
+    for row in rows:
+        fields = []
+        for col in SWEEP_CSV_HEADER.split(","):
+            v = row[col]
+            fields.append(f"{v:.9g}" if col in float_cols else str(v))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _find_crossovers_ref(rows):
+    profiles = {}
+    for row in rows:
+        if row["flag"]:
+            continue
+        tx_key = (row["M"], row["w0_m"], row["lambda_m"])
+        rxp = profiles.setdefault(tx_key, {})
+        key = (row["design_kind"], row["n"], row["A_m"], row["u_m"], row["f_m"])
+        rxp.setdefault(key, []).append((row["Z_m"], row["rr_per_m"]))
+    crossovers = []
+    for tx_key, by_design in profiles.items():
+        keys = sorted(by_design.keys())
+        for i, ka in enumerate(keys):
+            for kb in keys[i + 1:]:
+                if ka[0] == kb[0]:
+                    continue
+                prof_a = sorted(by_design[ka])
+                prof_b = sorted(by_design[kb])
+                shared = sorted(set(z for z, _ in prof_a) & set(z for z, _ in prof_b))
+                if len(shared) < 2:
+                    continue
+                rr_a = dict(prof_a)
+                rr_b = dict(prof_b)
+                prev_z, prev_d = None, None
+                for z in shared:
+                    d = rr_a[z] - rr_b[z]
+                    if prev_d is not None and d != 0 and (d > 0) != (prev_d > 0):
+                        t = prev_d / (prev_d - d)
+                        z_star = math.exp(
+                            math.log(prev_z) + t * (math.log(z) - math.log(prev_z))
+                        )
+                        crossovers.append({
+                            "M": tx_key[0],
+                            "w0_m": tx_key[1],
+                            "lambda_m": tx_key[2],
+                            "design_a": ka[0],
+                            "design_b": kb[0],
+                            "z_lo_m": prev_z,
+                            "z_hi_m": z,
+                            "z_star_m": z_star,
+                            "winner_above": ka[0] if d > 0 else kb[0],
+                        })
+                        break
+                    prev_z, prev_d = z, d
+    return crossovers
+
+
+# Values on which the shortcuts the columnar path must avoid give another
+# last bit here: w0**2, A**2 and M**2 differ from x*x (C pow vs multiply);
+# np.arctan differs from math.atan at the retro argument for w0 = 2 mm at
+# Z = 0.017 and 0.0333 m, and at the kernel argument of the (0.1, 0.010,
+# 0.015) single detector at Z = 5.936 m.
+_POW_W0, _POW_A, _POW_M = 0.0007753, 0.04891, 62.172
+_ATAN_Z = (0.017, 0.0333, 5.936)
+_ZERO_KERNEL_Z = 0.016 * 0.015 / (0.016 - 0.015)  # in focus for u=16 mm, f=15 mm
+
+
+def _reference_grid(seed):
+    """A seeded design grid holding every case the columnar path must match.
+
+    Z == f and zero-kernel sentinels, nonphysical divergence (M=100,
+    w0=0.1 mm), duplicated transmitters and receivers, retro receivers that
+    differ only in A, an unsorted range list with repeats, and retro/array
+    pairs whose rr difference is exactly 0 while the retro cap binds.
+    """
+    rng = np.random.default_rng(seed)
+    ms = [1.0, 100.0, _POW_M, float(rng.uniform(1.0, 100.0))]
+    w0s = [0.1e-3, 2e-3, _POW_W0, float(rng.uniform(0.1e-3, 5e-3))]
+    txs = [tx(m=m, w0=w, fov=float(rng.uniform(0.1, math.pi)))
+           for m in ms for w in w0s]
+    txs.append(txs[5])  # duplicated transmitter
+    f_single = [0.015, *rng.uniform(5e-3, 0.015, 2).tolist()]
+    rxs = [
+        *(rx(DesignKind.RETROREFLECTIVE, a=a) for a in (0.02, _POW_A, 0.1)),
+        rx(DesignKind.RECEIVER_ARRAY, a=_POW_A, u=0.012, n=8),
+        rx(DesignKind.RECEIVER_ARRAY, a=float(rng.uniform(0.01, 0.1)),
+           u=float(rng.uniform(5e-3, 0.05)), n=int(rng.integers(1, 64))),
+        rx(DesignKind.SINGLE_DETECTOR, a=0.1, u=0.010, f=0.015),
+        rx(DesignKind.SINGLE_DETECTOR, a=_POW_A, u=0.016, f=0.015),
+        *(rx(DesignKind.SINGLE_DETECTOR, a=float(rng.uniform(0.01, 0.1)),
+             u=float(rng.uniform(5e-3, 0.03)), f=f) for f in f_single),
+    ]
+    rxs.append(rxs[5])  # duplicated receiver
+    zs = [0.015, _ZERO_KERNEL_Z, *_ATAN_Z,
+          *rng.permutation(np.geomspace(0.016, 1000.0, 24)).tolist()]
+    zs += [zs[7], zs[2], 0.015]  # repeated ranges, out of order
+    return txs, rxs, zs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_columnar_sweep_matches_row_reference_bytes(seed):
+    txs, rxs, zs = _reference_grid(seed)
+    columns = sweep(txs, rxs, zs)
+    rows = _sweep_ref(txs, rxs, zs)
+    for name in SWEEP_CSV_HEADER.split(","):
+        assert columns[name].tolist() == [row[name] for row in rows], name
+    text = format_sweep_csv(columns)
+    assert text == _format_csv_ref(rows)
+    for flag in ("degenerate_focus", "zero_kernel", "nonphysical_divergence;"):
+        assert flag in text
+    crossings = find_crossovers(columns)
+    assert json.dumps(crossings) == json.dumps(_find_crossovers_ref(rows))
+    # retro and array rr are exactly equal where the retro cap binds
+    rr_at = {}
+    for row in rows:
+        if not row["flag"]:
+            key = (row["design_kind"], row["M"], row["w0_m"], row["Z_m"])
+            rr_at[key] = row["rr_per_m"]
+    assert any(rr_at.get(("receiver_array", *key[1:])) == rr
+               for key, rr in rr_at.items() if key[0] == "retroreflective")
+
+
+def test_characterize_matches_scalar_reference():
+    txs, rxs, zs = _reference_grid(3)
+    for t in txs[::3]:
+        for r in rxs:
+            for z in zs:
+                try:
+                    want = _characterize_ref(t, r, z)
+                except (DegenerateFocus, ZeroKernel) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        characterize(t, r, z)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert characterize(t, r, z) == want
+
+
+def test_crossover_zero_difference_matches_reference():
+    # hand-made rr profiles over Z = 1..4 m; a zero difference becomes the
+    # lower end of the next bracket but never starts a flip, so
+    # (+, 0, -) reports nothing while (-, 0, +) brackets [2, 3]; the flagged
+    # row at Z = 3 m is skipped, so (0, 0, +) brackets [2, 4]
+    diffs = {1.0: [1, 0, -1, -1], 2.0: [-1, 0, 1, 1], 3.0: [0, 0, -2, 2]}
+    rows = []
+    for m, d in diffs.items():
+        for kind, rr in (("receiver_array", [2.0 + v for v in d]),
+                         ("retroreflective", [2.0] * 4)):
+            for z, value in zip((1.0, 2.0, 3.0, 4.0), rr):
+                rows.append({
+                    "design_kind": kind, "M": m, "w0_m": 1e-3, "lambda_m": 1e-6,
+                    "n": 1, "A_m": 0.05, "u_m": 0.01, "f_m": 0.015, "Z_m": z,
+                    "fov_rad": 0.4, "rr_per_m": value, "volume_m3": 1e-6,
+                    "flag": "zero_kernel" if (m, z) == (3.0, 3.0) else "",
+                })
+    columns = {name: np.array([row[name] for row in rows])
+               for name in SWEEP_CSV_HEADER.split(",")}
+    crossings = find_crossovers(columns)
+    assert json.dumps(crossings) == json.dumps(_find_crossovers_ref(rows))
+    assert [(c["M"], c["z_lo_m"], c["z_hi_m"]) for c in crossings] == [
+        (2.0, 2.0, 3.0), (3.0, 2.0, 4.0)]
