@@ -491,8 +491,8 @@ def find_crossovers(columns) -> list[dict]:
     receivers of different design kinds, taken in sorted order, the scan
     runs over the ranges both have and reports the first bracket
     [z_lo, z_hi] where the sign of (rr_a - rr_b) flips, with a
-    log-interpolated crossover estimate.  A zero difference never starts
-    a flip but does become the bracket's lower end.
+    log-interpolated crossover estimate clipped to the bracket.  A zero
+    difference never starts a flip but does become the bracket's lower end.
     """
     ok = np.asarray(columns["flag"]) == ""
     col = {name: np.asarray(columns[name])[ok] for name in
@@ -545,6 +545,8 @@ def find_crossovers(columns) -> list[dict]:
             z_star = math.exp(
                 math.log(prev_z) + frac * (math.log(z) - math.log(prev_z))
             )
+            # exp(log(z_lo)) can round an ulp outside [z_lo, z_hi]
+            z_star = min(max(z_star, prev_z), z)
             kind_a, kind_b = str(kinds[ia[p]]), str(kinds[ib[p]])
             crossovers.append(
                 {

@@ -310,6 +310,13 @@ def test_crossover_single_detector_overtakes_retro():
     c = pairs[("retroreflective", "single_detector")]
     assert c["winner_above"] == "single_detector"
     assert 100.0 < c["z_star_m"] < 300.0
+    # at M = 2 the array/retro crossing starts from a zero difference and
+    # exp(log(z_lo)) rounds an ulp below z_lo; z_star stays in its bracket
+    rows = sweep([tx(m=2.0, w0=5e-3)], rxs + [rx(DesignKind.RECEIVER_ARRAY, n=8)], zs)
+    crossings = find_crossovers(rows)
+    assert any(c["z_star_m"] == c["z_lo_m"] for c in crossings)
+    for c in crossings:
+        assert c["z_lo_m"] <= c["z_star_m"] <= c["z_hi_m"]
 
 
 def test_log_range_grid_endpoints():
@@ -463,6 +470,7 @@ def _find_crossovers_ref(rows):
                         z_star = math.exp(
                             math.log(prev_z) + t * (math.log(z) - math.log(prev_z))
                         )
+                        z_star = min(max(z_star, prev_z), z)
                         crossovers.append({
                             "M": tx_key[0],
                             "w0_m": tx_key[1],
