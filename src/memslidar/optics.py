@@ -250,11 +250,6 @@ def _atan(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.atan, x.tolist()), dtype=np.float64, count=len(x))
 
 
-def _min(a, b):
-    """Python's min(a, b) elementwise: b only where b < a."""
-    return np.where(b < a, b, a)
-
-
 def _characterize_ranges(
     tx: TransmitterSpec, rx: ReceiverSpec, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -293,7 +288,7 @@ def _characterize_ranges(
         # Mirror is the aperture: receive cone subtends the waist, capped
         # at the transmit divergence (cannot receive more than was sent).
         w0 = tx.waist_radius_m
-        received_apex = _min(2.0 * _atan(w0 / (2.0 * z)), omega_laser)
+        received_apex = np.minimum(2.0 * _atan(w0 / (2.0 * z)), omega_laser)
         rr = (received_apex / omega_laser) / falloff
         volume = math.pi * rx.image_distance_m * w0**2 / 12.0
         fov = omega_mirror
@@ -315,7 +310,7 @@ def _characterize_ranges(
             kernel_apex = 2.0 * _atan(kernel_diameter / (2.0 * u))
             rr = 1.0 / (kernel_apex * falloff)
         volume = math.pi * u * a**2 / 12.0
-        fov = _min(kernel_apex, omega_mirror)
+        fov = np.minimum(kernel_apex, omega_mirror)
         degenerate = z == f
         zero = ~degenerate & (kernel_diameter == 0.0)
         sentinel = degenerate | zero
