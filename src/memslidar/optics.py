@@ -468,11 +468,14 @@ def format_sweep_csv(columns) -> str:
 
 
 def _group_codes(*columns) -> np.ndarray:
-    """Integer code per row whose order is the order of the row tuples."""
+    """Integer code per row whose order is the order of the row tuples.
+
+    Codes are re-ranked after each column, so they stay below the row count.
+    """
     code = np.zeros(len(columns[0]), dtype=np.int64)
     for column in columns:
         values, inverse = np.unique(column, return_inverse=True)
-        code = code * len(values) + inverse
+        _, code = np.unique(code * len(values) + inverse, return_inverse=True)
     return code
 
 
@@ -490,11 +493,11 @@ def find_crossovers(columns) -> list[dict]:
     difference never starts a flip but does become the bracket's lower end.
     """
     ok = np.asarray(columns["flag"]) == ""
+    if not ok.any():
+        return []
     col = {name: np.asarray(columns[name])[ok] for name in
            ("design_kind", "M", "w0_m", "lambda_m", "n", "A_m", "u_m", "f_m",
             "Z_m", "rr_per_m")}
-    if not ok.any():
-        return []
     _, tx_first, tx_group = np.unique(
         _group_codes(col["M"], col["w0_m"], col["lambda_m"]),
         return_index=True, return_inverse=True,
