@@ -479,6 +479,35 @@ def _group_codes(*columns) -> np.ndarray:
     return code
 
 
+# (pair, range) entries per block in _first_flips: about 20 MB of temporaries
+_PAIR_BLOCK_ENTRIES = 1 << 19
+
+
+def _first_flips(rr: np.ndarray, have: np.ndarray, ia: np.ndarray, ib: np.ndarray):
+    """Yield (p, j, k, d_j, d_k) for each receiver pair (ia[p], ib[p]) whose
+    difference d = rr[ia[p]] - rr[ib[p]] changes sign over the ranges both
+    have: k is the first such range, j the shared range before it.  A zero
+    d never starts a flip.  Pairs go in blocks that bound the temporaries.
+    """
+    cols = np.arange(rr.shape[1])
+    step = max(1, _PAIR_BLOCK_ENTRIES // rr.shape[1])
+    for start in range(0, len(ia), step):
+        a, b = ia[start:start + step], ib[start:start + step]
+        d = rr[a] - rr[b]
+        shared = have[a] & have[b]
+        # prev[p, k]: the last shared range before k for pair p, or -1
+        last = np.maximum.accumulate(np.where(shared, cols, -1), axis=1)
+        prev = np.concatenate([np.full((len(a), 1), -1), last[:, :-1]], axis=1)
+        pos = d > 0
+        flips = (shared & (prev >= 0) & (d != 0)
+                 & (pos != np.take_along_axis(pos, np.maximum(prev, 0), axis=1)))
+        first = flips.argmax(axis=1)
+        for p in np.flatnonzero(flips.any(axis=1)).tolist():
+            k = int(first[p])
+            j = int(prev[p, k])
+            yield start + p, j, k, d[p, j].item(), d[p, k].item()
+
+
 def find_crossovers(columns) -> list[dict]:
     """Locate ranges where one design's received radiance overtakes another's.
 
@@ -508,7 +537,6 @@ def find_crossovers(columns) -> list[dict]:
     )
     rx_kind = col["design_kind"][rx_first]
     z_values, z_index = np.unique(col["Z_m"], return_inverse=True)
-    cols = np.arange(len(z_values))
 
     crossovers = []
     for t in np.argsort(tx_first, kind="stable"):
@@ -522,22 +550,9 @@ def find_crossovers(columns) -> list[dict]:
         ia, ib = np.triu_indices(len(rx_ids), k=1)
         cross = kinds[ia] != kinds[ib]
         ia, ib = ia[cross], ib[cross]
-        d = rr[ia] - rr[ib]
-        shared = have[ia] & have[ib]
-        # prev[p, k]: the last shared range before k for pair p, or -1
-        last = np.maximum.accumulate(np.where(shared, cols, -1), axis=1)
-        prev = np.concatenate([np.full((len(ia), 1), -1), last[:, :-1]], axis=1)
-        pos = d > 0
-        flips = (shared & (prev >= 0) & (d != 0)
-                 & (pos != np.take_along_axis(pos, np.maximum(prev, 0), axis=1)))
-        first = flips.argmax(axis=1)
-
         i0 = tx_first[t]
-        for p in np.flatnonzero(flips.any(axis=1)).tolist():
-            k = int(first[p])
-            j = int(prev[p, k])
+        for p, j, k, prev_d, dk in _first_flips(rr, have, ia, ib):
             prev_z, z = z_values[j].item(), z_values[k].item()
-            prev_d, dk = d[p, j].item(), d[p, k].item()
             # log-linear interpolation of the sign change
             frac = prev_d / (prev_d - dk)
             z_star = math.exp(

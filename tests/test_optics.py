@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from memslidar import optics
 from memslidar.optics import (
     SWEEP_CSV_HEADER,
     CameraSpec,
@@ -590,3 +591,14 @@ def test_crossover_zero_difference_matches_reference():
     assert json.dumps(crossings) == json.dumps(_find_crossovers_ref(rows))
     assert [(c["M"], c["z_lo_m"], c["z_hi_m"]) for c in crossings] == [
         (2.0, 2.0, 3.0), (3.0, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize("entries", [1, 100])
+def test_crossover_blocks_do_not_change_results(monkeypatch, entries):
+    # one pair per block, and blocks that end mid-transmitter
+    txs, rxs, zs = _reference_grid(4)
+    columns = sweep(txs, rxs, zs)
+    want = json.dumps(find_crossovers(columns))
+    monkeypatch.setattr(optics, "_PAIR_BLOCK_ENTRIES", entries)
+    assert json.dumps(find_crossovers(columns)) == want
+    assert want == json.dumps(_find_crossovers_ref(_sweep_ref(txs, rxs, zs)))
