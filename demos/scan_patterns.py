@@ -59,9 +59,7 @@ def main():
     intr = image_intrinsics(model, DIMS)
 
     def pixels(pattern):
-        theta = np.array([s.theta_rad for s in pattern.samples])
-        phi = np.array([s.phi_rad for s in pattern.samples])
-        px, py = angles_to_pixel(theta, phi, intr)
+        px, py = angles_to_pixel(pattern.samples.theta_rad, pattern.samples.phi_rad, intr)
         return np.floor(px).astype(int), np.floor(py).astype(int)
 
     for name, pattern in patterns.items():

@@ -27,9 +27,9 @@ from .foveation import (
     update_and_detect,
 )
 from .lidar_sim import (
+    DEPTH_SAMPLE_DTYPE,
     CalibrationModel,
     CaptureConfig,
-    DepthSample,
     LidarSimError,
     SparseDepth,
     capture,
@@ -66,12 +66,12 @@ from .optics import (
 )
 from .scan_engine import (
     ROI,
+    SCAN_SAMPLE_DTYPE,
     BudgetFit,
     MirrorModel,
     Regime,
     ScanEngineError,
     ScanPattern,
-    ScanSample,
     budget,
     fit_budget,
     fps_for_budget,

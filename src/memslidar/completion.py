@@ -76,14 +76,6 @@ class DenseDepth:
     provenance: str
 
 
-def _sample_arrays(sparse: SparseDepth, rgb: np.ndarray):
-    ys = np.array([s.pixel_y for s in sparse.samples], dtype=np.int64)
-    xs = np.array([s.pixel_x for s in sparse.samples], dtype=np.int64)
-    zs = np.array([s.range_m for s in sparse.samples], dtype=np.float64)
-    colors = rgb[ys, xs].astype(np.float64)
-    return ys, xs, zs, colors
-
-
 def _knn_keys(tree, my, mx, ys, xs, k, kq):
     """Keys d2 * n + index of each pixel's k nearest samples, ascending.
 
@@ -123,13 +115,14 @@ def complete(
     # deferred: scipy.spatial adds 0.1-0.2 s to a fresh `import memslidar`
     from scipy.spatial import cKDTree
 
-    if not sparse.samples:
+    if len(sparse.samples) == 0:
         raise NoSamples("cannot complete a capture with zero samples")
     depth = sparse.depth_m
     h, w = depth.shape
     if rgb.shape[:2] != (h, w):
         raise ValueError(f"rgb {rgb.shape[:2]} does not match depth {(h, w)}")
-    ys, xs, zs, colors = _sample_arrays(sparse, rgb)
+    ys, xs, zs = sparse.samples.pixel_y, sparse.samples.pixel_x, sparse.samples.range_m
+    colors = rgb[ys, xs].astype(np.float64)
     k = min(params.k_neighbors, len(zs))
     inv_2ss = 1.0 / (2.0 * params.sigma_spatial_px**2)
     inv_2sc = 0.0 if math.isinf(params.sigma_color) else 1.0 / (2.0 * params.sigma_color**2)
@@ -179,11 +172,12 @@ def complete_bruteforce(
     (distance, index) sorting, and the same clip to the measured min/max.
     Kept for tests; do not use on big frames.
     """
-    if not sparse.samples:
+    if len(sparse.samples) == 0:
         raise NoSamples("cannot complete a capture with zero samples")
     depth = sparse.depth_m
     h, w = depth.shape
-    ys, xs, zs, colors = _sample_arrays(sparse, rgb)
+    ys, xs, zs = sparse.samples.pixel_y, sparse.samples.pixel_x, sparse.samples.range_m
+    colors = rgb[ys, xs].astype(np.float64)
     k = min(params.k_neighbors, len(zs))
     z_lo, z_hi = zs.min(), zs.max()
     out = depth.copy()

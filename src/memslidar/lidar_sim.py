@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import MetricsReport, compute
-from .scan_engine import Regime, ScanPattern, angles_to_pixel
+from .scan_engine import (
+    SCAN_SAMPLE_DTYPE,
+    Regime,
+    ScanPattern,
+    angles_to_pixel,
+    records_from_dicts,
+    records_to_dicts,
+)
 from .scene_io import (
     SceneFrame,
     millimeters_to_depth,
@@ -91,29 +98,26 @@ class CaptureConfig:
             raise ValueError("noise coefficient must be >= 0")
 
 
-@dataclass(frozen=True)
-class DepthSample:
-    """One valid return."""
-
-    t_s: float
-    theta_rad: float
-    phi_rad: float
-    pixel_x: int
-    pixel_y: int
-    range_m: float
-    raw_volts: float
+# one valid return per record: its scheduled direction, pixel and range
+DEPTH_SAMPLE_DTYPE = np.dtype(
+    SCAN_SAMPLE_DTYPE.descr
+    + [("pixel_x", "i8"), ("pixel_y", "i8"), ("range_m", "f8"), ("raw_volts", "f8")]
+)
 
 
 @dataclass
 class SparseDepth:
     """Sparse measured depth for one frame.
 
-    depth_m   (H, W) float64; 0.0 where unsampled.  Nonzero pixels map
-              1:1 onto `samples` (later duplicates of a pixel are dropped).
+    depth_m   (H, W) float64; 0.0 where unsampled.
+    samples   record array of DEPTH_SAMPLE_DTYPE, one record per valid
+              return in schedule order; nonzero pixels of depth_m map 1:1
+              onto its (pixel_x, pixel_y) (later returns on a pixel are
+              dropped).  `samples.range_m` is a column, `samples[i]` a record.
     """
 
     depth_m: np.ndarray
-    samples: list[DepthSample]
+    samples: np.recarray
     fps: float
     regime: Regime
     drop_count: int
@@ -124,18 +128,7 @@ class SparseDepth:
                 "fps": self.fps,
                 "regime": self.regime.value,
                 "drop_count": self.drop_count,
-                "samples": [
-                    {
-                        "t_s": s.t_s,
-                        "theta_rad": s.theta_rad,
-                        "phi_rad": s.phi_rad,
-                        "pixel_x": s.pixel_x,
-                        "pixel_y": s.pixel_y,
-                        "range_m": s.range_m,
-                        "raw_volts": s.raw_volts,
-                    }
-                    for s in self.samples
-                ],
+                "samples": records_to_dicts(self.samples),
             },
             indent=2,
             sort_keys=True,
@@ -170,63 +163,55 @@ def capture(
     """
     depth_gt = frame.depth_gt
     h, w = depth_gt.shape
-    intr = frame.intrinsics
-    dy, dx = _disk_offsets(dot_footprint_radius_px(frame, config.dot_solid_angle_sr))
-    rng = np.random.default_rng(noise_seed)
+    radius_px = dot_footprint_radius_px(frame, config.dot_solid_angle_sr)
+    dy, dx = _disk_offsets(radius_px)
+    scheduled = pattern.samples
+    n = len(scheduled)
+    # one draw per scheduled sample, so drops do not shift the stream for later samples
+    noise = np.random.default_rng(noise_seed).standard_normal(n)
 
-    thetas = np.array([s.theta_rad for s in pattern.samples])
-    phis = np.array([s.phi_rad for s in pattern.samples])
-    pxs, pys = angles_to_pixel(thetas, phis, intr)
+    px, py = angles_to_pixel(scheduled.theta_rad, scheduled.phi_rad, frame.intrinsics)
+    fx, fy = np.floor(px), np.floor(py)
+    keep = np.flatnonzero((0 <= fx) & (fx < w) & (0 <= fy) & (fy < h))
+    ix, iy = fx[keep].astype(np.int64), fy[keep].astype(np.int64)
+    valid = depth_gt[iy, ix] > 0
+    keep, ix, iy = keep[valid], ix[valid], iy[valid]
+
+    # Footprints read a zero-padded copy: padding and invalid ground truth
+    # both fail `> 0`, so each footprint keeps the in-image valid pixels in
+    # disk-offset order, and its mean sums them in the same order.
+    r = int(math.floor(radius_px))
+    padded = np.pad(depth_gt, r).ravel()
+    offsets = dy * (w + 2 * r) + dx
+    mean_range = np.empty(len(keep))
+    for i, centre in enumerate((iy + r) * (w + 2 * r) + (ix + r)):
+        footprint = padded[centre + offsets]
+        mean_range[i] = footprint[footprint > 0].mean()
+    measured = mean_range + config.noise_coeff * mean_range * noise[keep]
+
+    returned = (measured > 0) & (measured <= config.z_max_m)  # else no return
+    keep, ix, iy, measured = keep[returned], ix[returned], iy[returned], measured[returned]
+    # the first return on a pixel wins; later ones are dropped
+    _, first = np.unique(iy * w + ix, return_index=True)
+    first.sort()
+    keep, ix, iy, measured = keep[first], ix[first], iy[first], measured[first]
+    if len(keep) == 0:
+        raise NoSamples(f"all {n} scheduled samples were dropped")
 
     depth_out = np.zeros_like(depth_gt)
-    samples: list[DepthSample] = []
-    dropped = 0
-    for s, px, py in zip(pattern.samples, pxs, pys):
-        # noise is drawn per scheduled sample so that drop decisions do not
-        # shift the stream for later samples
-        noise_unit = rng.standard_normal()
-        ix, iy = int(math.floor(px)), int(math.floor(py))
-        if not (0 <= ix < w and 0 <= iy < h):
-            dropped += 1
-            continue
-        if depth_gt[iy, ix] <= 0:
-            dropped += 1
-            continue
-        ys = iy + dy
-        xs = ix + dx
-        inbounds = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-        footprint = depth_gt[ys[inbounds], xs[inbounds]]
-        footprint = footprint[footprint > 0]
-        mean_range = float(footprint.mean())
-        measured = mean_range + config.noise_coeff * mean_range * noise_unit
-        if measured <= 0 or measured > config.z_max_m:
-            dropped += 1  # no return
-            continue
-        if depth_out[iy, ix] > 0:
-            dropped += 1  # pixel already sampled this frame
-            continue
-        depth_out[iy, ix] = measured
-        samples.append(
-            DepthSample(
-                t_s=s.t_s,
-                theta_rad=s.theta_rad,
-                phi_rad=s.phi_rad,
-                pixel_x=ix,
-                pixel_y=iy,
-                range_m=measured,
-                raw_volts=config.sensor_calibration.range_to_volts(measured),
-            )
-        )
-    if not samples:
-        raise NoSamples(
-            f"all {len(pattern.samples)} scheduled samples were dropped"
-        )
+    depth_out[iy, ix] = measured
+    kept = scheduled[keep]
+    samples = np.rec.fromarrays(
+        [kept.t_s, kept.theta_rad, kept.phi_rad, ix, iy, measured,
+         config.sensor_calibration.range_to_volts(measured)],
+        dtype=DEPTH_SAMPLE_DTYPE,
+    )
     return SparseDepth(
         depth_m=depth_out,
         samples=samples,
         fps=pattern.fps,
         regime=pattern.regime,
-        drop_count=dropped,
+        drop_count=n - len(keep),
     )
 
 
@@ -282,7 +267,7 @@ def load_sparse(pgm_path, json_path) -> SparseDepth:
     doc = json.loads(Path(json_path).read_text())
     return SparseDepth(
         depth_m=depth,
-        samples=[DepthSample(**s) for s in doc["samples"]],
+        samples=records_from_dicts(doc["samples"], DEPTH_SAMPLE_DTYPE),
         fps=doc["fps"],
         regime=Regime(doc["regime"]),
         drop_count=doc["drop_count"],

@@ -137,18 +137,33 @@ class ROI:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
 
-@dataclass(frozen=True)
-class ScanSample:
-    t_s: float
-    theta_rad: float
-    phi_rad: float
+# one scheduled mirror direction per record, in schedule order
+SCAN_SAMPLE_DTYPE = np.dtype([("t_s", "f8"), ("theta_rad", "f8"), ("phi_rad", "f8")])
+
+
+def records_to_dicts(samples: np.recarray) -> list[dict]:
+    """JSON rows of a sample record array: Python ints and floats per field."""
+    return [dict(zip(samples.dtype.names, row)) for row in samples.tolist()]
+
+
+def records_from_dicts(rows, dtype: np.dtype) -> np.recarray:
+    """Sample record array from JSON rows; KeyError/TypeError/ValueError on bad rows."""
+    return np.rec.fromarrays(
+        [np.array([row[name] for row in rows], dtype=dtype[name]) for name in dtype.names],
+        dtype=dtype,
+    )
 
 
 @dataclass
 class ScanPattern:
-    """Time-ordered mirror directions for one frame."""
+    """Time-ordered mirror directions for one frame.
 
-    samples: list[ScanSample]
+    samples   record array of SCAN_SAMPLE_DTYPE, one record per scheduled
+              direction in schedule order: `samples.theta_rad` is the
+              azimuth column, `samples[i]` the i-th record.
+    """
+
+    samples: np.recarray
     fps: float
     regime: Regime
     seed: int | None = None
@@ -163,10 +178,7 @@ class ScanPattern:
             "regime": self.regime.value,
             "seed": self.seed,
             "budget": self.budget,
-            "samples": [
-                {"t_s": s.t_s, "theta_rad": s.theta_rad, "phi_rad": s.phi_rad}
-                for s in self.samples
-            ],
+            "samples": records_to_dicts(self.samples),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -174,10 +186,7 @@ class ScanPattern:
     def from_json(cls, text: str) -> "ScanPattern":
         doc = json.loads(text)
         return cls(
-            samples=[
-                ScanSample(s["t_s"], s["theta_rad"], s["phi_rad"])
-                for s in doc["samples"]
-            ],
+            samples=records_from_dicts(doc["samples"], SCAN_SAMPLE_DTYPE),
             fps=doc["fps"],
             regime=Regime(doc["regime"]),
             seed=doc.get("seed"),
@@ -292,37 +301,30 @@ def _angular_extent(model: MirrorModel, image_dims: tuple[int, int]) -> tuple[fl
 
 # ---------- pattern generators ----------
 
-def _timestamps(model: MirrorModel, n: int) -> np.ndarray:
-    """Strictly increasing in-frame times: overhead first, then one per tick."""
-    return model.frame_overhead_s + np.arange(n) / model.sample_rate_hz
+def _scan_samples(model: MirrorModel, theta: np.ndarray, phi: np.ndarray) -> np.recarray:
+    """Records for directions in schedule order, timed overhead first, then one per tick."""
+    t_s = model.frame_overhead_s + np.arange(len(theta)) / model.sample_rate_hz
+    return np.rec.fromarrays([t_s, theta, phi], dtype=SCAN_SAMPLE_DTYPE)
 
 
 def _serpentine_grid(
     extent: tuple[float, float, float, float], n: int
-) -> list[tuple[float, float]]:
-    """Near-square cell-centered grid of n points, serpentine row order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of a near-square cell-centered grid of n points, serpentine order.
 
     Columns = floor(sqrt(n)); rows fill top-down, the last row may be
     partial.  Cell-centering keeps every point strictly inside the extent.
+    n = 0 gives empty columns.
     """
     t0, t1, p0, p1 = extent
     cols = max(1, int(math.isqrt(n)))
-    rows = math.ceil(n / cols)
+    rows = max(1, math.ceil(n / cols))
     dt = (t1 - t0) / cols
     dp = (p1 - p0) / rows
-    pts = []
-    remaining = n
-    for r in range(rows):
-        row_count = min(cols, remaining)
-        remaining -= row_count
-        phi = p0 + (r + 0.5) * dp
-        cols_in_row = range(row_count)
-        if r % 2 == 1:  # serpentine: reverse every other row to minimize slew
-            cols_in_row = reversed(list(cols_in_row))
-        for c in cols_in_row:
-            theta = t0 + (c + 0.5) * dt
-            pts.append((theta, phi))
-    return pts
+    r, c = np.divmod(np.arange(n), cols)
+    row_count = np.minimum(cols, n - r * cols)
+    c = np.where(r % 2 == 1, row_count - 1 - c, c)  # serpentine: odd rows run backwards to minimize slew
+    return t0 + (c + 0.5) * dt, p0 + (r + 0.5) * dp
 
 
 def gen_full_fov(
@@ -330,11 +332,10 @@ def gen_full_fov(
 ) -> ScanPattern:
     """Equi-angular serpentine raster over the full (image-clipped) FOV."""
     n = budget(model, fps)
-    extent = _angular_extent(model, image_dims)
-    pts = _serpentine_grid(extent, n)
-    times = _timestamps(model, len(pts))
-    samples = [ScanSample(float(t), th, ph) for t, (th, ph) in zip(times, pts)]
-    return ScanPattern(samples=samples, fps=fps, regime=Regime.FULL_FOV, budget=n)
+    theta, phi = _serpentine_grid(_angular_extent(model, image_dims), n)
+    return ScanPattern(
+        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.FULL_FOV, budget=n
+    )
 
 
 def gen_density_sweep(
@@ -345,11 +346,10 @@ def gen_density_sweep(
         raise ValueError(f"density must be in (0, 1], got {density}")
     n = budget(model, fps)
     n_used = max(1, int(round(n * density)))
-    extent = _angular_extent(model, image_dims)
-    pts = _serpentine_grid(extent, n_used)
-    times = _timestamps(model, len(pts))
-    samples = [ScanSample(float(t), th, ph) for t, (th, ph) in zip(times, pts)]
-    return ScanPattern(samples=samples, fps=fps, regime=Regime.DENSITY_SWEEP, budget=n)
+    theta, phi = _serpentine_grid(_angular_extent(model, image_dims), n_used)
+    return ScanPattern(
+        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.DENSITY_SWEEP, budget=n
+    )
 
 
 def gen_entropy_adaptive(
@@ -386,13 +386,8 @@ def gen_entropy_adaptive(
     ys, xs = np.divmod(flat, w)
     intr = image_intrinsics(model, (w, h))
     theta, phi = pixel_to_angles(xs, ys, intr)
-    times = _timestamps(model, n)
-    samples = [
-        ScanSample(float(t), float(th), float(ph))
-        for t, th, ph in zip(times, theta, phi)
-    ]
     return ScanPattern(
-        samples=samples, fps=fps, regime=Regime.ENTROPY_ADAPTIVE,
+        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.ENTROPY_ADAPTIVE,
         seed=seed, budget=budget(model, fps),
     )
 
@@ -436,15 +431,13 @@ def gen_foveated(
     n_in = int(round(n * w_in / (w_in + w_out)))
     n_out = n - n_in
 
-    pts: list[tuple[float, float]] = []
-    if n_in > 0:
-        pts.extend(_serpentine_grid(_roi_angular_rect(roi, intr), n_in))
+    theta, phi = _serpentine_grid(_roi_angular_rect(roi, intr), n_in)
     if n_out > 0:
-        pts.extend(_outside_grid(roi, intr, model, image_dims, n_out))
-
-    times = _timestamps(model, len(pts))
-    samples = [ScanSample(float(t), th, ph) for t, (th, ph) in zip(times, pts)]
-    return ScanPattern(samples=samples, fps=fps, regime=Regime.FOVEATED_ROI, budget=n)
+        theta_out, phi_out = _outside_grid(roi, intr, model, image_dims, n_out)
+        theta, phi = np.concatenate((theta, theta_out)), np.concatenate((phi, phi_out))
+    return ScanPattern(
+        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.FOVEATED_ROI, budget=n
+    )
 
 
 def _outside_grid(
@@ -453,11 +446,13 @@ def _outside_grid(
     model: MirrorModel,
     image_dims: tuple[int, int],
     n_out: int,
-) -> list[tuple[float, float]]:
-    """n_out near-uniform points over the full FOV minus the ROI rectangle.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of n_out near-uniform points over the full FOV minus the ROI.
 
     Lays a full-FOV grid sized so that enough points miss the ROI, then
-    thins evenly (by serpentine index) to the exact count.
+    thins evenly (by serpentine index) to the exact count.  Pixel positions
+    use math.tan, whose rounding can differ from np.tan's by an ulp, and an
+    ulp can move a point across the ROI edge.
     """
     w, h = image_dims
     frac_out = 1.0 - roi.area_px / (w * h)
@@ -466,16 +461,12 @@ def _outside_grid(
     extent = _angular_extent(model, image_dims)
     m = max(n_out, int(math.ceil(n_out / frac_out)))
     for _ in range(64):
-        grid = _serpentine_grid(extent, m)
-        keep = []
-        for theta, phi in grid:
-            px = intr.cx_px + intr.fx_px * math.tan(theta)
-            py = intr.cy_px + intr.fy_px * math.tan(phi)
-            ix, iy = int(math.floor(px)), int(math.floor(py))
-            if not (roi.x0 <= ix < roi.x1 and roi.y0 <= iy < roi.y1):
-                keep.append((theta, phi))
+        theta, phi = _serpentine_grid(extent, m)
+        ix = np.floor(intr.cx_px + intr.fx_px * np.array([math.tan(t) for t in theta]))
+        iy = np.floor(intr.cy_px + intr.fy_px * np.array([math.tan(p) for p in phi]))
+        keep = np.flatnonzero(~((roi.x0 <= ix) & (ix < roi.x1) & (roi.y0 <= iy) & (iy < roi.y1)))
         if len(keep) >= n_out:
-            idx = np.round(np.linspace(0, len(keep) - 1, n_out)).astype(int)
-            return [keep[i] for i in idx]
+            keep = keep[np.round(np.linspace(0, len(keep) - 1, n_out)).astype(int)]
+            return theta[keep], phi[keep]
         m = max(m + 1, int(m * 1.2))
     raise RuntimeError("could not place outside-ROI samples")  # pragma: no cover

@@ -167,7 +167,7 @@ def test_scan_entropy_pattern_per_frame(tmp_path):
     last = ScanPattern.from_json(files[2].read_text())
     assert len(first.samples) == len(last.samples) == 27
     # box moved, so sample placement shifts between frames
-    assert first.samples != last.samples
+    assert not np.array_equal(first.samples, last.samples)
 
 
 def test_scan_foveated_needs_roi(tmp_path):

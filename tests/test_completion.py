@@ -12,7 +12,7 @@ from memslidar.completion import (
 )
 from memslidar.lidar_sim import (
     CaptureConfig,
-    DepthSample,
+    DEPTH_SAMPLE_DTYPE,
     NoSamples,
     SparseDepth,
     capture,
@@ -29,7 +29,8 @@ def _sparse_from_pixels(shape, pixel_depths):
     samples = []
     for (x, y), z in pixel_depths.items():
         depth[y, x] = z
-        samples.append(DepthSample(0.0, 0.0, 0.0, x, y, float(z), float(z)))
+        samples.append((0.0, 0.0, 0.0, x, y, float(z), float(z)))
+    samples = np.rec.fromrecords(samples, dtype=DEPTH_SAMPLE_DTYPE)
     return SparseDepth(depth_m=depth, samples=samples, fps=10.0,
                        regime=Regime.FULL_FOV, drop_count=0)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from memslidar.lidar_sim import (
     CalibrationModel,
     CaptureConfig,
-    DepthSample,
+    DEPTH_SAMPLE_DTYPE,
     IDENTITY_CALIBRATION,
     LidarSimError,
     NoOverlap,
     NoSamples,
     SingularFit,
     SparseDepth,
+    _disk_offsets,
     capture,
     dot_footprint_radius_px,
     evaluate_against_reference,
@@ -20,16 +22,22 @@ from memslidar.lidar_sim import (
     load_sparse,
     save_sparse,
 )
+from memslidar.foveation import entropy_map
 from memslidar.metrics import planar_rmse, depth_to_points
 from memslidar.scan_engine import (
+    ROI,
+    SCAN_SAMPLE_DTYPE,
     Regime,
     ScanPattern,
-    ScanSample,
+    angles_to_pixel,
+    gen_entropy_adaptive,
+    gen_foveated,
     gen_full_fov,
     pixel_to_angles,
+    reference_mirror_model,
 )
 
-from conftest import make_frame, model_with_budget
+from conftest import foveation_scene, make_frame, model_with_budget
 
 NOISELESS = CaptureConfig(noise_coeff=0.0)
 
@@ -45,8 +53,8 @@ def _pattern_at_pixels(frame, pixels, fps=10.0):
         theta, phi = pixel_to_angles(
             np.array([float(px)]), np.array([float(py)]), frame.intrinsics
         )
-        samples.append(ScanSample(t_s=i * 1e-3, theta_rad=float(theta[0]),
-                                  phi_rad=float(phi[0])))
+        samples.append((i * 1e-3, float(theta[0]), float(phi[0])))
+    samples = np.rec.fromrecords(samples, dtype=SCAN_SAMPLE_DTYPE)
     return ScanPattern(samples=samples, fps=fps, regime=Regime.FULL_FOV)
 
 
@@ -102,7 +110,7 @@ def test_sample_on_invalid_depth_is_dropped():
 
 def test_sample_outside_image_is_dropped():
     frame = _plane(2.0)
-    samples = [ScanSample(0.0, 0.5, 0.0), ScanSample(1e-3, 0.0, 0.0)]
+    samples = np.rec.fromrecords([(0.0, 0.5, 0.0), (1e-3, 0.0, 0.0)], dtype=SCAN_SAMPLE_DTYPE)
     pattern = ScanPattern(samples=samples, fps=10.0, regime=Regime.FULL_FOV)
     sparse = capture(frame, pattern, NOISELESS)
     assert sparse.drop_count == 1
@@ -140,7 +148,7 @@ def test_capture_noise_is_seed_deterministic():
     b = capture(frame, pattern, noise_seed=42)
     c = capture(frame, pattern, noise_seed=43)
     assert np.array_equal(a.depth_m, b.depth_m)
-    assert a.samples == b.samples
+    assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.depth_m, c.depth_m)
 
 
@@ -275,7 +283,7 @@ def test_single_sample_arithmetic():
     depth[1, 2] = 1.10
     sparse = SparseDepth(
         depth_m=depth,
-        samples=[DepthSample(0.0, 0.0, 0.0, 2, 1, 1.10, 1.10)],
+        samples=np.rec.fromrecords([(0.0, 0.0, 0.0, 2, 1, 1.10, 1.10)], dtype=DEPTH_SAMPLE_DTYPE),
         fps=10.0,
         regime=Regime.FULL_FOV,
         drop_count=0,
@@ -292,7 +300,7 @@ def test_no_overlap_raises():
     depth[1, 2] = 1.0
     sparse = SparseDepth(
         depth_m=depth,
-        samples=[DepthSample(0.0, 0.0, 0.0, 2, 1, 1.0, 1.0)],
+        samples=np.rec.fromrecords([(0.0, 0.0, 0.0, 2, 1, 1.0, 1.0)], dtype=DEPTH_SAMPLE_DTYPE),
         fps=10.0,
         regime=Regime.FULL_FOV,
         drop_count=0,
@@ -325,7 +333,7 @@ def test_sparse_roundtrip_noiseless_is_exact(tmp_path):
     save_sparse(sparse, tmp_path / "d.pgm", tmp_path / "d.json")
     loaded = load_sparse(tmp_path / "d.pgm", tmp_path / "d.json")
     assert np.array_equal(loaded.depth_m, sparse.depth_m)
-    assert loaded.samples == sparse.samples
+    assert np.array_equal(loaded.samples, sparse.samples)
     assert loaded.fps == sparse.fps
     assert loaded.regime is sparse.regime
     assert loaded.drop_count == sparse.drop_count
@@ -340,4 +348,115 @@ def test_sparse_roundtrip_quantizes_to_millimeters(tmp_path):
     # depth map rounds to the 1 mm file quantum; the sample list keeps
     # full precision through JSON
     assert np.max(np.abs(loaded.depth_m - sparse.depth_m)) <= 5e-4 + 1e-12
-    assert loaded.samples == sparse.samples
+    assert np.array_equal(loaded.samples, sparse.samples)
+
+
+# ---------- capture against the per-sample reference ----------
+
+def _capture_reference_json(frame, pattern, config, noise_seed):
+    """Per-sample loop that `capture` replaced: (depth_m, to_json text), or None
+    when every sample is dropped."""
+    depth_gt = frame.depth_gt
+    h, w = depth_gt.shape
+    dy, dx = _disk_offsets(dot_footprint_radius_px(frame, config.dot_solid_angle_sr))
+    rng = np.random.default_rng(noise_seed)
+    pxs, pys = angles_to_pixel(
+        np.array([s.theta_rad for s in pattern.samples]),
+        np.array([s.phi_rad for s in pattern.samples]),
+        frame.intrinsics,
+    )
+    depth_out = np.zeros_like(depth_gt)
+    samples = []
+    dropped = 0
+    for (t_s, theta, phi), px, py in zip(pattern.samples.tolist(), pxs, pys):
+        noise_unit = rng.standard_normal()
+        ix, iy = int(math.floor(px)), int(math.floor(py))
+        if not (0 <= ix < w and 0 <= iy < h) or depth_gt[iy, ix] <= 0:
+            dropped += 1
+            continue
+        ys, xs = iy + dy, ix + dx
+        inbounds = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+        footprint = depth_gt[ys[inbounds], xs[inbounds]]
+        mean_range = float(footprint[footprint > 0].mean())
+        measured = mean_range + config.noise_coeff * mean_range * noise_unit
+        if measured <= 0 or measured > config.z_max_m or depth_out[iy, ix] > 0:
+            dropped += 1
+            continue
+        depth_out[iy, ix] = measured
+        samples.append({
+            "t_s": t_s, "theta_rad": theta, "phi_rad": phi, "pixel_x": ix, "pixel_y": iy,
+            "range_m": measured,
+            "raw_volts": config.sensor_calibration.range_to_volts(measured),
+        })
+    if not samples:
+        return None
+    doc = {"fps": pattern.fps, "regime": pattern.regime.value, "drop_count": dropped,
+           "samples": samples}
+    return depth_out, json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _assert_capture_matches_reference(frame, pattern, config, noise_seed):
+    expected = _capture_reference_json(frame, pattern, config, noise_seed)
+    if expected is None:
+        with pytest.raises(NoSamples):
+            capture(frame, pattern, config, noise_seed)
+        return
+    sparse = capture(frame, pattern, config, noise_seed)
+    assert sparse.depth_m.tobytes() == expected[0].tobytes()
+    assert sparse.to_json() == expected[1]
+
+
+def _rough_scene(rng, shape=(48, 64)):
+    """Steps near the 3 m gate, zero-depth holes (some at the border) and isolated zeros."""
+    h, w = shape
+    depth = np.full(shape, 2.0)
+    for _ in range(6):
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        depth[y0:y0 + int(rng.integers(3, 20)), x0:x0 + int(rng.integers(3, 20))] = rng.uniform(1.0, 3.3)
+    for _ in range(3):
+        y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+        depth[y0:y0 + int(rng.integers(2, 8)), x0:x0 + int(rng.integers(2, 8))] = 0.0
+    depth[:, :2] = 0.0
+    depth[rng.random(shape) < 0.05] = 0.0
+    return make_frame(depth)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_capture_matches_per_sample_reference(seed):
+    rng = np.random.default_rng(seed)
+    frame = _rough_scene(rng)
+    intr = frame.intrinsics
+    # pixel positions spill 6 px past every edge; a fifth of the schedule
+    # repeats earlier directions, and sub-pixel neighbours share pixels too
+    px = rng.uniform(-6.0, intr.width + 6.0, 300)
+    py = rng.uniform(-6.0, intr.height + 6.0, 300)
+    px[::7] = np.floor(px[1::7][:len(px[::7])]) + 0.9
+    py[::7] = np.floor(py[1::7][:len(py[::7])]) + 0.1
+    theta = np.arctan((px - intr.cx_px) / intr.fx_px)
+    phi = np.arctan((py - intr.cy_px) / intr.fy_px)
+    repeat = rng.integers(0, 300, 75)
+    theta, phi = np.concatenate((theta, theta[repeat])), np.concatenate((phi, phi[repeat]))
+    samples = np.rec.fromarrays(
+        [np.arange(len(theta)) * 1e-3, theta, phi], dtype=SCAN_SAMPLE_DTYPE)
+    pattern = ScanPattern(samples=samples, fps=10.0, regime=Regime.FULL_FOV)
+    cal = CalibrationModel(gain_m_per_v=0.37, offset_m=-0.21)
+    for config in (
+        CaptureConfig(z_max_m=3.0, noise_coeff=0.05, sensor_calibration=cal),
+        CaptureConfig(z_max_m=2.2, noise_coeff=0.3, dot_solid_angle_sr=2e-3),
+        CaptureConfig(z_max_m=3.0, noise_coeff=0.0, dot_solid_angle_sr=1e-6),
+    ):
+        _assert_capture_matches_reference(frame, pattern, config, seed)
+
+
+@pytest.mark.parametrize("fps", [30.0, 6.0, 1.0])
+def test_capture_of_generated_patterns_matches_reference(fps):
+    frame = foveation_scene(5)
+    model = reference_mirror_model()
+    dims = (frame.intrinsics.width, frame.intrinsics.height)
+    config = CaptureConfig(z_max_m=2.6, noise_coeff=0.04)
+    for i, pattern in enumerate((
+        gen_full_fov(model, fps, dims),
+        gen_foveated(model, fps, ROI(10, 20, 90, 80, 1.0, 0.1), dims),
+        gen_entropy_adaptive(model, fps, entropy_map(frame.rgb, 15).values, seed=3),
+    )):
+        _assert_capture_matches_reference(frame, pattern, config, 100 + i)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,9 @@ from memslidar.scan_engine import (
     ROIOutOfBounds,
     ScanPattern,
     SingularFit,
+    _angular_extent,
+    _roi_angular_rect,
+    _serpentine_grid,
     angles_to_pixel,
     budget,
     fit_budget,
@@ -189,7 +193,7 @@ def test_density_one_matches_full_grid():
     model = model_with_budget(230)
     sweep = gen_density_sweep(model, 10.0, DIMS, 1.0)
     full = gen_full_fov(model, 10.0, DIMS)
-    assert sweep.samples == full.samples
+    assert np.array_equal(sweep.samples, full.samples)
 
 
 def test_density_out_of_range():
@@ -245,7 +249,7 @@ def test_entropy_all_zero_map_warns_and_falls_back():
     model = model_with_budget(50)
     with pytest.warns(DegenerateMap):
         pattern = gen_entropy_adaptive(model, 10.0, np.zeros((48, 64)), seed=0)
-    assert pattern.samples == gen_full_fov(model, 10.0, DIMS).samples
+    assert np.array_equal(pattern.samples, gen_full_fov(model, 10.0, DIMS).samples)
 
 
 def test_entropy_seed_determinism():
@@ -254,8 +258,8 @@ def test_entropy_seed_determinism():
     a = gen_entropy_adaptive(model, 10.0, emap, seed=7)
     b = gen_entropy_adaptive(model, 10.0, emap, seed=7)
     c = gen_entropy_adaptive(model, 10.0, emap, seed=8)
-    assert a.samples == b.samples
-    assert a.samples != c.samples
+    assert np.array_equal(a.samples, b.samples)
+    assert not np.array_equal(a.samples, c.samples)
 
 
 def test_entropy_rejects_bad_maps():
@@ -273,7 +277,7 @@ def test_foveated_full_image_roi_degenerates_to_raster():
     roi = ROI(0, 0, DIMS[0], DIMS[1], inside_density=1.0, outside_density=0.0)
     fov = gen_foveated(model, 10.0, roi, DIMS)
     full = gen_full_fov(model, 10.0, DIMS)
-    assert fov.samples == full.samples
+    assert np.array_equal(fov.samples, full.samples)
     assert fov.regime is Regime.FOVEATED_ROI
 
 
@@ -333,4 +337,115 @@ def test_pattern_json_roundtrip():
     assert back.regime is pattern.regime
     assert back.seed == pattern.seed
     assert back.budget == pattern.budget
-    assert back.samples == pattern.samples
+    assert np.array_equal(back.samples, pattern.samples)
+
+
+# ---------- generators against the list-based reference ----------
+
+def _serpentine_grid_reference(extent, n):
+    """List-based serpentine grid that `_serpentine_grid` replaced."""
+    t0, t1, p0, p1 = extent
+    cols = max(1, int(math.isqrt(n)))
+    rows = math.ceil(n / cols)
+    dt = (t1 - t0) / cols
+    dp = (p1 - p0) / rows
+    pts = []
+    remaining = n
+    for r in range(rows):
+        row_count = min(cols, remaining)
+        remaining -= row_count
+        phi = p0 + (r + 0.5) * dp
+        cols_in_row = range(row_count)
+        if r % 2 == 1:
+            cols_in_row = reversed(list(cols_in_row))
+        for c in cols_in_row:
+            theta = t0 + (c + 0.5) * dt
+            pts.append((theta, phi))
+    return pts
+
+
+def _outside_grid_reference(roi, intr, model, image_dims, n_out):
+    """Per-point loop that `_outside_grid` replaced."""
+    w, h = image_dims
+    frac_out = 1.0 - roi.area_px / (w * h)
+    extent = _angular_extent(model, image_dims)
+    m = max(n_out, int(math.ceil(n_out / frac_out)))
+    for _ in range(64):
+        keep = []
+        for theta, phi in _serpentine_grid_reference(extent, m):
+            px = intr.cx_px + intr.fx_px * math.tan(theta)
+            py = intr.cy_px + intr.fy_px * math.tan(phi)
+            ix, iy = int(math.floor(px)), int(math.floor(py))
+            if not (roi.x0 <= ix < roi.x1 and roi.y0 <= iy < roi.y1):
+                keep.append((theta, phi))
+        if len(keep) >= n_out:
+            idx = np.round(np.linspace(0, len(keep) - 1, n_out)).astype(int)
+            return [keep[i] for i in idx]
+        m = max(m + 1, int(m * 1.2))
+    raise AssertionError("reference could not place outside-ROI samples")
+
+
+def _foveated_reference(model, fps, roi, dims):
+    """Points of the list-based foveated generator, in schedule order."""
+    w, h = dims
+    n = budget(model, fps)
+    intr = image_intrinsics(model, dims)
+    w_in = roi.inside_density * roi.area_px
+    w_out = roi.outside_density * (w * h - roi.area_px)
+    n_in = int(round(n * w_in / (w_in + w_out)))
+    pts = []
+    if n_in > 0:
+        pts.extend(_serpentine_grid_reference(_roi_angular_rect(roi, intr), n_in))
+    if n - n_in > 0:
+        pts.extend(_outside_grid_reference(roi, intr, model, dims, n - n_in))
+    return pts
+
+
+def _reference_json(model, fps, regime, n_budget, pts):
+    times = model.frame_overhead_s + np.arange(len(pts)) / model.sample_rate_hz
+    doc = {
+        "fps": fps, "regime": regime.value, "seed": None, "budget": n_budget,
+        "samples": [
+            {"t_s": float(t), "theta_rad": th, "phi_rad": ph}
+            for t, (th, ph) in zip(times, pts)
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 28, 29, 60, 231, 1503])
+def test_serpentine_grid_matches_reference(n):
+    extent = (-0.21, 0.23, -0.17, 0.155)
+    theta, phi = _serpentine_grid(extent, n)
+    assert list(zip(theta.tolist(), phi.tolist())) == _serpentine_grid_reference(extent, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generators_match_reference_json(seed):
+    rng = np.random.default_rng(seed)
+    for dims in ((64, 48), (160, 120), (97, 61)):
+        w, h = dims
+        model = MirrorModel(
+            sample_rate_hz=float(rng.uniform(300.0, 2000.0)),
+            frame_overhead_s=float(rng.uniform(0.0, 0.02)),
+        )
+        fps = float(rng.uniform(2.0, 20.0))
+        n = budget(model, fps)
+        full = _serpentine_grid_reference(_angular_extent(model, dims), n)
+        expected = _reference_json(model, fps, Regime.FULL_FOV, n, full)
+        assert gen_full_fov(model, fps, dims).to_json() == expected
+        assert ScanPattern.from_json(expected).to_json() == expected
+
+        density = float(rng.uniform(0.05, 1.0))
+        sparse = _serpentine_grid_reference(
+            _angular_extent(model, dims), max(1, int(round(n * density))))
+        assert gen_density_sweep(model, fps, dims, density).to_json() == _reference_json(
+            model, fps, Regime.DENSITY_SWEEP, n, sparse)
+
+        for outside in (0.0, 0.05, 0.3, 1.0):
+            x0, y0 = int(rng.integers(0, w - 1)), int(rng.integers(0, h - 1))
+            x1, y1 = int(rng.integers(x0 + 1, w + 1)), int(rng.integers(y0 + 1, h + 1))
+            roi = ROI(x0, y0, x1, y1, 1.0, outside)
+            expected = _reference_json(
+                model, fps, Regime.FOVEATED_ROI, n, _foveated_reference(model, fps, roi, dims))
+            assert gen_foveated(model, fps, roi, dims).to_json() == expected
