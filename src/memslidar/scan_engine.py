@@ -213,7 +213,13 @@ def budget(model: MirrorModel, fps: float) -> int:
         raise OverheadExceedsFrame(
             f"frame period {frame_s:.6f} s <= overhead {model.frame_overhead_s:.6f} s"
         )
-    return int(math.floor((frame_s - model.frame_overhead_s) * model.sample_rate_hz))
+    n = int(math.floor((frame_s - model.frame_overhead_s) * model.sample_rate_hz))
+    if n < 1:
+        raise OverheadExceedsFrame(
+            f"frame period {frame_s:.6f} s leaves {frame_s - model.frame_overhead_s:.6f} s "
+            f"after overhead, less than one sample period at {model.sample_rate_hz:g} Hz"
+        )
+    return n
 
 
 def fps_for_budget(model: MirrorModel, n_samples: int) -> float:

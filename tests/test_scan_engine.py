@@ -46,6 +46,11 @@ def test_budget_overhead_exceeds_frame():
     model = MirrorModel(sample_rate_hz=1600.0, frame_overhead_s=0.05)
     with pytest.raises(OverheadExceedsFrame):
         budget(model, 30.0)
+    # the frame outlasts the overhead by less than one sample period
+    with pytest.raises(OverheadExceedsFrame):
+        budget(model, 19.99)
+    with pytest.raises(OverheadExceedsFrame):
+        budget(reference_mirror_model(), 62.0)
 
 
 def test_fps_for_budget_inverts_budget():
