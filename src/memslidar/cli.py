@@ -233,7 +233,6 @@ def cmd_optics_sweep(args) -> int:
 # ---------- fit-budget ----------
 
 def cmd_fit_budget(args) -> int:
-    out = _outdir(args)
     pairs = []
     for chunk in args.pairs.split(","):
         fps_s, _, n_s = chunk.partition(":")
@@ -256,6 +255,7 @@ def cmd_fit_budget(args) -> int:
         "residuals": list(fit.residuals),
         "forward": forward,
     }
+    out = _outdir(args)
     (out / "budget_fit.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _write_run_json(out, args)
     print(
@@ -383,7 +383,6 @@ _REGIME_FLAG = {
 
 
 def cmd_scan(args) -> int:
-    out = _outdir(args)
     regime = _REGIME_FLAG[args.regime]
     roi = None
     if args.roi:
@@ -403,20 +402,21 @@ def cmd_scan(args) -> int:
         frames = [None]
     model = _mirror_model(args, fov_deg)
 
-    n_written = 0
+    patterns = {}
     for frame in frames:
         rgb = frame.rgb if frame is not None else None
         index = frame.frame_index if frame is not None else 0
-        pattern = _build_pattern(
+        patterns[index] = _build_pattern(
             regime, model, args.fps, dims,
             _frame_seed(args.seed, index, 0), roi, args.density, args.window_px, rgb,
         )
-        (out / f"pattern_{index:04d}.json").write_text(pattern.to_json() + "\n")
-        n_written += 1
         if regime != Regime.ENTROPY_ADAPTIVE:
             break  # pattern is frame-independent; one file is enough
-    _write_run_json(out, args, {"n_patterns": n_written, "budget": budget(model, args.fps)})
-    print(f"wrote {n_written} pattern file(s) to {out}")
+    out = _outdir(args)
+    for index, pattern in patterns.items():
+        (out / f"pattern_{index:04d}.json").write_text(pattern.to_json() + "\n")
+    _write_run_json(out, args, {"n_patterns": len(patterns), "budget": budget(model, args.fps)})
+    print(f"wrote {len(patterns)} pattern file(s) to {out}")
     return 0
 
 
@@ -456,7 +456,6 @@ def _motion_rois(seq: SceneSequence, args) -> list[ROI | None]:
 
 
 def cmd_capture(args) -> int:
-    out = _outdir(args)
     seq = load_scene(args.scene)
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
     cap_cfg = CaptureConfig(
@@ -491,6 +490,7 @@ def cmd_capture(args) -> int:
         )
     results = _pmap(_capture_task, tasks, args.jobs)
 
+    out = _outdir(args)
     summary = []
     for (index, sparse), task in zip(results, tasks):
         save_sparse(sparse, out / f"{index:04d}.pgm", out / f"{index:04d}.json")
@@ -516,7 +516,6 @@ def cmd_capture(args) -> int:
 # ---------- fovea ----------
 
 def cmd_fovea(args) -> int:
-    out = _outdir(args)
     seq = load_scene(args.scene)
     lines = [ROI_TRACE_HEADER]
     if args.mode == "motion":
@@ -542,6 +541,7 @@ def cmd_fovea(args) -> int:
             lines.append(
                 f"{frame.frame_index},{roi.x0},{roi.y0},{roi.x1},{roi.y1},{roi.area_px}"
             )
+    out = _outdir(args)
     (out / "roi_trace.csv").write_text("\n".join(lines) + "\n")
     _write_run_json(out, args)
     print(f"wrote ROI trace for {len(seq.frames)} frame(s) to {out / 'roi_trace.csv'}")
@@ -557,7 +557,6 @@ def _complete_task(task) -> tuple[int, np.ndarray]:
 
 
 def cmd_complete(args) -> int:
-    out = _outdir(args)
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
     params = GuidedFillParams(
@@ -576,6 +575,7 @@ def cmd_complete(args) -> int:
         sparse = load_sparse(pgm, sjson)
         tasks.append((frame.frame_index, sparse, frame.rgb, params))
     results = _pmap(_complete_task, tasks, args.jobs)
+    out = _outdir(args)
     for index, depth in results:
         write_pgm16(out / f"{index:04d}.pgm", depth_to_millimeters(depth))
     _write_run_json(out, args)
@@ -615,11 +615,10 @@ def _load_capture_rois(pred_dir: Path) -> dict[int, list | None]:
 
 
 def cmd_eval(args) -> int:
-    out = _outdir(args)
     seq = load_scene(args.scene)
 
     if args.fps_sweep:
-        return _eval_fps_sweep(args, out, seq)
+        return _eval_fps_sweep(args, seq)
 
     if not args.pred:
         raise UsageError("eval needs --pred (or --fps-sweep)")
@@ -662,6 +661,7 @@ def cmd_eval(args) -> int:
         pooled_pairs.append((pred, truth))
     pooled = _pooled_report(pooled_pairs)
     lines.append("all," + pooled.to_csv_row())
+    out = _outdir(args)
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     (out / "metrics.json").write_text(pooled.to_json() + "\n")
     _write_run_json(out, args)
@@ -669,7 +669,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _eval_fps_sweep(args, out: Path, seq: SceneSequence) -> int:
+def _eval_fps_sweep(args, seq: SceneSequence) -> int:
     """Capture + complete + evaluate at each frame rate; one CSV row per rate."""
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
     cap_cfg = CaptureConfig(
@@ -702,6 +702,7 @@ def _eval_fps_sweep(args, out: Path, seq: SceneSequence) -> int:
         lines.append(
             f"{fps:.9g},{budget(model, fps)},{mean_samples:.9g}," + report.to_csv_row()
         )
+    out = _outdir(args)
     (out / "fps_sweep.csv").write_text("\n".join(lines) + "\n")
     _write_run_json(out, args)
     print("\n".join(lines))

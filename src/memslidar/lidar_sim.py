@@ -56,6 +56,10 @@ class SingularFit(LidarSimError):
     """Calibration pairs cannot determine a line."""
 
 
+class MalformedSparse(LidarSimError):
+    """Sparse capture JSON is not JSON or lacks a field."""
+
+
 @dataclass(frozen=True)
 class CalibrationModel:
     """Linear sensor calibration: range_m = gain * volts + offset."""
@@ -264,11 +268,14 @@ def save_sparse(sparse: SparseDepth, pgm_path, json_path) -> None:
 
 def load_sparse(pgm_path, json_path) -> SparseDepth:
     depth = millimeters_to_depth(read_pgm16(pgm_path))
-    doc = json.loads(Path(json_path).read_text())
-    return SparseDepth(
-        depth_m=depth,
-        samples=records_from_dicts(doc["samples"], DEPTH_SAMPLE_DTYPE),
-        fps=doc["fps"],
-        regime=Regime(doc["regime"]),
-        drop_count=doc["drop_count"],
-    )
+    try:
+        doc = json.loads(Path(json_path).read_text())
+        return SparseDepth(
+            depth_m=depth,
+            samples=records_from_dicts(doc["samples"], DEPTH_SAMPLE_DTYPE),
+            fps=doc["fps"],
+            regime=Regime(doc["regime"]),
+            drop_count=doc["drop_count"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedSparse(f"{json_path}: not a sparse capture file ({exc!r})") from None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,31 @@ def test_optics_sweep_out_of_bounds_exit_2(tmp_path):
     assert run("optics-sweep", "--M", "300", "--out", tmp_path / "oob") == 2
 
 
+@pytest.fixture(scope="module")
+def plane_capture(tmp_path_factory):
+    """(scene, capture) directories: one 160x120 plane frame scanned at 30 fps."""
+    root = tmp_path_factory.mktemp("plane")
+    scene, cap = root / "scene", root / "cap"
+    assert run("gen-scene", "--preset", "plane", "--out", scene) == 0
+    assert run("capture", "--scene", scene, "--fps", "30", "--out", cap) == 0
+    return scene, cap
+
+
+def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
+    """Run argv with SCENE, SPARSE and NOPE filled in; assert one error line
+    and no --out directory."""
+    scene, cap = plane_capture
+    names = {"SCENE": scene, "SPARSE": cap, "NOPE": tmp_path / "nope"}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*(names.get(a, a) for a in argv), "--out", out) == code
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["optics-sweep", "--M", "300"],
     ["optics-sweep", "--Z-m", "0:100:log5"],
@@ -82,15 +108,57 @@ def test_optics_sweep_out_of_bounds_exit_2(tmp_path):
     ["optics-sweep", "--mirror-fov-deg", "nan"],
     ["optics-sweep", "--design", "single", "--Z-m", "0.01,2"],
     ["gen-scene", "--preset", "plane", "--fps", "0"],
+    ["fit-budget", "--pairs", "bad"],
+    ["fit-budget", "--pairs", "10:5,10:7"],
+    ["scan", "--dims", "160x120", "--fps", "0"],
+    # budget 0: the frame outlasts the fitted overhead by under one sample period
+    ["scan", "--dims", "160x120", "--fps", "62"],
+    ["scan", "--dims", "160x120", "--regime", "density", "--fps", "62"],
+    ["scan", "--scene", "SCENE", "--regime", "foveated"],
+    ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "5,5,2,2"],
+    ["capture", "--scene", "SCENE", "--regime", "entropy", "--fps", "63"],
+    ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "0,0,40,30", "--fps", "63"],
+    ["fovea", "--scene", "SCENE", "--mode", "entropy", "--roi-dims", "bad"],
+    ["complete", "--scene", "SCENE", "--sparse", "SPARSE", "--k-neighbors", "0"],
+    ["eval", "--scene", "SCENE"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--roi", "0,0,500,500"],
+    ["eval", "--scene", "SCENE", "--fps-sweep", "62"],
 ], ids=" ".join)
-def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, argv):
-    out = tmp_path / "out"
-    assert run(*argv, "--out", out) == 2
-    err = capsys.readouterr().err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("usage error:"), err
-    assert "Traceback" not in err
-    assert not out.exists()
+def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
+    _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--scene", "NOPE"],
+    ["capture", "--scene", "NOPE"],
+    ["capture", "--scene", "SCENE", "--z-max-m", "0.5"],
+    ["fovea", "--scene", "NOPE"],
+    ["complete", "--scene", "NOPE", "--sparse", "SPARSE"],
+    ["complete", "--scene", "SCENE", "--sparse", "NOPE"],
+    ["eval", "--scene", "NOPE", "--pred", "SPARSE"],
+    ["eval", "--scene", "SCENE", "--pred", "NOPE"],
+], ids=" ".join)
+def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
+    _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: {k: v for k, v in doc.items() if k != "samples"},
+    lambda doc: {**doc, "samples": [{k: v for k, v in s.items() if k != "range_m"}
+                                    for s in doc["samples"]]},
+    None,  # not JSON at all
+], ids=["no-samples-key", "sample-lacks-range", "not-json"])
+def test_complete_malformed_sparse_json_exit_3(tmp_path, capsys, plane_capture, corrupt):
+    scene, cap = plane_capture
+    sparse = tmp_path / "cap"
+    shutil.copytree(cap, sparse)
+    path = sparse / "0000.json"
+    if corrupt is None:
+        path.write_text("P5 not json\n")
+    else:
+        path.write_text(json.dumps(corrupt(read_json(path))))
+    _rejected_run(tmp_path, capsys, plane_capture,
+                  ["complete", "--scene", "SCENE", "--sparse", sparse], 3, "error:")
 
 
 def test_fit_budget_reference_pairs(tmp_path):
