@@ -696,7 +696,9 @@ def _eval_fps_sweep(args, seq: SceneSequence) -> int:
         for (index, sparse), frame in zip(results, seq.frames):
             n_samples += len(sparse.samples)
             dense = complete(sparse, frame.rgb, params)
-            pooled_pairs.append((dense.depth_m, frame.depth_gt))
+            # score the millimetre depth `complete` would write, as `eval --pred` does
+            pred = millimeters_to_depth(depth_to_millimeters(dense.depth_m))
+            pooled_pairs.append((pred, frame.depth_gt))
         report = _pooled_report(pooled_pairs)
         mean_samples = n_samples / len(seq.frames)
         lines.append(

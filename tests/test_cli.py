@@ -437,6 +437,19 @@ def test_eval_fps_sweep(tmp_path):
     assert lines[2].startswith("6,230,")
 
 
+def test_fps_sweep_scores_like_capture_complete_eval(tmp_path):
+    scene = make_scene(tmp_path, "textured", 1)
+    cap, pred = tmp_path / "cap", tmp_path / "pred"
+    assert run("capture", "--scene", scene, "--fps", "6", "--out", cap) == 0
+    assert run("complete", "--scene", scene, "--sparse", cap, "--out", pred) == 0
+    assert run("eval", "--scene", scene, "--pred", pred, "--out", tmp_path / "ev") == 0
+    assert run("eval", "--scene", scene, "--fps-sweep", "6", "--out", tmp_path / "sw") == 0
+    on_disk = (tmp_path / "ev" / "metrics.csv").read_text().strip().splitlines()[-1]
+    swept = (tmp_path / "sw" / "fps_sweep.csv").read_text().strip().splitlines()[-1]
+    assert on_disk.startswith("all,") and swept.startswith("6,230,230,")
+    assert swept.split(",", 3)[3] == on_disk.split(",", 1)[1]
+
+
 def test_capture_bad_roi_exit_2(tmp_path):
     scene = make_scene(tmp_path, "plane", 1)
     assert run(
