@@ -10,14 +10,18 @@ so depth stops propagating across color edges.  This is a deliberately
 simple, deterministic baseline: no learning, no iteration.  Measured
 pixels pass through untouched.
 
-Neighbours come from a k-d tree (`scipy.spatial.cKDTree`) built once over
-the sample pixels.  Pending pixels are queried in blocks of at most
-`_CHUNK_TARGET` (pixel, candidate) entries, which bounds memory at any
-image size.  Each pixel's candidates are ranked by (squared distance,
-sample index), exactly as a stable sort of all samples would rank them,
-so the weights are summed in a fixed order and the output does not
-depend on the tree.  scipy.spatial is imported on the first call, not
-with the package, because it adds 0.1-0.2 s to every fresh import.
+Neighbours come from a tile search (the cell method of Bentley, Stanat
+& Williams, 1977).  The image is cut into t x t tiles, t about the sample
+spacing.  If d_k is the k-th nearest sample distance from a tile's centre
+and r the tile's half-diagonal, then every sample among any tile pixel's
+k nearest, ties included, lies within d_k + 2r of the centre.  Those
+candidates are ranked for all the tile's pixels at once by the integer
+key (squared distance, sample index), exactly as a stable sort of all
+samples would rank them, so the weights are summed in a fixed order.
+Squared distances and RGB distances are integers, so both Gaussians are
+read from tables built once per call.  Tiles are processed in blocks
+that hold at most `_CHUNK_TARGET` (tile, sample) and (pixel, candidate)
+entries, which bounds memory at any image size.
 """
 
 from __future__ import annotations
@@ -33,10 +37,8 @@ from .scan_engine import ROI, MirrorModel, gen_foveated, gen_full_fov
 from .scene_io import SceneFrame
 
 
-# per-block budget of (pixel, candidate) entries for the k-NN queries
+# per-block budget of (tile, sample) and of (pixel, candidate) entries
 _CHUNK_TARGET = int(5e5)
-# candidates queried beyond k, so that most rows settle their k-th-distance ties at once
-_TIE_SLACK = 4
 
 
 @dataclass(frozen=True)
@@ -76,30 +78,80 @@ class DenseDepth:
     provenance: str
 
 
-def _knn_keys(tree, my, mx, ys, xs, k, kq):
-    """Keys d2 * n + index of each pixel's k nearest samples, ascending.
+def _tile_size(h: int, w: int, n: int) -> int:
+    """Tile edge in pixels: small tiles for dense samples, larger for sparse."""
+    return 4 if math.sqrt(h * w / n) < 12 else 8
 
-    The tree returns each pixel's kq nearest samples, but orders samples
-    at equal distance arbitrarily, so the candidates are re-ranked by key.
-    A row is exact once its last candidate lies strictly farther than its
-    k-th: then every sample tied at the k-th distance is a candidate.
-    Other rows are queried again with twice as many candidates, in blocks
-    of the same entry budget; a query for all n samples is always exact.
+
+def _knn_blocks(ys, xs, pending, k):
+    """Yield (my, mx, d2, nn) for blocks of pending pixels.
+
+    nn[i] holds the indices of pixel (my[i], mx[i])'s k nearest samples and
+    d2[i] their squared distances, ranked by the key (d2 << bits) | index:
+    the order of a stable sort by distance.  Coordinates are doubled
+    inside, so that tile centres are integers.
     """
+    h, w = pending.shape
     n = len(ys)
-    _, idx = tree.query(np.column_stack((my, mx)), k=kq)
-    idx = idx.reshape(my.size, kq)
-    d2 = (my[:, None] - ys[idx]) ** 2 + (mx[:, None] - xs[idx]) ** 2
-    key = np.sort(d2 * n + idx, axis=1)
-    tied = np.flatnonzero(key[:, k - 1] // n == key[:, -1] // n)
-    key = key[:, :k]
-    if kq < n and tied.size:
-        kq = min(2 * kq, n)
-        step = max(1, _CHUNK_TARGET // kq)
-        for lo in range(0, len(tied), step):
-            rows = tied[lo:lo + step]
-            key[rows] = _knn_keys(tree, my[rows], mx[rows], ys, xs, k, kq)
-    return key
+    bits = n.bit_length()  # index n pads short candidate lists
+    t = _tile_size(h, w, n)
+    rows, cols = -(-h // t), -(-w // t)
+    tile_pending = np.zeros((rows * t, cols * t), dtype=bool)
+    tile_pending[:h, :w] = pending
+    tile_pending = tile_pending.reshape(rows, t, cols, t).swapaxes(1, 2).reshape(-1, t, t)
+    tiles = np.flatnonzero(tile_pending.any(axis=(1, 2)))
+    tile_y, tile_x = np.divmod(tiles, cols)
+    # squared doubled distances from tile-centre rows and columns to each sample
+    centre_y = np.arange(rows)[:, None] * 2 * t + (t - 1)
+    centre_x = np.arange(cols)[:, None] * 2 * t + (t - 1)
+    # int32 halves the (tile, sample) block wherever it cannot overflow
+    dist = np.int32 if (2 * rows * t) ** 2 + (2 * cols * t) ** 2 < 2**30 else np.int64
+    dd_y = ((centre_y - 2 * ys) ** 2).astype(dist)
+    dd_x = ((centre_x - 2 * xs) ** 2).astype(dist)
+    reach = 2.0 * math.sqrt(2.0) * (t - 1)  # 2r, doubled
+    # the padding index n sits farther from every image pixel than any sample
+    ys_pad, xs_pad = np.append(ys, -h), np.append(xs, -w)
+    key_max = ((rows * t + h) ** 2 + (cols * t + w) ** 2) << bits | n
+    key_type = np.int32 if key_max < 2**31 else np.int64
+    offsets = np.arange(t)
+    step = max(1, _CHUNK_TARGET // n)
+    lo = 0
+    while lo < len(tiles):
+        dd = dd_y[tile_y[lo:lo + step]]
+        dd += dd_x[tile_x[lo:lo + step]]
+        dd_k = np.partition(dd, k - 1, axis=1)[:, k - 1]
+        # rounded up: extra candidates cannot change the ranking
+        bound = np.ceil((np.sqrt(dd_k) + reach) ** 2 * (1.0 + 1e-9)).astype(dist)
+        near = dd <= bound[:, None]
+        count = np.count_nonzero(near, axis=1)
+        # the longest run of tiles whose padded (pixel, candidate) block fits
+        size = np.arange(1, len(count) + 1) * np.maximum.accumulate(count) * (t * t)
+        b = max(1, int(np.count_nonzero(size <= _CHUNK_TARGET)))
+        near, count = near[:b], count[:b]
+        tile_i = np.repeat(np.arange(b), count)
+        cand_i = np.flatnonzero(near) - tile_i * n
+        slot = np.arange(len(cand_i)) - np.repeat(np.cumsum(count) - count, count)
+        cand = np.full((b, count.max()), n)
+        cand[tile_i, slot] = cand_i
+        py = (tile_y[lo:lo + b] * t)[:, None] + offsets
+        px = (tile_x[lo:lo + b] * t)[:, None] + offsets
+        cy, cx = ys_pad[cand][:, None, :], xs_pad[cand][:, None, :]
+        key_y = ((py[:, :, None] - cy) ** 2 << bits).astype(key_type)
+        key_x = ((px[:, :, None] - cx) ** 2 << bits | cand[:, None, :]).astype(key_type)
+        key = (key_y[:, :, None, :] + key_x[:, None, :, :]).reshape(b * t * t, -1)
+        if key.shape[1] > k:
+            key = np.partition(key, k - 1, axis=1)[:, :k]
+        sel = tile_pending[tiles[lo:lo + b]]
+        key = key[sel.ravel()]
+        key.sort(axis=1)
+        tile_i, oy, ox = np.nonzero(sel)
+        # intp: numpy converts any other index dtype on every gather
+        d2 = (key >> bits).astype(np.intp, copy=False)
+        nn = (key & ((1 << bits) - 1)).astype(np.intp, copy=False)
+        yield py[tile_i, oy], px[tile_i, ox], d2, nn
+        lo += b
+        # size the next block for this one's candidate count, so that little is cut
+        step = max(1, min(_CHUNK_TARGET // n, _CHUNK_TARGET // (t * t * int(count.max()))))
 
 
 def complete(
@@ -112,54 +164,53 @@ def complete(
     combinations of measured ranges, clipped to the measured min/max
     because rounding can land the weighted mean an ulp outside them.
     """
-    # deferred: scipy.spatial adds 0.1-0.2 s to a fresh `import memslidar`
-    from scipy.spatial import cKDTree
-
     if len(sparse.samples) == 0:
         raise NoSamples("cannot complete a capture with zero samples")
     depth = sparse.depth_m
     h, w = depth.shape
-    if rgb.shape[:2] != (h, w):
-        raise ValueError(f"rgb {rgb.shape[:2]} does not match depth {(h, w)}")
+    if rgb.shape != (h, w, 3) or rgb.dtype != np.uint8:
+        raise ValueError(f"rgb must be {(h, w, 3)} uint8, got {rgb.shape} {rgb.dtype}")
     ys, xs, zs = sparse.samples.pixel_y, sparse.samples.pixel_x, sparse.samples.range_m
-    colors = rgb[ys, xs].astype(np.float64)
+    if not (np.all((0 <= ys) & (ys < h)) and np.all((0 <= xs) & (xs < w))):
+        raise ValueError(f"a sample lies outside the {w}x{h} depth map")
     k = min(params.k_neighbors, len(zs))
     inv_2ss = 1.0 / (2.0 * params.sigma_spatial_px**2)
     inv_2sc = 0.0 if math.isinf(params.sigma_color) else 1.0 / (2.0 * params.sigma_color**2)
 
     out = depth.copy()
-    miss_y, miss_x = np.nonzero(depth <= 0)
-    if miss_y.size == 0:
+    pending = depth <= 0
+    if not pending.any():
         return DenseDepth(depth_m=out, provenance="completed")
-    rgb_f = rgb.astype(np.float64)
+    z_lo, z_hi = zs.min(), zs.max()
+    # np.exp of the same arguments as exp(-d2 * inv_2ss) per entry: the same weights
+    exp_s = np.exp(-np.arange((h - 1) ** 2 + (w - 1) ** 2 + 1) * inv_2ss)
+    if inv_2sc > 0.0:
+        exp_c = np.exp(-np.arange(3 * 255**2 + 1) * inv_2sc)
+        pixel_rgb = [rgb[..., c].ravel().astype(np.int32) for c in range(3)]
+        sample_rgb = [p[ys * w + xs] for p in pixel_rgb]
 
-    tree = cKDTree(np.column_stack((ys, xs)))
-    kq = min(k + _TIE_SLACK, len(zs))
-    chunk = max(1, _CHUNK_TARGET // kq)
-    for lo in range(0, miss_y.size, chunk):
-        my = miss_y[lo:lo + chunk]
-        mx = miss_x[lo:lo + chunk]
-        key = _knn_keys(tree, my, mx, ys, xs, k, kq)
-        nn = key % len(zs)
-        d2_k = (key // len(zs)).astype(np.float64)
-        w_spatial = np.exp(-d2_k * inv_2ss)
+    for my, mx, d2, nn in _knn_blocks(ys, xs, pending, k):
+        weight = exp_s[d2]
         if inv_2sc > 0.0:
-            dc = rgb_f[my, mx][:, None, :] - colors[nn]
-            c2 = np.sum(dc * dc, axis=2)
-            weight = w_spatial * np.exp(-c2 * inv_2sc)
-        else:
-            weight = w_spatial
+            at = my * w + mx
+            c2 = np.zeros(nn.shape, dtype=np.int32)
+            for p, s in zip(pixel_rgb, sample_rgb):
+                dc = p[at][:, None] - s[nn]
+                c2 += dc * dc
+            weight *= exp_c[c2]
         z_k = zs[nn]
         wsum = weight.sum(axis=1)
         ok = wsum > 0
-        vals = np.empty(nn.shape[0])
-        vals[ok] = (weight[ok] * z_k[ok]).sum(axis=1) / wsum[ok]
-        if not ok.all():
+        if ok.all():
+            vals = (weight * z_k).sum(axis=1) / wsum
+        else:
+            vals = np.empty(nn.shape[0])
+            vals[ok] = (weight[ok] * z_k[ok]).sum(axis=1) / wsum[ok]
             if params.fallback == "nearest":
                 vals[~ok] = z_k[~ok, 0]
             else:
                 vals[~ok] = z_k[~ok].mean(axis=1)
-        out[my, mx] = np.clip(vals, zs.min(), zs.max())
+        out[my, mx] = np.clip(vals, z_lo, z_hi)
     return DenseDepth(depth_m=out, provenance="completed")
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,14 @@ from memslidar.lidar_sim import (
     capture,
 )
 from memslidar.metrics import compute
-from memslidar.scan_engine import ROI, Regime, gen_full_fov
+from memslidar.foveation import entropy_map, max_entropy_roi
+from memslidar.scan_engine import (
+    ROI,
+    Regime,
+    gen_entropy_adaptive,
+    gen_foveated,
+    gen_full_fov,
+)
 
 from conftest import foveation_scene, make_frame, model_with_budget
 
@@ -161,12 +172,15 @@ def test_chunked_matches_bruteforce(params):
     np.testing.assert_allclose(fast.depth_m, slow.depth_m, atol=1e-12)
 
 
-def test_chunk_boundaries_do_not_change_results(monkeypatch):
+@pytest.mark.parametrize("target", [1, 7, 300, 1000, 20000])
+def test_chunk_boundaries_do_not_change_results(monkeypatch, target):
+    # 1 and 7 cut every block to one tile; 300 and 1000 split the (pixel,
+    # candidate) level below the (tile, sample) level; 20000 splits neither
     shape = (36, 48)
     sparse = _random_sparse(shape, 40, seed=5)
     rgb = np.random.default_rng(6).integers(0, 256, (*shape, 3), dtype=np.uint8)
     whole = complete(sparse, rgb)
-    monkeypatch.setattr(completion, "_CHUNK_TARGET", 1000)  # ~68 chunks
+    monkeypatch.setattr(completion, "_CHUNK_TARGET", target)
     chunked = complete(sparse, rgb)
     np.testing.assert_array_equal(whole.depth_m, chunked.depth_m)
 
@@ -279,13 +293,16 @@ _TIE_PARAMS = (
 )
 
 
-@pytest.mark.parametrize("slack", [completion._TIE_SLACK, 0])
+# tile edges for the neighbour search; 64 is wider than every test image
+_TILES = [1, 2, 4, 8, 16, 64]
+
+
+@pytest.mark.parametrize("tile", _TILES)
 @pytest.mark.parametrize("k_of_n", [
     lambda n: 1, lambda n: 16, lambda n: n - 1, lambda n: n, lambda n: n + 7,
 ], ids=["k1", "k16", "n-1", "n", "over_n"])
-def test_tie_order_matches_argsort_reference(monkeypatch, k_of_n, slack):
-    # slack 0 sends every row through the widened re-query
-    monkeypatch.setattr(completion, "_TIE_SLACK", slack)
+def test_tie_order_matches_argsort_reference(monkeypatch, k_of_n, tile):
+    monkeypatch.setattr(completion, "_tile_size", lambda h, w, n: tile)
     monkeypatch.setattr(completion, "_CHUNK_TARGET", 4000)
     ties, below_n = 0, False
     for name, sparse, rgb in _tie_layouts():
@@ -304,10 +321,130 @@ def test_tie_order_matches_argsort_reference(monkeypatch, k_of_n, slack):
     assert ties > 0 or not below_n  # the layouts must put ties across the k-th place
 
 
+def _corner_tie(shape, tile, k, seed):
+    """Samples that put a tile corner's k-th nearest at the edge of the search.
+
+    Let c be the centre of a tile near the image centre, p its bottom-right
+    pixel and r = |p - c| the tile's half-diagonal.  k - 1 samples lie
+    closer to c than A, on the diagonal beyond the top-left pixel, so
+    d_k(c) = |c - A|.  B lies on the same diagonal beyond p, with
+    |p - B| = |p - A| = d_k(c) + r and |c - B| = d_k(c) + 2r exactly.  A
+    and B tie at p's k-th place, and B has the lower index, so p must take
+    B: a search reach any shorter than d_k(c) + 2r loses it.
+    Returns (sparse, rgb, p as (x, y)); B is sample 0.
+    """
+    h, w = shape
+    y0, x0 = (h // 2) // tile * tile, (w // 2) // tile * tile
+    cy = cx = (tile - 1) / 2  # centre offset within the tile
+    gap = 1 + math.isqrt(k)  # room for k - 1 samples around c
+    a = (y0 - gap, x0 - gap)
+    b = (y0 + tile - 1 + tile - 1 + gap, x0 + tile - 1 + tile - 1 + gap)
+    d_a = math.hypot(y0 + cy - a[0], x0 + cx - a[1])
+    rng = np.random.default_rng(seed)
+    inner = [(y, x) for y in range(h) for x in range(w)
+             if math.hypot(y - y0 - cy, x - x0 - cx) < d_a - 1e-9
+             and (y, x) != (y0 + tile - 1, x0 + tile - 1)]
+    others = [inner[i] for i in rng.choice(len(inner), size=k - 1, replace=False)]
+    pixels = {}
+    for y, x in [b, *others, a]:
+        assert 0 <= y < h and 0 <= x < w
+        pixels[(x, y)] = rng.uniform(0.5, 4.0)
+    sparse = _sparse_from_pixels(shape, pixels)
+    rgb = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+    return sparse, rgb, (x0 + tile - 1, y0 + tile - 1)
+
+
+@pytest.mark.parametrize("tile", [2, 4, 8, 16])
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_tile_corner_tie_at_search_edge(monkeypatch, tile, k):
+    shape = (70, 90)
+    sparse, rgb, (px, py) = _corner_tie(shape, tile, k, seed=tile * 100 + k)
+    ys, xs = sparse.samples.pixel_y, sparse.samples.pixel_x
+    d2 = (py - ys) ** 2 + (px - xs) ** 2
+    assert 0 in np.argsort(d2, kind="stable")[:k]  # B is p's k-th nearest
+    assert np.sort(d2)[k - 1] == np.sort(d2)[k]  # tied with A
+    monkeypatch.setattr(completion, "_tile_size", lambda h, w, n: tile)
+    for extra in _TIE_PARAMS:
+        params = GuidedFillParams(k_neighbors=k, **extra)
+        np.testing.assert_array_equal(
+            complete(sparse, rgb, params).depth_m,
+            _complete_argsort(sparse, rgb, params),
+            err_msg=f"tile={tile} k={k} {extra}",
+        )
+
+
+def _fuzz_layout(rng):
+    """A small random image with samples on a coarse lattice, so many tie."""
+    h, w = int(rng.integers(3, 40)), int(rng.integers(3, 40))
+    pitch = int(rng.integers(1, 5))
+    lattice = [(x, y) for y in range(0, h, pitch) for x in range(0, w, pitch)]
+    n = int(rng.integers(1, min(len(lattice), 60) + 1))
+    picked = rng.choice(len(lattice), size=n, replace=False)
+    sparse = _sparse_from_pixels(
+        (h, w), {lattice[i]: rng.uniform(0.5, 4.0) for i in picked})
+    rgb = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    return sparse, rgb
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fuzz_matches_argsort_reference(monkeypatch, seed):
+    rng = np.random.default_rng(1000 + seed)
+    monkeypatch.setattr(completion, "_CHUNK_TARGET", int(rng.choice([50, 2000, 5e5])))
+    for _ in range(4):
+        sparse, rgb = _fuzz_layout(rng)
+        n = len(sparse.samples)
+        extra = _TIE_PARAMS[int(rng.integers(len(_TIE_PARAMS)))]
+        for k in sorted({1, 16, max(n - 1, 1), n, n + 7}):
+            params = GuidedFillParams(k_neighbors=k, **extra)
+            expected = _complete_argsort(sparse, rgb, params)
+            for tile in _TILES:
+                monkeypatch.setattr(completion, "_tile_size", lambda h, w, n, t=tile: t)
+                np.testing.assert_array_equal(
+                    complete(sparse, rgb, params).depth_m, expected,
+                    err_msg=f"{sparse.depth_m.shape} n={n} k={k} tile={tile} {extra}",
+                )
+
+
 def test_tie_order_matches_argsort_reference_1503_samples(textured_frame):
     pattern = gen_full_fov(model_with_budget(1503), 10.0, (160, 120))
     sparse = capture(textured_frame, pattern, CaptureConfig(), noise_seed=4)
     assert len(sparse.samples) > 1400
+    params = GuidedFillParams()
+    np.testing.assert_array_equal(
+        complete(sparse, textured_frame.rgb, params).depth_m,
+        _complete_argsort(sparse, textured_frame.rgb, params),
+    )
+
+
+def test_dense_capture_matches_argsort_reference():
+    # 19,000 samples need 15 index bits, which pushes the keys past 32 bits
+    shape = (120, 160)
+    rng = np.random.default_rng(21)
+    holes = rng.choice(shape[0] * shape[1], size=200, replace=False)
+    depth = rng.uniform(0.5, 4.0, shape)
+    depth.flat[holes] = 0.0
+    ys, xs = np.nonzero(depth)
+    sparse = _sparse_from_pixels(shape, {(x, y): depth[y, x] for y, x in zip(ys, xs)})
+    rgb = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+    for extra in _TIE_PARAMS:
+        params = GuidedFillParams(**extra)
+        np.testing.assert_array_equal(complete(sparse, rgb, params).depth_m,
+                                      _complete_argsort(sparse, rgb, params))
+
+
+@pytest.mark.parametrize("budget", [27, 230, 1503])
+@pytest.mark.parametrize("regime", ["entropy", "foveated"])
+def test_clustered_patterns_match_argsort_reference(textured_frame, regime, budget):
+    emap = entropy_map(textured_frame.rgb, 15)
+    model = model_with_budget(budget)
+    if regime == "entropy":
+        pattern = gen_entropy_adaptive(model, 10.0, emap.values, seed=budget)
+    else:
+        best = max_entropy_roi(emap, (40, 30))
+        roi = ROI(best.x0, best.y0, best.x1, best.y1, 1.0, 0.1)
+        pattern = gen_foveated(model, 10.0, roi, (160, 120))
+    sparse = capture(textured_frame, pattern, CaptureConfig(), noise_seed=budget)
+    assert len(sparse.samples) > 0.8 * budget
     params = GuidedFillParams()
     np.testing.assert_array_equal(
         complete(sparse, textured_frame.rgb, params).depth_m,
@@ -374,6 +511,38 @@ def test_rgb_shape_mismatch_rejected():
     sparse = _sparse_from_pixels((8, 8), {(2, 2): 1.0})
     with pytest.raises(ValueError):
         complete(sparse, _flat_rgb((9, 9)))
+
+
+@pytest.mark.parametrize("x, y", [(8, 2), (-1, 2), (2, 8), (2, -3)])
+def test_sample_outside_depth_map_rejected(x, y):
+    sparse = _sparse_from_pixels((8, 8), {(2, 2): 1.0, (5, 5): 2.0})
+    sparse.samples.pixel_x[1], sparse.samples.pixel_y[1] = x, y
+    with pytest.raises(ValueError, match="outside"):
+        complete(sparse, _flat_rgb((8, 8)))
+
+
+def test_non_uint8_rgb_rejected():
+    sparse = _sparse_from_pixels((8, 8), {(2, 2): 1.0})
+    with pytest.raises(ValueError, match="uint8"):
+        complete(sparse, _flat_rgb((8, 8)).astype(np.float64))
+
+
+def test_complete_does_not_import_scipy_spatial():
+    code = (
+        "import math, sys\n"
+        "import memslidar as m\n"
+        "spec = m.SyntheticSpec(width=64, height=48,\n"
+        "                       primitives=(m.Primitive(kind='plane', z_m=2.0),))\n"
+        "frame = m.generate_synthetic(spec).frames[0]\n"
+        "pattern = m.gen_full_fov(m.reference_mirror_model(math.radians(25.0)), 6.0, (64, 48))\n"
+        "m.complete(m.capture(frame, pattern), frame.rgb)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy.spatial')))\n"
+    )
+    src = Path(completion.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_params_validation():
