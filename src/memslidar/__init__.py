@@ -91,6 +91,7 @@ from .scene_io import (
     SyntheticSpec,
     generate_synthetic,
     load_scene,
+    load_spec,
     read_pgm16,
     read_ppm,
     save_scene,

@@ -64,6 +64,7 @@ from .scene_io import (
     SyntheticSpec,
     generate_synthetic,
     load_scene,
+    load_spec,
     read_pgm16,
     millimeters_to_depth,
     save_scene,
@@ -329,12 +330,7 @@ def _preset_spec(args) -> SyntheticSpec:
 
 def cmd_gen_scene(args) -> int:
     if args.spec_json:
-        raw = json.loads(Path(args.spec_json).read_text())
-        prims = tuple(
-            Primitive(**{k: tuple(v) if isinstance(v, list) else v for k, v in p.items()})
-            for p in raw.pop("primitives")
-        )
-        spec = SyntheticSpec(primitives=prims, **raw)
+        spec = load_spec(args.spec_json)
     else:
         spec = _preset_spec(args)
     seq = generate_synthetic(spec, seed=args.seed)

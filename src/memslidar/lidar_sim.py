@@ -57,7 +57,7 @@ class SingularFit(LidarSimError):
 
 
 class MalformedSparse(LidarSimError):
-    """Sparse capture JSON is not JSON or lacks a field."""
+    """Sparse capture JSON is not JSON, lacks a field, or disagrees with its PGM."""
 
 
 @dataclass(frozen=True)
@@ -266,11 +266,36 @@ def save_sparse(sparse: SparseDepth, pgm_path, json_path) -> None:
         fh.write(sparse.to_json())
 
 
+def _check_samples(samples: np.recarray, measured: np.ndarray, json_path) -> None:
+    """Samples must lie inside the depth map, carry finite positive ranges,
+    and map 1:1 onto its measured pixels."""
+    h, w = measured.shape
+    xs, ys, zs = samples.pixel_x, samples.pixel_y, samples.range_m
+    inside = (0 <= xs) & (xs < w) & (0 <= ys) & (ys < h)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise MalformedSparse(
+            f"{json_path}: sample {i} at pixel ({xs[i]}, {ys[i]}) lies outside the "
+            f"{w}x{h} depth map"
+        )
+    good = np.isfinite(zs) & (zs > 0)
+    if not good.all():
+        i = int(np.argmin(good))
+        raise MalformedSparse(f"{json_path}: sample {i} has range_m {zs[i]}, not finite and > 0")
+    hit = np.zeros((h, w), dtype=bool)
+    hit[ys, xs] = True
+    if len(samples) != np.count_nonzero(measured) or not np.array_equal(hit, measured):
+        raise MalformedSparse(
+            f"{json_path}: {len(samples)} samples do not match the "
+            f"{np.count_nonzero(measured)} measured pixels of the depth map"
+        )
+
+
 def load_sparse(pgm_path, json_path) -> SparseDepth:
     depth = millimeters_to_depth(read_pgm16(pgm_path))
     try:
         doc = json.loads(Path(json_path).read_text())
-        return SparseDepth(
+        sparse = SparseDepth(
             depth_m=depth,
             samples=records_from_dicts(doc["samples"], DEPTH_SAMPLE_DTYPE),
             fps=doc["fps"],
@@ -279,3 +304,5 @@ def load_sparse(pgm_path, json_path) -> SparseDepth:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSparse(f"{json_path}: not a sparse capture file ({exc!r})") from None
+    _check_samples(sparse.samples, depth > 0, json_path)
+    return sparse

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,10 @@ class MalformedHeader(SceneIOError):
 
 class EmptyScene(SceneIOError):
     """A generated frame contains no valid geometry."""
+
+
+class MalformedSpec(SceneIOError):
+    """A scene spec file is not JSON, or has a missing, unknown or bad key."""
 
 
 @dataclass(frozen=True)
@@ -373,6 +377,82 @@ class SyntheticSpec:
             cy_px=self.height / 2.0,
             mirror_fov_deg=self.fov_deg,
         )
+
+
+# JSON type of each spec key: "int", "number" or "text", or (element type,
+# length) for a list; `primitives` is read on its own
+_SPEC_TYPES = {
+    "width": "int", "height": "int", "n_frames": "int",
+    "fov_deg": "number", "fps": "number", "z_max_m": "number",
+    "kind": "text", "texture": "text",
+    "z_m": "number", "checker_m": "number", "noise_texel_m": "number",
+    "center_xy_m": ("number", 2), "size_xy_m": ("number", 2),
+    "velocity_m_s": ("number", 3), "color": ("int", 3),
+}
+
+
+def _json_is(value, kind: str) -> bool:
+    if kind == "text":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (kind == "number" and isinstance(value, float))
+
+
+def _spec_fields(raw, cls, where: str) -> dict:
+    """Keyword arguments for `cls` from a JSON object; lists become tuples."""
+    if not isinstance(raw, dict):
+        raise MalformedSpec(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise MalformedSpec(f"{where}: unknown key {unknown[0]!r}")
+    missing = [name for name, f in known.items()
+               if f.default is MISSING and f.default_factory is MISSING and name not in raw]
+    if missing:
+        raise MalformedSpec(f"{where}: missing key {missing[0]!r}")
+    for name, value in raw.items():
+        kind = _SPEC_TYPES.get(name)
+        if kind is None or (name == "size_xy_m" and value is None):
+            continue
+        if isinstance(kind, tuple):
+            ok = (isinstance(value, list) and len(value) == kind[1]
+                  and all(_json_is(v, kind[0]) for v in value))
+        else:
+            ok = _json_is(value, kind)
+        if name == "color":
+            ok = ok and all(0 <= c <= 255 for c in value)
+        if not ok:
+            raise MalformedSpec(f"{where}: bad value {value!r} for key {name!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
+def _construct(cls, kwargs: dict, where: str):
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise MalformedSpec(f"{where}: {e}") from None
+
+
+def load_spec(path: str | Path) -> SyntheticSpec:
+    """Scene recipe from a JSON object with SyntheticSpec's keys, its
+    `primitives` a list of objects with Primitive's keys."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise MalformedSpec(f"{path}: cannot read ({e.strerror})") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise MalformedSpec(f"{path}: invalid JSON ({e})") from None
+    spec = _spec_fields(raw, SyntheticSpec, str(path))
+    if "primitives" not in raw:
+        raise MalformedSpec(f"{path}: missing key 'primitives'")
+    if not isinstance(raw["primitives"], list):
+        raise MalformedSpec(f"{path}: key 'primitives' must be a list")
+    prims = []
+    for i, prim in enumerate(raw["primitives"]):
+        where = f"{path}: primitive {i}"
+        prims.append(_construct(Primitive, _spec_fields(prim, Primitive, where), where))
+    return _construct(SyntheticSpec, {**spec, "primitives": tuple(prims)}, str(path))
 
 
 def _noise_tile(seed: int, prim_index: int) -> np.ndarray:

@@ -161,6 +161,29 @@ def test_complete_malformed_sparse_json_exit_3(tmp_path, capsys, plane_capture, 
                   ["complete", "--scene", "SCENE", "--sparse", sparse], 3, "error:")
 
 
+def _edit_first_sample(doc, **fields):
+    return {**doc, "samples": [{**doc["samples"][0], **fields}, *doc["samples"][1:]]}
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: _edit_first_sample(doc, pixel_x=500),
+    lambda doc: _edit_first_sample(doc, pixel_x=-3),
+    lambda doc: _edit_first_sample(doc, range_m=None),
+    lambda doc: _edit_first_sample(doc, range_m=-1.0),
+    lambda doc: {**doc, "samples": doc["samples"][:5]},
+    lambda doc: {**doc, "samples": [doc["samples"][0], *doc["samples"][:-1]]},
+], ids=["pixel-x-500", "pixel-x-negative", "range-null", "range-negative",
+        "cut-to-5", "duplicate-pixel"])
+def test_complete_sparse_disagreeing_with_pgm_exit_3(tmp_path, capsys, plane_capture, corrupt):
+    _, cap = plane_capture
+    sparse = tmp_path / "cap"
+    shutil.copytree(cap, sparse)
+    path = sparse / "0000.json"
+    path.write_text(json.dumps(corrupt(read_json(path))))
+    _rejected_run(tmp_path, capsys, plane_capture,
+                  ["complete", "--scene", "SCENE", "--sparse", sparse], 3, "error:")
+
+
 def test_fit_budget_reference_pairs(tmp_path):
     out = tmp_path / "fit"
     assert run("fit-budget", "--out", out) == 0
@@ -207,6 +230,41 @@ def test_gen_scene_spec_json(tmp_path):
     depth = scene.frames[0].depth_gt
     assert depth.shape == (48, 64)
     assert np.all(depth == 2.0)
+
+
+_PLANE = {"kind": "plane", "z_m": 2.0}
+_SPEC = {"width": 64, "height": 48, "primitives": [_PLANE]}
+
+
+@pytest.mark.parametrize("text, named", [
+    (json.dumps({**_SPEC, "primitives": [{**_PLANE, "shine": 1}]}), "'shine'"),
+    (json.dumps({**_SPEC, "colour": [1, 2, 3]}), "'colour'"),
+    (json.dumps({"width": 64, "height": 48}), "'primitives'"),
+    (json.dumps({**_SPEC, "primitives": ["plane"]}), "primitive 0"),
+    (json.dumps({**_SPEC, "primitives": {"kind": "plane"}}), "'primitives'"),
+    (json.dumps({**_SPEC, "primitives": [{"z_m": 2.0}]}), "'kind'"),
+    (json.dumps({**_SPEC, "primitives": [{**_PLANE, "kind": "sphere"}]}), "'sphere'"),
+    (json.dumps({**_SPEC, "primitives": [{**_PLANE, "color": [300, 0, 0]}]}), "'color'"),
+    (json.dumps({**_SPEC, "width": 64.5}), "'width'"),
+    (json.dumps({**_SPEC, "z_max_m": "far"}), "'z_max_m'"),
+    (json.dumps({**_SPEC, "primitives": [{**_PLANE, "center_xy_m": "ab"}]}), "'center_xy_m'"),
+    (json.dumps({**_SPEC, "primitives": [{**_PLANE, "velocity_m_s": [1]}]}), "'velocity_m_s'"),
+    (json.dumps([_SPEC]), "JSON object"),
+    ("{not json", "invalid JSON"),
+], ids=["primitive-key", "top-level-key", "no-primitives", "primitive-not-object",
+        "primitives-not-list", "primitive-lacks-kind", "unknown-kind", "color-range",
+        "float-width", "text-range", "text-centre", "short-velocity", "not-an-object",
+        "not-json"])
+def test_gen_scene_bad_spec_json_exit_3(tmp_path, capsys, text, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    out = tmp_path / "scene"
+    capsys.readouterr()
+    assert run("gen-scene", "--spec-json", spec_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], err
+    assert not out.exists()
 
 
 def test_scan_without_scene_single_pattern(tmp_path):
