@@ -172,17 +172,17 @@ def test_chunked_matches_bruteforce(params):
     np.testing.assert_allclose(fast.depth_m, slow.depth_m, atol=1e-12)
 
 
-@pytest.mark.parametrize("target", [1, 7, 300, 1000, 20000])
-def test_chunk_boundaries_do_not_change_results(monkeypatch, target):
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
     # 1 and 7 cut every block to one tile; 300 and 1000 split the (pixel,
     # candidate) level below the (tile, sample) level; 20000 splits neither
     shape = (36, 48)
     sparse = _random_sparse(shape, 40, seed=5)
     rgb = np.random.default_rng(6).integers(0, 256, (*shape, 3), dtype=np.uint8)
     whole = complete(sparse, rgb)
-    monkeypatch.setattr(completion, "_CHUNK_TARGET", target)
-    chunked = complete(sparse, rgb)
-    np.testing.assert_array_equal(whole.depth_m, chunked.depth_m)
+    for target in [1, 7, 300, 1000, 20000]:
+        monkeypatch.setattr(completion, "_CHUNK_TARGET", target)
+        chunked = complete(sparse, rgb)
+        np.testing.assert_array_equal(whole.depth_m, chunked.depth_m, err_msg=f"{target=}")
 
 
 # ---------- tie order: byte-exact argsort reference ----------
@@ -297,12 +297,14 @@ _TIE_PARAMS = (
 _TILES = [1, 2, 4, 8, 16, 64]
 
 
-@pytest.mark.parametrize("tile", _TILES)
+# tile 0 keeps the library's own `_tile_size` rule
+@pytest.mark.parametrize("tile", [0, *_TILES])
 @pytest.mark.parametrize("k_of_n", [
     lambda n: 1, lambda n: 16, lambda n: n - 1, lambda n: n, lambda n: n + 7,
 ], ids=["k1", "k16", "n-1", "n", "over_n"])
 def test_tie_order_matches_argsort_reference(monkeypatch, k_of_n, tile):
-    monkeypatch.setattr(completion, "_tile_size", lambda h, w, n: tile)
+    if tile:
+        monkeypatch.setattr(completion, "_tile_size", lambda h, w, n: tile)
     monkeypatch.setattr(completion, "_CHUNK_TARGET", 4000)
     ties, below_n = 0, False
     for name, sparse, rgb in _tie_layouts():
