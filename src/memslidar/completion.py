@@ -201,15 +201,12 @@ def complete(
         z_k = zs[nn]
         wsum = weight.sum(axis=1)
         ok = wsum > 0
-        if ok.all():
-            vals = (weight * z_k).sum(axis=1) / wsum
+        num = (weight * z_k).sum(axis=1)
+        vals = np.divide(num, wsum, out=num, where=ok)
+        if params.fallback == "nearest":
+            vals[~ok] = z_k[~ok, 0]
         else:
-            vals = np.empty(nn.shape[0])
-            vals[ok] = (weight[ok] * z_k[ok]).sum(axis=1) / wsum[ok]
-            if params.fallback == "nearest":
-                vals[~ok] = z_k[~ok, 0]
-            else:
-                vals[~ok] = z_k[~ok].mean(axis=1)
+            vals[~ok] = z_k[~ok].mean(axis=1)
         out[my, mx] = np.clip(vals, z_lo, z_hi)
     return DenseDepth(depth_m=out, provenance="completed")
 
