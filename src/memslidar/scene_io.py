@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -301,6 +302,23 @@ def load_scene(directory: str | Path) -> SceneSequence:
 
 # ---------- synthetic scenes ----------
 
+def _check_number(name: str, value, integral: bool = False):
+    """`value` if it is a finite real (an integer if `integral`), not a bool."""
+    kind = numbers.Integral if integral else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (integral or math.isfinite(value))):
+        what = "an integer" if integral else "a finite number"
+        raise ValueError(f"{name!r} must be {what}, got {value!r}")
+    return value
+
+
+def _check_vector(name: str, value, length: int, integral: bool = False) -> None:
+    if not isinstance(value, (tuple, list)) or len(value) != length:
+        raise ValueError(f"{name!r} must hold {length} numbers, got {value!r}")
+    for v in value:
+        _check_number(name, v, integral)
+
+
 @dataclass(frozen=True)
 class Primitive:
     """One fronto-parallel scene element.
@@ -334,8 +352,16 @@ class Primitive:
             raise ValueError(f"{self.kind} primitive needs size_xy_m")
         if self.texture not in ("flat", "checker", "noise"):
             raise ValueError(f"unknown texture {self.texture!r}")
-        if not self.z_m > 0:
-            raise ValueError(f"primitive depth must be > 0, got {self.z_m}")
+        _check_vector("center_xy_m", self.center_xy_m, 2)
+        if self.size_xy_m is not None:
+            _check_vector("size_xy_m", self.size_xy_m, 2)
+        _check_vector("velocity_m_s", self.velocity_m_s, 3)
+        _check_vector("color", self.color, 3, integral=True)
+        if not all(0 <= c <= 255 for c in self.color):
+            raise ValueError(f"'color' must lie in 0..255, got {self.color!r}")
+        for name in ("z_m", "checker_m", "noise_texel_m"):
+            if not _check_number(name, getattr(self, name)) > 0:
+                raise ValueError(f"{name!r} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -356,10 +382,15 @@ class SyntheticSpec:
     primitives: tuple[Primitive, ...] = ()
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if self.n_frames < 1:
-            raise ValueError("need at least one frame")
+        for name in ("width", "height", "n_frames"):
+            if _check_number(name, getattr(self, name), integral=True) < 1:
+                raise ValueError(f"{name!r} must be >= 1, got {getattr(self, name)}")
+        if not 0 < _check_number("fov_deg", self.fov_deg) <= 180:
+            raise ValueError(f"'fov_deg' must be in (0, 180], got {self.fov_deg}")
+        if not _check_number("fps", self.fps) > 0:
+            raise ValueError(f"'fps' must be > 0, got {self.fps}")
+        if not 0 < _check_number("z_max_m", self.z_max_m) <= MAX_DEPTH_M:
+            raise ValueError(f"'z_max_m' must be in (0, {MAX_DEPTH_M}] m, got {self.z_max_m}")
         if not self.primitives:
             raise EmptyScene("scene spec has no primitives")
 
@@ -379,26 +410,6 @@ class SyntheticSpec:
         )
 
 
-# JSON type of each spec key: "int", "number" or "text", or (element type,
-# length) for a list; `primitives` is read on its own
-_SPEC_TYPES = {
-    "width": "int", "height": "int", "n_frames": "int",
-    "fov_deg": "number", "fps": "number", "z_max_m": "number",
-    "kind": "text", "texture": "text",
-    "z_m": "number", "checker_m": "number", "noise_texel_m": "number",
-    "center_xy_m": ("number", 2), "size_xy_m": ("number", 2),
-    "velocity_m_s": ("number", 3), "color": ("int", 3),
-}
-
-
-def _json_is(value, kind: str) -> bool:
-    if kind == "text":
-        return isinstance(value, str)
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (kind == "number" and isinstance(value, float))
-
-
 def _spec_fields(raw, cls, where: str) -> dict:
     """Keyword arguments for `cls` from a JSON object; lists become tuples."""
     if not isinstance(raw, dict):
@@ -411,19 +422,6 @@ def _spec_fields(raw, cls, where: str) -> dict:
                if f.default is MISSING and f.default_factory is MISSING and name not in raw]
     if missing:
         raise MalformedSpec(f"{where}: missing key {missing[0]!r}")
-    for name, value in raw.items():
-        kind = _SPEC_TYPES.get(name)
-        if kind is None or (name == "size_xy_m" and value is None):
-            continue
-        if isinstance(kind, tuple):
-            ok = (isinstance(value, list) and len(value) == kind[1]
-                  and all(_json_is(v, kind[0]) for v in value))
-        else:
-            ok = _json_is(value, kind)
-        if name == "color":
-            ok = ok and all(0 <= c <= 255 for c in value)
-        if not ok:
-            raise MalformedSpec(f"{where}: bad value {value!r} for key {name!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 

@@ -251,10 +251,20 @@ _SPEC = {"width": 64, "height": 48, "primitives": [_PLANE]}
     (json.dumps({**_SPEC, "primitives": [{**_PLANE, "velocity_m_s": [1]}]}), "'velocity_m_s'"),
     (json.dumps([_SPEC]), "JSON object"),
     ("{not json", "invalid JSON"),
+    (json.dumps({**_SPEC, "fps": 0}), "'fps'"),
+    (json.dumps({**_SPEC, "z_max_m": -1}), "'z_max_m'"),
+    (json.dumps({**_SPEC, "z_max_m": 70.0}), "'z_max_m'"),
+    (json.dumps({**_SPEC, "fov_deg": 200}), "'fov_deg'"),
+    (json.dumps({**_SPEC, "fov_deg": 0}), "'fov_deg'"),
+    (json.dumps({**_SPEC, "n_frames": 0}), "'n_frames'"),
+    ('{"width": 64, "height": 48, "fps": NaN, "primitives": [{"kind": "plane", "z_m": 2}]}',
+     "'fps'"),
+    (json.dumps({**_SPEC, "primitives": [{**_PLANE, "checker_m": 0}]}), "'checker_m'"),
 ], ids=["primitive-key", "top-level-key", "no-primitives", "primitive-not-object",
         "primitives-not-list", "primitive-lacks-kind", "unknown-kind", "color-range",
         "float-width", "text-range", "text-centre", "short-velocity", "not-an-object",
-        "not-json"])
+        "not-json", "zero-fps", "negative-range", "range-beyond-pgm", "wide-fov",
+        "zero-fov", "zero-frames", "nan-fps", "zero-checker"])
 def test_gen_scene_bad_spec_json_exit_3(tmp_path, capsys, text, named):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)
