@@ -27,6 +27,7 @@ from .scan_engine import (
     records_to_dicts,
 )
 from .scene_io import (
+    DEPTH_QUANTUM_M,
     SceneFrame,
     millimeters_to_depth,
     depth_to_millimeters,
@@ -268,7 +269,8 @@ def save_sparse(sparse: SparseDepth, pgm_path, json_path) -> None:
 
 def _check_samples(samples: np.recarray, measured: np.ndarray, json_path) -> None:
     """Samples must lie inside the depth map, carry finite positive ranges,
-    and map 1:1 onto its measured pixels."""
+    and lie on distinct pixels: the measured pixels of the map, plus any
+    whose range `save_sparse` rounded to 0 mm."""
     h, w = measured.shape
     xs, ys, zs = samples.pixel_x, samples.pixel_y, samples.range_m
     inside = (0 <= xs) & (xs < w) & (0 <= ys) & (ys < h)
@@ -282,9 +284,10 @@ def _check_samples(samples: np.recarray, measured: np.ndarray, json_path) -> Non
     if not good.all():
         i = int(np.argmin(good))
         raise MalformedSparse(f"{json_path}: sample {i} has range_m {zs[i]}, not finite and > 0")
-    hit = np.zeros((h, w), dtype=bool)
-    hit[ys, xs] = True
-    if len(samples) != np.count_nonzero(measured) or not np.array_equal(hit, measured):
+    at = ys * w + xs
+    hit = np.zeros(h * w, dtype=bool)
+    hit[at[np.round(zs / DEPTH_QUANTUM_M) > 0]] = True
+    if len(np.unique(at)) != len(at) or not np.array_equal(hit.reshape(h, w), measured):
         raise MalformedSparse(
             f"{json_path}: {len(samples)} samples do not match the "
             f"{np.count_nonzero(measured)} measured pixels of the depth map"

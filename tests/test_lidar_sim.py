@@ -22,6 +22,7 @@ from memslidar.lidar_sim import (
     load_sparse,
     save_sparse,
 )
+from memslidar.completion import complete
 from memslidar.foveation import entropy_map
 from memslidar.metrics import planar_rmse, depth_to_points
 from memslidar.scan_engine import (
@@ -350,6 +351,24 @@ def test_sparse_roundtrip_quantizes_to_millimeters(tmp_path):
     assert np.max(np.abs(loaded.depth_m - sparse.depth_m)) <= 5e-4 + 1e-12
     assert np.array_equal(loaded.samples, sparse.samples)
 
+
+
+def test_sparse_roundtrip_keeps_range_below_half_millimetre(tmp_path):
+    # save_sparse writes such a range as 0 mm: the PGM shows no measurement
+    # there while the sample list keeps it, and load_sparse must accept that
+    frame = _plane(2.0)
+    pattern = gen_full_fov(model_with_budget(50), 10.0, (64, 48))
+    sparse = capture(frame, pattern, NOISELESS)
+    x, y = int(sparse.samples.pixel_x[3]), int(sparse.samples.pixel_y[3])
+    sparse.samples.range_m[3] = 0.0003
+    sparse.depth_m[y, x] = 0.0003
+    save_sparse(sparse, tmp_path / "d.pgm", tmp_path / "d.json")
+    loaded = load_sparse(tmp_path / "d.pgm", tmp_path / "d.json")
+    assert loaded.depth_m[y, x] == 0.0
+    assert np.count_nonzero(loaded.depth_m) == len(sparse.samples) - 1
+    assert np.array_equal(loaded.samples, sparse.samples)
+    dense = complete(loaded, frame.rgb)
+    assert 0.0003 <= dense.depth_m[y, x] <= 2.0
 
 # ---------- capture against the per-sample reference ----------
 
