@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .scan_engine import ROI, ROIOutOfBounds
 
@@ -39,18 +38,56 @@ class EntropyMap:
     window_px: int
 
 
+def _block_terms(n: int) -> list[tuple[int, int, int]]:
+    """(sign, block, offset) terms: the sum of n consecutive entries as a
+    signed sum of power-of-two block sums.
+
+    With p the largest power of two <= n, the window is either a p block
+    and the rest after it, or two p blocks that overlap, less the overlap
+    (2p - n entries); each part is split the same way, and the shorter
+    list wins (the first on a tie).  For 15 that gives 8 + 8 - 1.
+    """
+    p = 1 << (n.bit_length() - 1)
+    if p == n:
+        return [(1, p, 0)]
+    rest = [(s, b, p + o) for s, b, o in _block_terms(n - p)]
+    overlap = [(-s, b, n - p + o) for s, b, o in _block_terms(2 * p - n)]
+    return min([(1, p, 0), *rest], [(1, p, 0), (1, p, n - p), *overlap], key=len)
+
+
+def _window_sums(src: np.ndarray, terms, blocks: list[np.ndarray], out: np.ndarray) -> None:
+    """out[i] = src[i] + ... + src[i + n - 1] along axis 0, for the window
+    n that `terms` (from `_block_terms(n)`) covers.
+
+    The block sums s_2b[i] = s_b[i] + s_b[i + b] (s_1 = src) are built by
+    doubling in `blocks`, preallocated buffers shaped like src, then the
+    terms are added in out's unsigned type.  Wrap-around in between is
+    exact, because every final count fits that type.
+    """
+    sums = {1: src}
+    for i, buf in enumerate(blocks):
+        b = 1 << i
+        k = len(src) - 2 * b + 1
+        sums[2 * b] = np.add(sums[b][:k], sums[b][b:b + k], out=buf[:k], dtype=out.dtype)
+    (_, b, o), *rest = terms
+    out[...] = sums[b][o:o + len(out)]
+    for sign, b, o in rest:
+        (np.add if sign > 0 else np.subtract)(out, sums[b][o:o + len(out)], out=out)
+
+
 def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
     """Shannon entropy of the grayscale histogram in a sliding window.
 
     Borders are replicate-padded so every pixel sees a full window.  For
-    each gray level present, in ascending order, the window count comes
-    from shifted-slice adds of a bool indicator, first down the rows and
-    then across the columns, in the smallest unsigned type that holds
-    `window_px**2`.  The term `p * log2(p)` for `p = count / area` is
-    looked up in a table indexed by that count (0 for an empty count).
-    The maps are byte-identical to the float summed-area-table version
-    kept as `_entropy_map_cumsum` in the tests, and match a brute-force
-    per-pixel histogram to 1e-9.
+    each gray level present, in ascending order, the window count of a
+    bool indicator is summed first down the rows and then across the
+    columns, in the smallest unsigned type that holds `window_px**2`,
+    from power-of-two block sums built by doubling (`_window_sums`).  The
+    term `p * log2(p)` for `p = count / area` is looked up in a table
+    indexed by that count (0 for an empty count).  The maps are
+    byte-identical to the float summed-area-table version kept as
+    `_entropy_map_cumsum` in the tests, and match a brute-force per-pixel
+    histogram to 1e-9.
     """
     if window_px < 3 or window_px % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window_px}")
@@ -64,21 +101,22 @@ def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
         table = p * np.log2(p)
     table[0] = 0.0
 
-    count_type = np.min_scalar_type(area)  # counts reach `area`, never wrap
+    count_type = np.min_scalar_type(area)  # counts reach `area`, never more
+    terms = _block_terms(window_px)
+    n_blocks = window_px.bit_length() - 1
     ind = np.empty(padded.shape, dtype=bool)
+    down = [np.empty(padded.shape, dtype=count_type) for _ in range(n_blocks)]
     rows = np.empty((h, padded.shape[1]), dtype=count_type)
+    # the column pass runs along axis 0 of transposed views
+    across = [np.empty(rows.shape, dtype=count_type).T for _ in range(n_blocks)]
     counts = np.empty((h, w), dtype=count_type)
     term = np.empty((h, w))
     entropy = np.zeros((h, w))
     # one pass per gray level present; loop is over <=256 levels
     for level in np.unique(padded):
         np.equal(padded, level, out=ind)
-        rows[...] = ind[:h]
-        for dy in range(1, window_px):
-            rows += ind[dy:dy + h]
-        counts[...] = rows[:, :w]
-        for dx in range(1, window_px):
-            counts += rows[:, dx:dx + w]
+        _window_sums(ind, terms, down, rows)
+        _window_sums(rows.T, terms, across, counts.T)
         # counts <= area by construction, so "clip" never fires; it is
         # the fast gather mode for a small-integer index
         np.take(table, counts, out=term, mode="clip")
@@ -160,6 +198,10 @@ def update_and_detect(
         raise FoveationError(
             f"frame is {gray.shape}, background model is {model.mean_gray.shape}"
         )
+
+    # deferred: importing scipy.ndimage triples the start-up of a process
+    # that never detects motion
+    from scipy import ndimage
 
     diff = np.abs(gray - model.mean_gray) > model.diff_threshold
     opened = ndimage.binary_opening(diff, structure=_OPEN_STRUCTURE)

@@ -19,12 +19,15 @@ throughout.  Solid-angle steradians appear only in `acuity_gain`, via
 meters: it is a normalized area-times-solid-angle proxy, useful for
 comparing designs, not an absolute photon count.
 
-Sweeps are columnar.  `sweep` evaluates each (transmitter, receiver) pair
-over the whole range grid in one `_characterize_ranges` call and returns a
-dict of numpy columns keyed by the SWEEP_CSV_HEADER names;
-`format_sweep_csv` formats each distinct float once, and `find_crossovers`
-scans one rr matrix (receiver x range) per transmitter.  `characterize` is
-the same call at a single range.  The columns equal a scalar, row-at-a-time
+Sweeps are columnar.  `sweep` evaluates the (transmitter, receiver) pairs
+of each design kind over the whole range grid in one `_characterize_ranges`
+call and returns a dict of numpy columns keyed by the SWEEP_CSV_HEADER
+names.  Consecutive rows with equal design fields form a run (each pair's
+range block, in a sweep): `format_sweep_csv` formats a run's design fields
+once and each distinct per-row float once, and `find_crossovers` groups runs,
+not rows, by transmitter and receiver before it scans one rr matrix
+(receiver x range) per transmitter.  `characterize` is the same call for
+one pair at a single range.  The columns equal a scalar, row-at-a-time
 evaluation bit for bit, which is why two things stay scalar: each
 transcendental of a range is `math.atan` mapped over the column
 (`np.arctan` and `np.tan` take SIMD paths that differ from libm in the last
@@ -246,92 +249,108 @@ def fov_limit_underfocused(rx: ReceiverSpec) -> float:
 
 
 def _atan(x: np.ndarray) -> np.ndarray:
-    """math.atan over a column; np.arctan's SIMD path differs from libm."""
-    return np.fromiter(map(math.atan, x.tolist()), dtype=np.float64, count=len(x))
+    """math.atan over an array; np.arctan's SIMD path differs from libm."""
+    flat = x.ravel().tolist()
+    return np.fromiter(map(math.atan, flat), dtype=np.float64, count=len(flat)).reshape(x.shape)
 
 
-def _characterize_ranges(
-    tx: TransmitterSpec, rx: ReceiverSpec, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """fov, rr, volume and flag columns of one design over the ranges z (m).
+def _column(values) -> np.ndarray:
+    """Per-pair Python floats stacked into a (pairs, 1) column."""
+    return np.array(values, dtype=np.float64)[:, None]
 
-    This is the one implementation of the receiver formulas.  Per-design
-    quantities are Python floats (``x**2`` is C ``pow``, which differs from
-    numpy's ``x*x`` in the last bit); range-dependent ``+ - * /`` run in
-    numpy in the scalar formula's order, and every transcendental of a
+
+# Flag text by code: 3 * (divergence non-physical) + (1 degenerate focus,
+# 2 zero kernel, 0 neither).
+_FLAG_TEXT = (
+    "", FLAG_DEGENERATE_FOCUS, FLAG_ZERO_KERNEL,
+    FLAG_NONPHYSICAL_DIVERGENCE,
+    FLAG_NONPHYSICAL_DIVERGENCE + ";" + FLAG_DEGENERATE_FOCUS,
+    FLAG_NONPHYSICAL_DIVERGENCE + ";" + FLAG_ZERO_KERNEL,
+)
+
+
+def _characterize_ranges(pairs, z: np.ndarray):
+    """fov, rr, volume and flag code of (transmitter, receiver) pairs of one
+    design kind over the ranges z (m).
+
+    This is the one implementation of the receiver formulas.  It returns a
+    (pairs, ranges) block per quantity, or a (pairs, 1) column where it does
+    not depend on range; volume has one entry per pair, and each flag code
+    indexes _FLAG_TEXT.  Per-pair quantities are Python floats computed once
+    per pair (``x**2`` is C ``pow``, which differs from numpy's ``x*x`` in
+    the last bit) and stacked into columns; range-dependent ``+ - * /`` run
+    in numpy in the scalar formula's order, and every transcendental of a
     range goes through `_atan`, so each entry equals the scalar evaluation
     bit for bit.  Single-detector singularities become sentinel entries
-    (fov 0, rr +inf) whose flag carries the reason.
+    (fov 0, rr +inf) whose flag code carries the reason.
 
-    Raises ValueError for the first range, in grid order, that is not
-    finite and > 0, or that lies below a single detector's focal length.
+    Raises ValueError for the first (pair, range), in row order, whose range
+    is not finite and > 0, or lies below a single detector's focal length.
     """
-    single = rx.design_kind == DesignKind.SINGLE_DETECTOR
+    kind = pairs[0][1].design_kind
+    shape = (len(pairs), len(z))
+    f = _column([rx.focal_length_m for _, rx in pairs])
     bad = ~(np.isfinite(z) & (z > 0))
-    if single:
-        bad |= z < rx.focal_length_m
+    if kind == DesignKind.SINGLE_DETECTOR:
+        bad = bad | (z < f)
+    bad = np.broadcast_to(bad, shape)
     if bad.any():
-        z_bad = z[bad.argmax()].item()
+        p, k = divmod(int(bad.argmax()), len(z))
+        z_bad = z[k].item()
         if not (math.isfinite(z_bad) and z_bad > 0):
             raise ValueError(f"range must be finite and > 0, got {z_bad}")
         raise ValueError(
             f"single-detector geometry needs Z > f; got Z={z_bad}, "
-            f"f={rx.focal_length_m}"
+            f"f={pairs[p][1].focal_length_m}"
         )
-    omega_laser = beam_divergence(tx)
-    flag = "" if divergence_is_physical(omega_laser) else FLAG_NONPHYSICAL_DIVERGENCE
-    omega_mirror = tx.mirror_fov_rad
-    falloff = 2.0 * z * math.tan(omega_laser / 2.0)
-    flags = np.full(len(z), flag)
+    omegas = [beam_divergence(tx) for tx, _ in pairs]
+    omega_laser = _column(omegas)
+    omega_mirror = _column([tx.mirror_fov_rad for tx, _ in pairs])
+    falloff = 2.0 * z * _column([math.tan(w / 2.0) for w in omegas])
+    code = np.array([0 if divergence_is_physical(w) else 3 for w in omegas],
+                    dtype=np.int8)[:, None]
 
-    if rx.design_kind == DesignKind.RETROREFLECTIVE:
+    if kind == DesignKind.RETROREFLECTIVE:
         # Mirror is the aperture: receive cone subtends the waist, capped
         # at the transmit divergence (cannot receive more than was sent).
-        w0 = tx.waist_radius_m
+        w0 = _column([tx.waist_radius_m for tx, _ in pairs])
         received_apex = np.minimum(2.0 * _atan(w0 / (2.0 * z)), omega_laser)
         rr = (received_apex / omega_laser) / falloff
-        volume = math.pi * rx.image_distance_m * w0**2 / 12.0
+        volume = [math.pi * rx.image_distance_m * tx.waist_radius_m**2 / 12.0
+                  for tx, rx in pairs]
         fov = omega_mirror
-    elif rx.design_kind == DesignKind.RECEIVER_ARRAY:
+    elif kind == DesignKind.RECEIVER_ARRAY:
         rr = 1.0 / falloff
-        volume = rx.image_distance_m * rx.aperture_m**2
-        fov = min(
-            2.0 * math.atan(rx.aperture_m / (2.0 * rx.image_distance_m)), omega_mirror
-        )
-    elif single:
+        volume = [rx.image_distance_m * rx.aperture_m**2 for _, rx in pairs]
+        fov = _column([
+            min(2.0 * math.atan(rx.aperture_m / (2.0 * rx.image_distance_m)),
+                tx.mirror_fov_rad)
+            for tx, rx in pairs
+        ])
+    elif kind == DesignKind.SINGLE_DETECTOR:
         # A target at range Z images at u' = f*Z/(Z - f).  A detector at u
         # sees that image defocused into a kernel of diameter |u - u'| * A / u';
         # its apex angle is taken at the detector distance u.  Z == f
-        # (degenerate focus) and u == u' (zero kernel) are sentinel rows.
-        a, u, f = rx.aperture_m, rx.image_distance_m, rx.focal_length_m
+        # (degenerate focus) and u == u' (zero kernel) are sentinel entries.
+        a = _column([rx.aperture_m for _, rx in pairs])
+        u = _column([rx.image_distance_m for _, rx in pairs])
         with np.errstate(divide="ignore", invalid="ignore"):
             u_image = f * z / (z - f)
             kernel_diameter = np.abs(u - u_image) * a / u_image
             kernel_apex = 2.0 * _atan(kernel_diameter / (2.0 * u))
             rr = 1.0 / (kernel_apex * falloff)
-        volume = math.pi * u * a**2 / 12.0
+        volume = [math.pi * rx.image_distance_m * rx.aperture_m**2 / 12.0
+                  for _, rx in pairs]
         fov = np.minimum(kernel_apex, omega_mirror)
         degenerate = z == f
         zero = ~degenerate & (kernel_diameter == 0.0)
         sentinel = degenerate | zero
-        if sentinel.any():
-            prefix = flag + ";" if flag else ""
-            fov[sentinel] = 0.0
-            rr[sentinel] = math.inf
-            flags = np.where(
-                degenerate, prefix + FLAG_DEGENERATE_FOCUS,
-                np.where(zero, prefix + FLAG_ZERO_KERNEL, flags),
-            )
+        fov[sentinel] = 0.0
+        rr[sentinel] = math.inf
+        code = code + np.where(degenerate, 1, np.where(zero, 2, 0)).astype(np.int8)
     else:  # pragma: no cover - enum is closed
-        raise InvalidVariant(f"unknown design kind {rx.design_kind}")
-
-    n = len(z)
-    return (
-        np.broadcast_to(fov, n).astype(np.float64),
-        rr,
-        np.full(n, volume),
-        flags,
-    )
+        raise InvalidVariant(f"unknown design kind {kind}")
+    return fov, rr, volume, code
 
 
 def characterize(
@@ -350,22 +369,22 @@ def characterize(
     DegenerateFocus, ZeroKernel for the single-detector singularities;
     sweep() emits these as sentinel rows rather than dropping them.
     """
-    fov, rr, volume, flags = _characterize_ranges(
-        tx, rx, np.array([range_m], dtype=np.float64)
+    fov, rr, volume, code = _characterize_ranges(
+        [(tx, rx)], np.array([range_m], dtype=np.float64)
     )
-    flag = str(flags[0])
-    if flag.endswith(FLAG_DEGENERATE_FOCUS):
+    code = int(code[0, 0])
+    if code % 3 == 1:
         raise DegenerateFocus(
             f"working range {range_m} m equals focal length; image distance diverges"
         )
-    if flag.endswith(FLAG_ZERO_KERNEL):
+    if code % 3 == 2:
         raise ZeroKernel(
             f"detector exactly in focus at Z={range_m} m "
             f"(u = u' = {rx.image_distance_m} m)"
         )
     return DesignCharacterization(
-        fov_rad=float(fov[0]), rr_per_m=float(rr[0]), volume_m3=float(volume[0]),
-        range_m=range_m, flag=flag,
+        fov_rad=float(fov[0, 0]), rr_per_m=float(rr[0, 0]), volume_m3=volume[0],
+        range_m=range_m, flag=_FLAG_TEXT[code],
     )
 
 
@@ -398,9 +417,9 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     Row order is the lexicographic product of the input grids (tx-major,
     then rx, then range), so output is deterministic and chunkable.
     Singular focus geometries are emitted as sentinel rows with a reason
-    in the ``flag`` column, never dropped.  Each (tx, rx) pair is one
-    `_characterize_ranges` call over the whole range grid; its entries
-    equal `characterize` at each range bit for bit.
+    in the ``flag`` column, never dropped.  The pairs of each design kind
+    are one `_characterize_ranges` call over the whole range grid; its
+    entries equal `characterize` at each range bit for bit.
     """
     tx_grid = list(tx_grid)
     rx_grid = list(rx_grid)
@@ -410,7 +429,22 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     _check_sweep_bounds(tx_grid, rx_grid)
 
     pairs = [(tx, rx) for tx in tx_grid for rx in rx_grid]
-    fov, rr, volume, flag = zip(*(_characterize_ranges(tx, rx, z) for tx, rx in pairs))
+    shape = (len(pairs), len(z))
+    fov, rr = np.empty(shape), np.empty(shape)
+    volume = np.empty(len(pairs))
+    code = np.empty(shape, dtype=np.int8)
+    by_kind: dict[DesignKind, list[int]] = {}
+    for i, (_, rx) in enumerate(pairs):
+        by_kind.setdefault(rx.design_kind, []).append(i)
+    # kinds in order of first appearance, so a bad range raises for the
+    # first bad (pair, range) in row order
+    for index in by_kind.values():
+        fov[index], rr[index], volume[index], code[index] = _characterize_ranges(
+            [pairs[i] for i in index], z
+        )
+    code = code.ravel()
+    # '<U' as wide as the longest flag present
+    width = max(1, *(len(_FLAG_TEXT[c]) for c in np.flatnonzero(np.bincount(code))))
 
     def per_pair(values):
         return np.repeat(values, len(z))
@@ -431,46 +465,75 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
         "u_m": per_pair([rx.image_distance_m for _, rx in pairs]),
         "f_m": per_pair([rx.focal_length_m for _, rx in pairs]),
         "Z_m": np.tile(z, len(pairs)),
-        "fov_rad": np.concatenate(fov),
-        "rr_per_m": np.concatenate(rr),
-        "volume_m3": np.concatenate(volume),
-        "flag": np.concatenate(flag),
+        "fov_rad": fov.ravel(),
+        "rr_per_m": rr.ravel(),
+        "volume_m3": per_pair(volume),
+        "flag": np.array(_FLAG_TEXT, dtype=f"<U{width}")[code],
     }
 
 
+# A run is a block of consecutive rows whose design fields are equal; in a
+# sweep each (transmitter, receiver) pair's range block is one run.
+_DESIGN_FIELDS = ("design_kind", "M", "w0_m", "lambda_m", "n", "A_m", "u_m", "f_m")
+_ROW_FIELDS = ("Z_m", "fov_rad", "rr_per_m", "volume_m3", "flag")
 _FLOAT_COLUMNS = frozenset(("M", "w0_m", "lambda_m", "A_m", "u_m", "f_m", "Z_m",
                             "fov_rad", "rr_per_m", "volume_m3"))
 
 
-def _column_text(column: np.ndarray, fmt) -> list[str]:
-    """fmt applied to each distinct entry once, then spread over the rows.
+def _keys(column: np.ndarray) -> np.ndarray:
+    """Floats as their bit patterns, so -0.0 and 0.0 stay distinct."""
+    return column.view(np.int64) if column.dtype == np.float64 else column
 
-    Floats are told apart by bit pattern, so -0.0 and 0.0 stay distinct.
-    """
+
+def _design_runs(columns) -> np.ndarray:
+    """First row of each run, found by comparing each row with the one before."""
+    new = np.zeros(len(columns["Z_m"]), dtype=bool)
+    new[:1] = True
+    for name in _DESIGN_FIELDS:
+        keys = _keys(np.asarray(columns[name]))
+        new[1:] |= keys[1:] != keys[:-1]
+    return np.flatnonzero(new)
+
+
+def _column_text(column: np.ndarray, name: str, end: str = "") -> list[str]:
+    """The named column's text, each entry followed by `end`: each distinct
+    entry is formatted once, then spread over the rows.  Text columns (the
+    design kind and the flag, which take no `end`) are used as they are."""
     if column.dtype.kind == "U":
         return column.tolist()
-    keys = column.view(np.int64) if column.dtype == np.float64 else column
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([fmt(v) for v in column[first].tolist()], dtype=object)
+    fmt = ("{:.9g}" if name in _FLOAT_COLUMNS else "{}") + end
+    _, first, inverse = np.unique(_keys(column), return_index=True, return_inverse=True)
+    text = np.array([fmt.format(v) for v in column[first].tolist()], dtype=object)
     return text[inverse].tolist()
 
 
 def format_sweep_csv(columns) -> str:
-    """Render sweep columns as CSV text (9 significant digits for floats)."""
-    fields = [
-        _column_text(
-            np.ascontiguousarray(columns[name]),
-            "{:.9g}".format if name in _FLOAT_COLUMNS else str,
-        )
-        for name in SWEEP_CSV_HEADER.split(",")
-    ]
-    return "\n".join([SWEEP_CSV_HEADER, *map(",".join, zip(*fields))]) + "\n"
+    """Render sweep columns as CSV text (9 significant digits for floats).
+
+    The eight design fields are formatted once per run of equal designs, as
+    one prefix that the run's rows share; each row adds its five own fields.
+    """
+    n = len(columns["Z_m"])
+    starts = _design_runs(columns)
+    design = zip(*(_column_text(np.asarray(columns[name])[starts], name)
+                   for name in _DESIGN_FIELDS))
+    # the header, six cells per row, and the last newline; a row's cells are
+    # a newline and its run's prefix, then its own fields, each but the
+    # last (the flag) followed by its comma
+    prefix = np.array(["\n" + ",".join(fields) + "," for fields in design], dtype=object)
+    cells = [""] * (6 * n + 2)
+    cells[0], cells[-1] = SWEEP_CSV_HEADER, "\n"
+    cells[1:-1:6] = np.repeat(prefix, np.diff(starts, append=n)).tolist()
+    for i, name in enumerate(_ROW_FIELDS[:-1], 2):
+        cells[i:-1:6] = _column_text(np.asarray(columns[name]), name, ",")
+    cells[6:-1:6] = _column_text(np.asarray(columns["flag"]), "flag")
+    return "".join(cells)
 
 
 def _group_codes(*columns) -> np.ndarray:
-    """Integer code per row whose order is the order of the row tuples.
+    """Integer code per entry whose order is the order of the value tuples.
 
-    Codes are re-ranked after each column, so they stay below the row count.
+    Codes are re-ranked after each column, so they stay below the entry count.
     """
     code = np.zeros(len(columns[0]), dtype=np.int64)
     for column in columns:
@@ -501,11 +564,11 @@ def _first_flips(rr: np.ndarray, have: np.ndarray, ia: np.ndarray, ib: np.ndarra
         pos = d > 0
         flips = (shared & (prev >= 0) & (d != 0)
                  & (pos != np.take_along_axis(pos, np.maximum(prev, 0), axis=1)))
-        first = flips.argmax(axis=1)
-        for p in np.flatnonzero(flips.any(axis=1)).tolist():
-            k = int(first[p])
-            j = int(prev[p, k])
-            yield start + p, j, k, d[p, j].item(), d[p, k].item()
+        hit = np.flatnonzero(flips.any(axis=1))
+        k = flips[hit].argmax(axis=1)
+        j = prev[hit, k]
+        yield from zip((start + hit).tolist(), j.tolist(), k.tolist(),
+                       d[hit, j].tolist(), d[hit, k].tolist())
 
 
 def find_crossovers(columns) -> list[dict]:
@@ -524,35 +587,44 @@ def find_crossovers(columns) -> list[dict]:
     ok = np.asarray(columns["flag"]) == ""
     if not ok.any():
         return []
-    col = {name: np.asarray(columns[name])[ok] for name in
-           ("design_kind", "M", "w0_m", "lambda_m", "n", "A_m", "u_m", "f_m",
-            "Z_m", "rr_per_m")}
-    _, tx_first, tx_group = np.unique(
-        _group_codes(col["M"], col["w0_m"], col["lambda_m"]),
-        return_index=True, return_inverse=True,
-    )
-    _, rx_first, rx_group = np.unique(
-        _group_codes(col["design_kind"], col["n"], col["A_m"], col["u_m"], col["f_m"]),
-        return_index=True, return_inverse=True,
-    )
-    rx_kind = col["design_kind"][rx_first]
-    z_values, z_index = np.unique(col["Z_m"], return_inverse=True)
+    starts = _design_runs(columns)
+    design = {name: np.asarray(columns[name])[starts] for name in _DESIGN_FIELDS}
+    # group codes per run, in sorted order of the value tuples
+    tx_code = _group_codes(design["M"], design["w0_m"], design["lambda_m"])
+    rx_code = _group_codes(design["design_kind"], design["n"], design["A_m"],
+                           design["u_m"], design["f_m"])
+    rx_kind = np.empty(rx_code.max() + 1, dtype=design["design_kind"].dtype)
+    rx_kind[rx_code] = design["design_kind"]
+    # the run of each unflagged row (nondecreasing), and the runs that have one
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ok)))[ok]
+    ok_runs = run[np.diff(run, prepend=-1) != 0]
+    tx_ids, tx_first = np.unique(tx_code[ok_runs], return_index=True)
+    z_values, z_index = np.unique(np.asarray(columns["Z_m"])[ok], return_inverse=True)
+    z_values = z_values.tolist()
+    # unflagged rows by transmitter, in row order within each transmitter
+    tx_group = tx_code[run]
+    order = np.argsort(tx_group, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(tx_group))])
+    rx_group, z_index = rx_code[run][order], z_index[order]
+    rr_ok = np.asarray(columns["rr_per_m"])[ok][order]
 
     crossovers = []
     for t in np.argsort(tx_first, kind="stable"):
-        rows = tx_group == t
+        rows = slice(bounds[tx_ids[t]], bounds[tx_ids[t] + 1])
         rx_ids, rx_local = np.unique(rx_group[rows], return_inverse=True)
         rr = np.zeros((len(rx_ids), len(z_values)))
         have = np.zeros(rr.shape, dtype=bool)
-        rr[rx_local, z_index[rows]] = col["rr_per_m"][rows]
+        rr[rx_local, z_index[rows]] = rr_ok[rows]
         have[rx_local, z_index[rows]] = True
         kinds = rx_kind[rx_ids]
         ia, ib = np.triu_indices(len(rx_ids), k=1)
         cross = kinds[ia] != kinds[ib]
         ia, ib = ia[cross], ib[cross]
-        i0 = tx_first[t]
+        kinds_a, kinds_b = kinds[ia].tolist(), kinds[ib].tolist()
+        i0 = ok_runs[tx_first[t]]
+        m, w0, lam = (design[name][i0].item() for name in ("M", "w0_m", "lambda_m"))
         for p, j, k, prev_d, dk in _first_flips(rr, have, ia, ib):
-            prev_z, z = z_values[j].item(), z_values[k].item()
+            prev_z, z = z_values[j], z_values[k]
             # log-linear interpolation of the sign change
             frac = prev_d / (prev_d - dk)
             z_star = math.exp(
@@ -560,12 +632,12 @@ def find_crossovers(columns) -> list[dict]:
             )
             # exp(log(z_lo)) can round an ulp outside [z_lo, z_hi]
             z_star = min(max(z_star, prev_z), z)
-            kind_a, kind_b = str(kinds[ia[p]]), str(kinds[ib[p]])
+            kind_a, kind_b = kinds_a[p], kinds_b[p]
             crossovers.append(
                 {
-                    "M": col["M"][i0].item(),
-                    "w0_m": col["w0_m"][i0].item(),
-                    "lambda_m": col["lambda_m"][i0].item(),
+                    "M": m,
+                    "w0_m": w0,
+                    "lambda_m": lam,
                     "design_a": kind_a,
                     "design_b": kind_b,
                     "z_lo_m": prev_z,

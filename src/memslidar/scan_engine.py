@@ -146,10 +146,25 @@ def records_to_dicts(samples: np.recarray) -> list[dict]:
     return [dict(zip(samples.dtype.names, row)) for row in samples.tolist()]
 
 
+def _json_column(values: list, dtype: np.dtype) -> np.ndarray:
+    """JSON values as one column, refusing what `np.array` would coerce:
+    anything but an int or a float (bools, strings, nulls), and in an
+    integer field a float that is not a whole number."""
+    kinds = set(map(type, values)) - {int, float}
+    if kinds:
+        raise TypeError(f"expected numbers, got {', '.join(sorted(k.__name__ for k in kinds))}")
+    if dtype.kind == "i" and not all(v.is_integer() for v in values if type(v) is float):
+        raise ValueError("expected whole numbers in an integer field")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"value out of range ({exc})") from None
+
+
 def records_from_dicts(rows, dtype: np.dtype) -> np.recarray:
     """Sample record array from JSON rows; KeyError/TypeError/ValueError on bad rows."""
     return np.rec.fromarrays(
-        [np.array([row[name] for row in rows], dtype=dtype[name]) for name in dtype.names],
+        [_json_column([row[name] for row in rows], dtype[name]) for name in dtype.names],
         dtype=dtype,
     )
 

@@ -24,6 +24,9 @@ import numpy as np
 
 DEPTH_QUANTUM_M = 1e-3
 MAX_DEPTH_M = 65535 * DEPTH_QUANTUM_M
+# width x height x n_frames of a generated scene: 54 frames at 640x480, or
+# one 4096x4096 frame; rendering peaks near 55 bytes per pixel
+MAX_SCENE_PIXELS = 1 << 24
 
 META_KEYS = (
     "width", "height", "fps", "z_max_m",
@@ -385,6 +388,11 @@ class SyntheticSpec:
         for name in ("width", "height", "n_frames"):
             if _check_number(name, getattr(self, name), integral=True) < 1:
                 raise ValueError(f"{name!r} must be >= 1, got {getattr(self, name)}")
+        if self.width * self.height * self.n_frames > MAX_SCENE_PIXELS:
+            raise ValueError(
+                f"{self.width}x{self.height} x {self.n_frames} frame(s) exceeds "
+                f"{MAX_SCENE_PIXELS} pixels"
+            )
         if not 0 < _check_number("fov_deg", self.fov_deg) <= 180:
             raise ValueError(f"'fov_deg' must be in (0, 180], got {self.fov_deg}")
         if not _check_number("fps", self.fps) > 0:

@@ -1,8 +1,12 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +67,30 @@ def test_optics_sweep_crossover_file(tmp_path):
         if c["winner_above"] == "single_detector" and 100 < c["z_star_m"] < 300
     ]
     assert hits
+
+
+def test_optics_sweep_output_bytes_frozen(tmp_path, capsys):
+    # a small grid drawn once from a seeded generator, as the benchmark draws
+    # its grid; 864 rows, 144 of them flagged non-physical, 32 crossovers
+    out = tmp_path / "sweep"
+    capsys.readouterr()
+    assert run(
+        "optics-sweep", "--find-crossover", "--design", "all",
+        "--M", "1.155,10.84,97.76", "--w0-mm", "0.1845,4.65", "--A-mm", "19.75,90.05",
+        "--u-mm", "4.911", "--f-mm", "24.49,47.34", "--Z-m", "0.5121:639.2:log12",
+        "--out", out,
+    ) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert digest((out / "sweep.csv").read_bytes()) == (
+        "460f1eb6fcdf670d3068a51bafbd1b15bb6ce1a796cc25a97aa72be143ebf723")
+    assert digest((out / "crossovers.json").read_bytes()) == (
+        "36813a1dce4b264e5cc81bf39bc6274b8d540df67ad263ae88bdea4385f46c8a")
+    assert digest(stdout.encode()) == (
+        "23fcb023683f7371318faeaae18f555b3e9700afa3bf0c789297d9d980f20c7e")
 
 
 def test_optics_sweep_empty_grid_usage_error(tmp_path):
@@ -142,12 +170,30 @@ def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
 
 
+def _edit_first_sample(doc, **fields):
+    return {**doc, "samples": [{**doc["samples"][0], **fields}, *doc["samples"][1:]]}
+
+
+def _shift_first_sample(doc, name, edit):
+    return _edit_first_sample(doc, **{name: edit(doc["samples"][0][name])})
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: {k: v for k, v in doc.items() if k != "samples"},
     lambda doc: {**doc, "samples": [{k: v for k, v in s.items() if k != "range_m"}
                                     for s in doc["samples"]]},
     None,  # not JSON at all
-], ids=["no-samples-key", "sample-lacks-range", "not-json"])
+    # each of these used to load as a nearby number: the same pixel or range
+    lambda doc: _shift_first_sample(doc, "pixel_x", lambda x: x + 0.5),
+    lambda doc: _shift_first_sample(doc, "pixel_y", lambda y: str(y)),
+    lambda doc: _edit_first_sample(doc, pixel_x=True),
+    lambda doc: _edit_first_sample(doc, pixel_y=2**70),
+    lambda doc: _shift_first_sample(doc, "range_m", lambda z: str(z)),
+    lambda doc: _edit_first_sample(doc, range_m=True),
+    lambda doc: _edit_first_sample(doc, t_s=None),
+], ids=["no-samples-key", "sample-lacks-range", "not-json", "fractional-pixel",
+        "string-pixel", "bool-pixel", "pixel-beyond-int64", "string-range", "bool-range",
+        "null-time"])
 def test_complete_malformed_sparse_json_exit_3(tmp_path, capsys, plane_capture, corrupt):
     scene, cap = plane_capture
     sparse = tmp_path / "cap"
@@ -159,10 +205,6 @@ def test_complete_malformed_sparse_json_exit_3(tmp_path, capsys, plane_capture, 
         path.write_text(json.dumps(corrupt(read_json(path))))
     _rejected_run(tmp_path, capsys, plane_capture,
                   ["complete", "--scene", "SCENE", "--sparse", sparse], 3, "error:")
-
-
-def _edit_first_sample(doc, **fields):
-    return {**doc, "samples": [{**doc["samples"][0], **fields}, *doc["samples"][1:]]}
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -260,11 +302,15 @@ _SPEC = {"width": 64, "height": 48, "primitives": [_PLANE]}
     ('{"width": 64, "height": 48, "fps": NaN, "primitives": [{"kind": "plane", "z_m": 2}]}',
      "'fps'"),
     (json.dumps({**_SPEC, "primitives": [{**_PLANE, "checker_m": 0}]}), "'checker_m'"),
+    (json.dumps({**_SPEC, "width": 100000, "height": 100000}), "pixels"),
+    (json.dumps({**_SPEC, "width": 1000000000}), "pixels"),
+    (json.dumps({**_SPEC, "width": 4096, "height": 4096, "n_frames": 2}), "pixels"),
 ], ids=["primitive-key", "top-level-key", "no-primitives", "primitive-not-object",
         "primitives-not-list", "primitive-lacks-kind", "unknown-kind", "color-range",
         "float-width", "text-range", "text-centre", "short-velocity", "not-an-object",
         "not-json", "zero-fps", "negative-range", "range-beyond-pgm", "wide-fov",
-        "zero-fov", "zero-frames", "nan-fps", "zero-checker"])
+        "zero-fov", "zero-frames", "nan-fps", "zero-checker", "huge-frame",
+        "billion-wide", "too-many-frames"])
 def test_gen_scene_bad_spec_json_exit_3(tmp_path, capsys, text, named):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)
@@ -524,6 +570,24 @@ def test_capture_bad_roi_exit_2(tmp_path):
         "capture", "--scene", scene, "--regime", "foveated",
         "--roi", "5,5,2,2", "--fps", "10", "--out", tmp_path / "cap",
     ) == 2
+
+
+def test_entropy_capture_does_not_import_scipy(tmp_path):
+    # only motion detection needs scipy.ndimage, whose import triples start-up
+    code = (
+        "import sys\n"
+        "from memslidar.cli import main\n"
+        f"scene, cap = {str(tmp_path / 'scene')!r}, {str(tmp_path / 'cap')!r}\n"
+        "assert main(['gen-scene', '--preset', 'plane', '--out', scene]) == 0\n"
+        "assert main(['capture', '--scene', scene, '--regime', 'entropy',\n"
+        "             '--fps', '30', '--out', cap]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_unknown_scene_dir_exit_3(tmp_path):

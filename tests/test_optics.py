@@ -553,6 +553,29 @@ def test_columnar_sweep_matches_row_reference_bytes(seed):
                for key, rr in rr_at.items() if key[0] == "retroreflective")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shuffled_rows_match_row_reference(seed):
+    # pairs and ranges in seeded orders, range-major; the first order in
+    # which no duplicated design lands beside its twin leaves every run of
+    # equal designs one row long
+    txs, rxs, zs = _reference_grid(seed)
+    columns = sweep(txs, rxs, zs)
+    rows = _sweep_ref(txs, rxs, zs)
+    pairs, ranges = len(txs) * len(rxs), len(zs)
+    for attempt in range(20):
+        rng = np.random.default_rng([seed, attempt])
+        perm = (rng.permutation(pairs)[None, :] * ranges
+                + rng.permutation(ranges)[:, None]).ravel()
+        shuffled = {name: column[perm] for name, column in columns.items()}
+        if len(optics._design_runs(shuffled)) == len(perm):
+            break
+    else:
+        pytest.fail("no one-row-run order in 20 draws")
+    rows = [rows[i] for i in perm.tolist()]
+    assert format_sweep_csv(shuffled) == _format_csv_ref(rows)
+    assert json.dumps(find_crossovers(shuffled)) == json.dumps(_find_crossovers_ref(rows))
+
+
 def test_characterize_matches_scalar_reference():
     txs, rxs, zs = _reference_grid(3)
     for t in txs[::3]:

@@ -230,3 +230,13 @@ def test_depth_exceeding_format_range_raises():
     )
     with pytest.raises(ValueError):
         generate_synthetic(spec, seed=0)
+
+
+def test_scene_size_is_bounded():
+    # checked when the spec is built, before any pixel is allocated
+    plane = (Primitive(kind="plane", z_m=2.0),)
+    SyntheticSpec(width=4096, height=4096, primitives=plane)
+    SyntheticSpec(width=640, height=480, n_frames=54, primitives=plane)
+    for width, height, n_frames in ((4097, 4096, 1), (640, 480, 55), (10**9, 1, 1)):
+        with pytest.raises(ValueError, match="pixels"):
+            SyntheticSpec(width=width, height=height, n_frames=n_frames, primitives=plane)
