@@ -13,16 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from memslidar.completion import complete
-from memslidar.foveation import BackgroundModel, update_and_detect
+from memslidar.foveation import BackgroundModel
 from memslidar.lidar_sim import CaptureConfig, capture
 from memslidar.metrics import compute
-from memslidar.scan_engine import (
-    ROI,
-    budget,
-    gen_foveated,
-    gen_full_fov,
-    reference_mirror_model,
-)
+from memslidar.pipeline import frame_pattern, track_motion
+from memslidar.scan_engine import ROI, Regime, budget, reference_mirror_model
 from memslidar.scene_io import Primitive, SyntheticSpec, generate_synthetic
 
 OUT = Path(__file__).parent / "out"
@@ -54,17 +49,15 @@ def main():
           f"a dense scan of the same mirror runs {budget(mirror, 6.0)} "
           f"samples/frame at 6 fps")
 
-    bg = BackgroundModel()
     OUT.mkdir(exist_ok=True)
     rows = ["frame,x0,y0,x1,y1,roi_mre_pct,n_samples"]
-    for frame in seq.frames:
-        bg, roi = update_and_detect(bg, frame.rgb)
+    for frame, roi in zip(seq.frames, track_motion(seq.frames, BackgroundModel())):
+        # nothing moving yet: the foveated pattern falls back to a uniform scan
+        pattern = frame_pattern(dims, frame.rgb, Regime.FOVEATED_ROI, mirror, fps,
+                                seed=0, roi=roi, density=1.0, window_px=15)
         if roi is None:
-            # nothing moving yet: spend the frame on a uniform scan
-            pattern = gen_full_fov(mirror, fps, dims)
             label = "full fov (warm-up)"
         else:
-            pattern = gen_foveated(mirror, fps, roi, dims)
             label = f"roi ({roi.x0:3d},{roi.y0:3d})..({roi.x1:3d},{roi.y1:3d})"
         sparse = capture(frame, pattern, config, noise_seed=frame.frame_index)
         dense = complete(sparse, frame.rgb)

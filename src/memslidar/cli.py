@@ -1,10 +1,12 @@
 """Command-line front end for the simulator.
 
 Subcommands cover the pipeline end to end: optics-sweep, fit-budget,
-gen-scene, scan, capture, fovea, complete, eval.  Lengths are taken in
-millimeters (wavelength in micrometers, angles in degrees) and converted
-to SI internally.  Every run writes run.json with the fully resolved
-configuration into its output directory.
+gen-scene, scan, capture, fovea, complete, eval.  Per-frame pattern,
+capture and completion run through `memslidar.pipeline`; this module
+parses flags, builds each config from them once, and writes the files.
+Lengths are taken in millimeters (wavelength in micrometers, angles in
+degrees) and converted to SI internally.  Every run writes run.json with
+the fully resolved configuration into its output directory.
 
 Exit codes: 0 success, 2 usage error (bad flags/grids), 3 data error
 (unreadable or inconsistent inputs).
@@ -17,18 +19,19 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .completion import DenseDepth, GuidedFillParams, complete
-from .foveation import BackgroundModel, entropy_map, max_entropy_roi, update_and_detect
+from .completion import GuidedFillParams, complete
+from .foveation import BackgroundModel, entropy_map, max_entropy_roi
 from .lidar_sim import (
     CaptureConfig,
     LidarSimError,
-    SparseDepth,
-    capture,
+    MalformedCaptureSummary,
     load_sparse,
     save_sparse,
 )
@@ -43,23 +46,20 @@ from .optics import (
     log_range_grid,
     sweep,
 )
+from .pipeline import frame_pattern, frame_seed, run_frame, track_motion
 from .scan_engine import (
     ROI,
     MirrorModel,
     Regime,
     ScanEngineError,
-    ScanPattern,
     budget,
     fit_budget,
-    gen_density_sweep,
-    gen_entropy_adaptive,
-    gen_foveated,
-    gen_full_fov,
     reference_mirror_model,
 )
 from .scene_io import (
     Primitive,
     SceneIOError,
+    SceneMeta,
     SceneSequence,
     SyntheticSpec,
     generate_synthetic,
@@ -71,6 +71,11 @@ from .scene_io import (
     write_pgm16,
     depth_to_millimeters,
 )
+
+# unused here: bound so the benchmark's span tracer can patch them (bench/workloads.py CLI_TRACED)
+from .foveation import update_and_detect  # noqa: F401
+from .lidar_sim import capture  # noqa: F401
+from .scan_engine import gen_entropy_adaptive, gen_foveated, gen_full_fov  # noqa: F401
 
 ROI_TRACE_HEADER = "frame,x0,y0,x1,y1,area_px"
 
@@ -147,13 +152,21 @@ def _outdir(args) -> Path:
     return out
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map; identical output for any job count."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _pmap(fn, jobs: int, *columns: list) -> list:
+    """Order-preserving map(fn, *columns); identical output for any job count.
+    At most one worker per item: a forking pool starts all its workers at once."""
+    workers = min(jobs, len(columns[0]))
+    if workers <= 1:
+        return list(map(fn, *columns))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *columns))
+
+
+def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, params) -> list:
+    """`pipeline.run_frame` over the scene's frames, up to --jobs at a time."""
+    fn = partial(run_frame, regime=regime, model=model, fps=fps, seed=args.seed,
+                 density=args.density, window_px=args.window_px, cap_cfg=cap_cfg, params=params)
+    return _pmap(fn, args.jobs, seq.frames, rois)
 
 
 def _mirror_model(args, fov_deg: float) -> MirrorModel:
@@ -167,10 +180,28 @@ def _mirror_model(args, fov_deg: float) -> MirrorModel:
     )
 
 
-def _frame_seed(seed: int, frame_index: int, stream: int) -> int:
-    """Stable per-frame substream seed, independent of execution order."""
-    ss = np.random.SeedSequence([seed, frame_index, stream])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _capture_config(args, meta: SceneMeta) -> CaptureConfig:
+    z_max_m = args.z_max_m if args.z_max_m is not None else meta.z_max_m
+    return CaptureConfig(z_max_m=z_max_m, noise_coeff=args.noise_coeff,
+                         dot_solid_angle_sr=args.dot_sr)
+
+
+def _fill_params(args) -> GuidedFillParams:
+    sigma_color = args.sigma_color if args.sigma_color > 0 else math.inf
+    return GuidedFillParams(sigma_spatial_px=args.sigma_spatial_px, sigma_color=sigma_color,
+                            k_neighbors=args.k_neighbors, fallback=args.fallback)
+
+
+def _background_model(args) -> BackgroundModel:
+    return BackgroundModel(alpha=args.alpha, diff_threshold=args.threshold,
+                           min_blob_area_px=args.min_blob_area, margin_px=args.margin)
+
+
+def _fixed_roi(args) -> ROI | None:
+    if not args.roi:
+        return None
+    x0, y0, x1, y1 = _parse_roi(args.roi)
+    return ROI(x0, y0, x1, y1, args.inside_density, args.outside_density)
 
 
 # ---------- optics-sweep ----------
@@ -343,33 +374,6 @@ def cmd_gen_scene(args) -> int:
 
 # ---------- scan ----------
 
-def _build_pattern(
-    regime: Regime,
-    model: MirrorModel,
-    fps: float,
-    dims: tuple[int, int],
-    seed: int,
-    roi: ROI | None,
-    density: float,
-    window_px: int,
-    rgb: np.ndarray | None,
-) -> ScanPattern:
-    if regime == Regime.FULL_FOV:
-        return gen_full_fov(model, fps, dims)
-    if regime == Regime.DENSITY_SWEEP:
-        return gen_density_sweep(model, fps, dims, density)
-    if regime == Regime.FOVEATED_ROI:
-        if roi is None:
-            raise UsageError("foveated regime needs --roi")
-        return gen_foveated(model, fps, roi, dims)
-    if regime == Regime.ENTROPY_ADAPTIVE:
-        if rgb is None:
-            raise UsageError("entropy regime needs --scene for the guide image")
-        emap = entropy_map(rgb, window_px)
-        return gen_entropy_adaptive(model, fps, emap.values, seed)
-    raise UsageError(f"unknown regime {regime}")  # pragma: no cover
-
-
 _REGIME_FLAG = {
     "full": Regime.FULL_FOV,
     "entropy": Regime.ENTROPY_ADAPTIVE,
@@ -380,34 +384,33 @@ _REGIME_FLAG = {
 
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
-    roi = None
-    if args.roi:
-        x0, y0, x1, y1 = _parse_roi(args.roi)
-        roi = ROI(x0, y0, x1, y1, args.inside_density, args.outside_density)
-
+    roi = _fixed_roi(args)
     if args.scene:
         seq = load_scene(args.scene)
         dims = (seq.meta.width, seq.meta.height)
         fov_deg = seq.meta.mirror_fov_deg
-        frames = seq.frames
+        guides = [(frame.frame_index, frame.rgb) for frame in seq.frames]
     else:
         if not args.dims:
             raise UsageError("scan needs --scene or --dims")
         dims = _parse_dims(args.dims)
         fov_deg = args.mirror_fov_deg
-        frames = [None]
+        guides = [(0, None)]
     model = _mirror_model(args, fov_deg)
+    if regime == Regime.FOVEATED_ROI and roi is None:
+        raise UsageError("foveated regime needs --roi")
+    if regime == Regime.ENTROPY_ADAPTIVE and not args.scene:
+        raise UsageError("entropy regime needs --scene for the guide image")
+    if regime != Regime.ENTROPY_ADAPTIVE:
+        guides = guides[:1]  # pattern is frame-independent; one file is enough
 
-    patterns = {}
-    for frame in frames:
-        rgb = frame.rgb if frame is not None else None
-        index = frame.frame_index if frame is not None else 0
-        patterns[index] = _build_pattern(
-            regime, model, args.fps, dims,
-            _frame_seed(args.seed, index, 0), roi, args.density, args.window_px, rgb,
+    patterns = {
+        index: frame_pattern(
+            dims, rgb, regime, model, args.fps,
+            frame_seed(args.seed, index, 0), roi, args.density, args.window_px,
         )
-        if regime != Regime.ENTROPY_ADAPTIVE:
-            break  # pattern is frame-independent; one file is enough
+        for index, rgb in guides
+    }
     out = _outdir(args)
     for index, pattern in patterns.items():
         (out / f"pattern_{index:04d}.json").write_text(pattern.to_json() + "\n")
@@ -418,79 +421,27 @@ def cmd_scan(args) -> int:
 
 # ---------- capture ----------
 
-def _capture_task(task) -> tuple[int, SparseDepth]:
-    (frame, regime, model, fps, seed, cap_cfg, roi, density, window_px) = task
-    dims = (frame.intrinsics.width, frame.intrinsics.height)
-    pattern = _build_pattern(
-        regime, model, fps, dims,
-        _frame_seed(seed, frame.frame_index, 0), roi, density, window_px, frame.rgb,
-    )
-    sparse = capture(
-        frame, pattern, cap_cfg, _frame_seed(seed, frame.frame_index, 1)
-    )
-    return frame.frame_index, sparse
-
-
-def _motion_rois(seq: SceneSequence, args) -> list[ROI | None]:
-    """Sequential background-subtraction pass; one optional ROI per frame."""
-    model = BackgroundModel(
-        alpha=args.alpha,
-        diff_threshold=args.threshold,
-        min_blob_area_px=args.min_blob_area,
-        margin_px=args.margin,
-    )
-    rois: list[ROI | None] = []
-    for frame in seq.frames:
-        model, roi = update_and_detect(model, frame.rgb)
-        if roi is not None:
-            roi = ROI(
-                roi.x0, roi.y0, roi.x1, roi.y1,
-                args.inside_density, args.outside_density,
-            )
-        rois.append(roi)
-    return rois
-
-
 def cmd_capture(args) -> int:
     seq = load_scene(args.scene)
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
-    cap_cfg = CaptureConfig(
-        z_max_m=args.z_max_m if args.z_max_m is not None else seq.meta.z_max_m,
-        noise_coeff=args.noise_coeff,
-        dot_solid_angle_sr=args.dot_sr,
-    )
+    cap_cfg = _capture_config(args, seq.meta)
     regime = _REGIME_FLAG[args.regime]
+    motion = args.roi == "auto-motion" or args.roi_mode == "motion"
+    fixed_roi = None if args.roi == "auto-motion" else _fixed_roi(args)
 
-    roi_mode = args.roi_mode
-    fixed_roi = None
-    if args.roi == "auto-motion":
-        roi_mode = "motion"
-    elif args.roi:
-        x0, y0, x1, y1 = _parse_roi(args.roi)
-        fixed_roi = ROI(x0, y0, x1, y1, args.inside_density, args.outside_density)
-
-    per_frame_roi: list[ROI | None]
-    if regime == Regime.FOVEATED_ROI and roi_mode == "motion":
-        per_frame_roi = _motion_rois(seq, args)
+    if regime == Regime.FOVEATED_ROI and motion:
+        weights = dict(inside_density=args.inside_density, outside_density=args.outside_density)
+        rois = [None if roi is None else replace(roi, **weights)
+                for roi in track_motion(seq.frames, _background_model(args))]
     else:
-        per_frame_roi = [fixed_roi] * len(seq.frames)
-
-    tasks = []
-    for frame, roi in zip(seq.frames, per_frame_roi):
-        frame_regime = regime
-        if regime == Regime.FOVEATED_ROI and roi is None:
-            frame_regime = Regime.FULL_FOV  # nothing detected: scan everything
-        tasks.append(
-            (frame, frame_regime, model, args.fps, args.seed, cap_cfg, roi,
-             args.density, args.window_px)
-        )
-    results = _pmap(_capture_task, tasks, args.jobs)
+        rois = [fixed_roi] * len(seq.frames)
+    results = _run_frames(args, seq, rois, regime, model, args.fps, cap_cfg, None)
 
     out = _outdir(args)
     summary = []
-    for (index, sparse), task in zip(results, tasks):
+    for frame, roi, (sparse, _) in zip(seq.frames, rois, results):
+        index = frame.frame_index
         save_sparse(sparse, out / f"{index:04d}.pgm", out / f"{index:04d}.json")
-        roi = task[6]
         summary.append(
             {
                 "frame": index,
@@ -515,28 +466,15 @@ def cmd_fovea(args) -> int:
     seq = load_scene(args.scene)
     lines = [ROI_TRACE_HEADER]
     if args.mode == "motion":
-        model = BackgroundModel(
-            alpha=args.alpha,
-            diff_threshold=args.threshold,
-            min_blob_area_px=args.min_blob_area,
-            margin_px=args.margin,
-        )
-        for frame in seq.frames:
-            model, roi = update_and_detect(model, frame.rgb)
-            if roi is None:
-                lines.append(f"{frame.frame_index},,,,,")
-            else:
-                lines.append(
-                    f"{frame.frame_index},{roi.x0},{roi.y0},{roi.x1},{roi.y1},{roi.area_px}"
-                )
+        rois = track_motion(seq.frames, _background_model(args))
     else:  # entropy
         rw, rh = _parse_dims(args.roi_dims)
-        for frame in seq.frames:
-            emap = entropy_map(frame.rgb, args.window_px)
-            roi = max_entropy_roi(emap, (rw, rh))
-            lines.append(
-                f"{frame.frame_index},{roi.x0},{roi.y0},{roi.x1},{roi.y1},{roi.area_px}"
-            )
+        rois = [max_entropy_roi(entropy_map(f.rgb, args.window_px), (rw, rh)) for f in seq.frames]
+    for frame, roi in zip(seq.frames, rois):
+        if roi is None:
+            lines.append(f"{frame.frame_index},,,,,")
+        else:
+            lines.append(f"{frame.frame_index},{roi.x0},{roi.y0},{roi.x1},{roi.y1},{roi.area_px}")
     out = _outdir(args)
     (out / "roi_trace.csv").write_text("\n".join(lines) + "\n")
     _write_run_json(out, args)
@@ -546,34 +484,24 @@ def cmd_fovea(args) -> int:
 
 # ---------- complete ----------
 
-def _complete_task(task) -> tuple[int, np.ndarray]:
-    (index, sparse, rgb, params) = task
-    dense = complete(sparse, rgb, params)
-    return index, dense.depth_m
-
-
 def cmd_complete(args) -> int:
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
-    params = GuidedFillParams(
-        sigma_spatial_px=args.sigma_spatial_px,
-        sigma_color=args.sigma_color if args.sigma_color > 0 else math.inf,
-        k_neighbors=args.k_neighbors,
-        fallback=args.fallback,
-    )
-    tasks = []
+    params = _fill_params(args)
+    sparses = []
     for frame in seq.frames:
         stem = f"{frame.frame_index:04d}"
         pgm = sparse_dir / f"{stem}.pgm"
         sjson = sparse_dir / f"{stem}.json"
         if not pgm.is_file() or not sjson.is_file():
             raise LidarSimError(f"{sparse_dir}: missing capture files for frame {stem}")
-        sparse = load_sparse(pgm, sjson)
-        tasks.append((frame.frame_index, sparse, frame.rgb, params))
-    results = _pmap(_complete_task, tasks, args.jobs)
+        sparses.append(load_sparse(pgm, sjson))
+    results = _pmap(
+        partial(complete, params=params), args.jobs, sparses, [f.rgb for f in seq.frames]
+    )
     out = _outdir(args)
-    for index, depth in results:
-        write_pgm16(out / f"{index:04d}.pgm", depth_to_millimeters(depth))
+    for frame, dense in zip(seq.frames, results):
+        write_pgm16(out / f"{frame.frame_index:04d}.pgm", depth_to_millimeters(dense.depth_m))
     _write_run_json(out, args)
     print(f"completed {len(results)} frame(s) to {out}")
     return 0
@@ -587,46 +515,64 @@ def _pooled_report(pairs):
     return compute(pred, truth, (pred > 0) & (truth > 0))
 
 
-def _load_capture_rois(pred_dir: Path) -> dict[int, list | None]:
-    """Per-frame ROI rectangles recorded at capture time.
+def _json_file(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedCaptureSummary(f"{path}: not JSON ({exc})") from None
 
-    Looks in the prediction directory first, then follows its run.json
-    back to the capture directory, so the flag works on completed output
-    without extra plumbing.
-    """
-    candidates = [pred_dir / "capture_summary.json"]
+
+def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | None]:
+    """Per-frame ROI rectangles recorded at capture time, checked against the
+    scene.  Looks next to --pred first, then follows its run.json back to
+    the capture directory, so the flag works on completed output."""
+    path = pred_dir / "capture_summary.json"
     run = pred_dir / "run.json"
-    if run.is_file():
-        sparse = json.loads(run.read_text()).get("resolved", {}).get("sparse")
-        if sparse:
-            candidates.append(Path(sparse) / "capture_summary.json")
-    for path in candidates:
-        if path.is_file():
-            rows = json.loads(path.read_text())
-            return {row["frame"]: row.get("roi") for row in rows}
-    raise UsageError(
-        "--roi-only needs a capture_summary.json next to --pred or reachable "
-        "through its run.json"
-    )
+    if not path.is_file() and run.is_file():
+        doc = _json_file(run)
+        resolved = doc.get("resolved") if isinstance(doc, dict) else None
+        sparse = resolved.get("sparse") if isinstance(resolved, dict) else None
+        if isinstance(sparse, str) and sparse:
+            path = Path(sparse) / "capture_summary.json"
+    if not path.is_file():
+        raise UsageError("--roi-only needs a capture_summary.json next to --pred or reachable "
+                         "through its run.json")
+    rows = _json_file(path)
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise MalformedCaptureSummary(f"{path}: expected a list of objects, one per frame")
+    frames = {frame.frame_index for frame in seq.frames}
+    w, h = seq.meta.width, seq.meta.height
+    rois = {}
+    for row in rows:
+        index, roi = row.get("frame"), row.get("roi")
+        if type(index) is not int or index not in frames or index in rois:
+            raise MalformedCaptureSummary(f"{path}: 'frame' {index!r} does not name a scene frame once")
+        if roi is not None and not (
+            type(roi) is list and len(roi) == 4 and all(type(v) is int for v in roi)
+            and 0 <= roi[0] < roi[2] <= w and 0 <= roi[1] < roi[3] <= h
+        ):
+            raise MalformedCaptureSummary(f"{path}: frame {index}: 'roi' {roi!r} is neither null "
+                                          f"nor a non-empty x0,y0,x1,y1 rectangle inside {w}x{h}")
+        rois[index] = roi
+    return rois
 
 
 def cmd_eval(args) -> int:
-    seq = load_scene(args.scene)
-
     if args.fps_sweep:
-        return _eval_fps_sweep(args, seq)
-
+        return _eval_fps_sweep(args)
+    seq = load_scene(args.scene)
     if not args.pred:
         raise UsageError("eval needs --pred (or --fps-sweep)")
     pred_dir = Path(args.pred)
-    roi = None
     if args.roi and args.roi_only:
         raise UsageError("--roi and --roi-only are mutually exclusive")
+    rects = {}  # frame index -> scored rectangle; a frame without one scores in full
     if args.roi:
-        x0, y0, x1, y1 = _parse_roi(args.roi)
-        roi = ROI(x0, y0, x1, y1)
+        roi = ROI(*_parse_roi(args.roi))
         roi.validate_bounds(seq.meta.width, seq.meta.height)
-    capture_rois = _load_capture_rois(pred_dir) if args.roi_only else {}
+        rects = {frame.frame_index: (roi.x0, roi.y0, roi.x1, roi.y1) for frame in seq.frames}
+    elif args.roi_only:
+        rects = _load_capture_rois(pred_dir, seq)
 
     lines = ["frame," + METRICS_CSV_HEADER]
     pooled_pairs = []
@@ -641,11 +587,7 @@ def cmd_eval(args) -> int:
                 f"{pgm}: prediction is {pred.shape}, scene is {frame.depth_gt.shape}"
             )
         truth = frame.depth_gt
-        rect = None
-        if roi is not None:
-            rect = (roi.x0, roi.y0, roi.x1, roi.y1)
-        elif args.roi_only:
-            rect = capture_rois.get(frame.frame_index)  # None scores full frame
+        rect = rects.get(frame.frame_index)
         if rect is not None:
             x0, y0, x1, y1 = rect
             sel = np.zeros_like(truth, dtype=bool)
@@ -665,38 +607,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _eval_fps_sweep(args, seq: SceneSequence) -> int:
+def _eval_fps_sweep(args) -> int:
     """Capture + complete + evaluate at each frame rate; one CSV row per rate."""
+    for flag, given in (("--pred", args.pred), ("--roi", args.roi), ("--roi-only", args.roi_only)):
+        if given:
+            raise UsageError(f"--fps-sweep scores its own captures; it takes no {flag}")
+    seq = load_scene(args.scene)
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
-    cap_cfg = CaptureConfig(
-        z_max_m=args.z_max_m if args.z_max_m is not None else seq.meta.z_max_m,
-        noise_coeff=args.noise_coeff,
-        dot_solid_angle_sr=args.dot_sr,
-    )
-    params = GuidedFillParams(
-        sigma_spatial_px=args.sigma_spatial_px,
-        sigma_color=args.sigma_color if args.sigma_color > 0 else math.inf,
-        k_neighbors=args.k_neighbors,
-        fallback=args.fallback,
-    )
+    cap_cfg = _capture_config(args, seq.meta)
+    params = _fill_params(args)
+    no_rois = [None] * len(seq.frames)
     lines = ["fps,budget,samples_per_frame," + METRICS_CSV_HEADER]
     for fps in _floats(args.fps_sweep):
-        tasks = [
-            (frame, Regime.FULL_FOV, model, fps, args.seed, cap_cfg, None,
-             args.density, args.window_px)
-            for frame in seq.frames
-        ]
-        results = _pmap(_capture_task, tasks, args.jobs)
-        pooled_pairs = []
-        n_samples = 0
-        for (index, sparse), frame in zip(results, seq.frames):
-            n_samples += len(sparse.samples)
-            dense = complete(sparse, frame.rgb, params)
-            # score the millimetre depth `complete` would write, as `eval --pred` does
-            pred = millimeters_to_depth(depth_to_millimeters(dense.depth_m))
-            pooled_pairs.append((pred, frame.depth_gt))
-        report = _pooled_report(pooled_pairs)
-        mean_samples = n_samples / len(seq.frames)
+        results = _run_frames(args, seq, no_rois, Regime.FULL_FOV, model, fps, cap_cfg, params)
+        # run_frame's depth is the millimetre depth `complete` writes, as `eval --pred` reads
+        report = _pooled_report([(pred, f.depth_gt) for (_, pred), f in zip(results, seq.frames)])
+        mean_samples = sum(len(sparse.samples) for sparse, _ in results) / len(seq.frames)
         lines.append(
             f"{fps:.9g},{budget(model, fps)},{mean_samples:.9g}," + report.to_csv_row()
         )
@@ -862,6 +788,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

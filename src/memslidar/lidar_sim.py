@@ -61,6 +61,10 @@ class MalformedSparse(LidarSimError):
     """Sparse capture JSON is not JSON, lacks a field, or disagrees with its PGM."""
 
 
+class MalformedCaptureSummary(LidarSimError):
+    """capture_summary.json, or the run.json leading to it, is not JSON or does not fit the scene."""
+
+
 @dataclass(frozen=True)
 class CalibrationModel:
     """Linear sensor calibration: range_m = gain * volts + offset."""

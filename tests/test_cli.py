@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import ast
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memslidar import cli
 from memslidar.cli import main
 from memslidar.scan_engine import ScanPattern
 from memslidar.scene_io import load_scene, read_pgm16, write_pgm16
@@ -151,6 +153,13 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["eval", "--scene", "SCENE"],
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--roi", "0,0,500,500"],
     ["eval", "--scene", "SCENE", "--fps-sweep", "62"],
+    # --fps-sweep captures and completes its own frames
+    ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--pred", "SPARSE"],
+    ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--roi", "0,0,5,5"],
+    ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--roi-only"],
+    ["capture", "--scene", "SCENE", "--jobs", "0"],
+    ["complete", "--scene", "SCENE", "--sparse", "SPARSE", "--jobs", "-3"],
+    ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--jobs", "0"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -168,6 +177,74 @@ def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
 ], ids=" ".join)
 def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"frame": 0, "roi": null}',
+    "[5]",
+    '[{"roi": null}]',
+    '[{"frame": "0", "roi": null}]',
+    '[{"frame": 0.0, "roi": null}]',
+    '[{"frame": 7, "roi": null}]',
+    '[{"frame": 0, "roi": null}, {"frame": 0, "roi": null}]',
+    '[{"frame": 0, "roi": "abc"}]',
+    '[{"frame": 0, "roi": [0, 0, 5]}]',
+    '[{"frame": 0, "roi": [0, 0, 10.5, 5]}]',
+    '[{"frame": 0, "roi": [0, 0, true, 5]}]',
+    '[{"frame": 0, "roi": [0, 0, 999, 5]}]',
+    '[{"frame": 0, "roi": [-150, 0, 100, 100]}]',
+], ids=["not-json", "not-a-list", "row-not-object", "no-frame", "frame-string",
+        "frame-float", "frame-not-in-scene", "frame-twice", "roi-string", "roi-3-values",
+        "roi-float", "roi-bool", "roi-past-edge", "roi-negative"])
+def test_eval_roi_only_bad_capture_summary_exit_3(tmp_path, capsys, plane_capture, text):
+    # a completed one-frame 160x120 prediction, with a capture summary beside it
+    scene, cap = plane_capture
+    pred = tmp_path / "pred"
+    assert run("complete", "--scene", scene, "--sparse", cap, "--out", pred) == 0
+    (pred / "capture_summary.json").write_text(text)
+    _rejected_run(tmp_path, capsys, plane_capture,
+                  ["eval", "--scene", "SCENE", "--pred", pred, "--roi-only"], 3, "error:")
+
+
+def test_jobs_capped_at_frame_count(tmp_path, monkeypatch):
+    # record the pool size instead of forking: --jobs 64 must not start 64 workers
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    scene = make_scene(tmp_path, "moving-box", 2)
+    for command in (["capture", "--fps", "30"], ["eval", "--fps-sweep", "30,6"]):
+        out = tmp_path / command[0]
+        assert run(*command, "--scene", scene, "--jobs", "64", "--out", out) == 0
+    assert run("complete", "--scene", scene, "--sparse", tmp_path / "capture",
+               "--jobs", "64", "--out", tmp_path / "pred") == 0
+    assert sizes == [2, 2, 2, 2]
+
+
+def test_cli_binds_every_name_the_benchmark_traces():
+    # bench/workloads.py patches memslidar.cli.<name> for each CLI_TRACED name
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "workloads.py").read_text())
+    traced = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "CLI_TRACED" for t in node.targets)
+    ]
+    assert len(traced) == 1 and traced[0]
+    missing = [name for name in traced[0] if not callable(getattr(cli, name, None))]
+    assert not missing
 
 
 def _edit_first_sample(doc, **fields):
@@ -539,12 +616,9 @@ def test_fovea_entropy_trace(tmp_path):
 
 
 def test_eval_fps_sweep(tmp_path):
-    scene, _, pred = _captured_completed(tmp_path, frames="1")
+    scene = make_scene(tmp_path, "plane", "1")
     out = tmp_path / "sweep"
-    assert run(
-        "eval", "--pred", pred, "--scene", scene,
-        "--fps-sweep", "30,6", "--out", out,
-    ) == 0
+    assert run("eval", "--scene", scene, "--fps-sweep", "30,6", "--out", out) == 0
     lines = (out / "fps_sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("30,27,")
