@@ -54,6 +54,7 @@ from .scan_engine import (
     ScanEngineError,
     budget,
     fit_budget,
+    records_json,
     reference_mirror_model,
 )
 from .scene_io import (
@@ -249,7 +250,8 @@ def cmd_optics_sweep(args) -> int:
     extra = {"n_rows": n_rows}
     if args.find_crossover:
         crossings = find_crossovers(columns)
-        (out / "crossovers.json").write_text(json.dumps(crossings, indent=2, sort_keys=True) + "\n")
+        fields = {key: [c[key] for c in crossings] for key in crossings[0]} if crossings else {}
+        (out / "crossovers.json").write_text(records_json(fields) + "\n")
         extra["n_crossovers"] = len(crossings)
         for c in crossings:
             print(
@@ -422,12 +424,14 @@ def cmd_scan(args) -> int:
 # ---------- capture ----------
 
 def cmd_capture(args) -> int:
-    seq = load_scene(args.scene)
-    model = _mirror_model(args, seq.meta.mirror_fov_deg)
-    cap_cfg = _capture_config(args, seq.meta)
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion" or args.roi_mode == "motion"
     fixed_roi = None if args.roi == "auto-motion" else _fixed_roi(args)
+    if regime == Regime.FOVEATED_ROI and fixed_roi is None and not motion:
+        raise UsageError("foveated regime needs --roi")
+    seq = load_scene(args.scene)
+    model = _mirror_model(args, seq.meta.mirror_fov_deg)
+    cap_cfg = _capture_config(args, seq.meta)
 
     if regime == Regime.FOVEATED_ROI and motion:
         weights = dict(inside_density=args.inside_density, outside_density=args.outside_density)

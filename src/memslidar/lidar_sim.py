@@ -23,8 +23,8 @@ from .scan_engine import (
     Regime,
     ScanPattern,
     angles_to_pixel,
+    json_with_records,
     records_from_dicts,
-    records_to_dicts,
 )
 from .scene_io import (
     DEPTH_QUANTUM_M,
@@ -132,16 +132,8 @@ class SparseDepth:
     drop_count: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fps": self.fps,
-                "regime": self.regime.value,
-                "drop_count": self.drop_count,
-                "samples": records_to_dicts(self.samples),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        doc = {"fps": self.fps, "regime": self.regime.value, "drop_count": self.drop_count}
+        return json_with_records(doc, "samples", self.samples)
 
 
 def dot_footprint_radius_px(frame: SceneFrame, dot_solid_angle_sr: float) -> float:

@@ -141,9 +141,50 @@ class ROI:
 SCAN_SAMPLE_DTYPE = np.dtype([("t_s", "f8"), ("theta_rad", "f8"), ("phi_rad", "f8")])
 
 
-def records_to_dicts(samples: np.recarray) -> list[dict]:
-    """JSON rows of a sample record array: Python ints and floats per field."""
-    return [dict(zip(samples.dtype.names, row)) for row in samples.tolist()]
+# what `json` prints for the non-finite floats, by their `float.__repr__`
+_NON_FINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_values(values: list) -> list[str]:
+    """Each value as `json.dumps` prints it; floats and ints by their repr."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, values))
+        if all(map(math.isfinite, values)):
+            return text
+        return [_NON_FINITE_JSON.get(t, t) for t in text]
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(json.dumps, values))
+
+
+def records_json(columns: dict[str, list], level: int = 0) -> str:
+    """`json.dumps(rows, indent=2, sort_keys=True)` for the list of flat
+    records whose fields `columns` holds (name -> one value per record),
+    as printed `level` containers deep.
+
+    Each record is written from one template with its keys in sorted
+    order, instead of through the pure-Python indented encoder, and comes
+    out byte for byte the same.
+    """
+    names = sorted(columns)
+    texts = [_json_values(columns[name]) for name in names]
+    if not names or not texts[0]:
+        return "[]"
+    pad = "  " * level
+    fields = ",\n".join(f"{pad}    {json.dumps(name)}: %s" for name in names)
+    template = f"{pad}  {{\n{fields}\n{pad}  }}"
+    body = ",\n".join(map(template.__mod__, zip(*texts)))
+    return f"[\n{body}\n{pad}]"
+
+
+def json_with_records(doc: dict, key: str, samples: np.recarray) -> str:
+    """`json.dumps({**doc, key: rows}, indent=2, sort_keys=True)`, the rows
+    being the records of `samples`, written from their columns."""
+    text = json.dumps({**doc, key: []}, indent=2, sort_keys=True)
+    rows = records_json({name: samples[name].tolist() for name in samples.dtype.names}, 1)
+    # a raw newline is never inside a JSON string, so this is the top-level key
+    return text.replace(f'\n  "{key}": []', f'\n  "{key}": {rows}', 1)
 
 
 def _json_column(values: list, dtype: np.dtype) -> np.ndarray:
@@ -188,14 +229,9 @@ class ScanPattern:
         return len(self.samples)
 
     def to_json(self) -> str:
-        doc = {
-            "fps": self.fps,
-            "regime": self.regime.value,
-            "seed": self.seed,
-            "budget": self.budget,
-            "samples": records_to_dicts(self.samples),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        doc = {"fps": self.fps, "regime": self.regime.value, "seed": self.seed,
+               "budget": self.budget}
+        return json_with_records(doc, "samples", self.samples)
 
     @classmethod
     def from_json(cls, text: str) -> "ScanPattern":

@@ -95,6 +95,26 @@ def test_optics_sweep_output_bytes_frozen(tmp_path, capsys):
         "23fcb023683f7371318faeaae18f555b3e9700afa3bf0c789297d9d980f20c7e")
 
 
+def test_written_json_is_what_the_json_encoder_prints(tmp_path):
+    # sample lists and crossovers are written from templates, not by `json`
+    scene = make_scene(tmp_path, "moving-box", 2)
+    assert run("capture", "--scene", scene, "--regime", "foveated", "--roi", "auto-motion",
+               "--fps", "6", "--out", tmp_path / "cap") == 0
+    assert run("scan", "--scene", scene, "--regime", "entropy", "--fps", "6",
+               "--out", tmp_path / "scan") == 0
+    assert run("optics-sweep", "--find-crossover", "--Z-m", "0.5:300:log20",
+               "--out", tmp_path / "sweep") == 0
+    paths = sorted(p for d in ("cap", "scan", "sweep") for p in (tmp_path / d).glob("*.json"))
+    names = {p.name for p in paths}
+    assert {"0000.json", "pattern_0001.json", "crossovers.json"} <= names
+    for path in paths:
+        text = path.read_text()
+        # save_sparse writes a frame's sample file without a final newline
+        newline = "" if path.stem.isdigit() else "\n"
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + newline, path
+    assert read_json(tmp_path / "sweep" / "crossovers.json")
+
+
 def test_optics_sweep_empty_grid_usage_error(tmp_path):
     assert run("optics-sweep", "--Z-m", "", "--out", tmp_path / "a") == 2
     assert run("optics-sweep", "--M", "", "--out", tmp_path / "b") == 2
@@ -146,6 +166,7 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["scan", "--dims", "160x120", "--regime", "density", "--fps", "62"],
     ["scan", "--scene", "SCENE", "--regime", "foveated"],
     ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "5,5,2,2"],
+    ["capture", "--scene", "SCENE", "--regime", "foveated"],
     ["capture", "--scene", "SCENE", "--regime", "entropy", "--fps", "63"],
     ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "0,0,40,30", "--fps", "63"],
     ["fovea", "--scene", "SCENE", "--mode", "entropy", "--roi-dims", "bad"],

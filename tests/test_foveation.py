@@ -114,6 +114,15 @@ def _all_levels(seed):
     return np.random.default_rng(seed).permutation(256 * 4).reshape(32, 32) % 256
 
 
+def _edge_levels(shape):
+    # levels 0 and 255 only in the first and last column: a count that ran
+    # on across a row end would reach the pixels beside them
+    gray = np.random.default_rng(26).integers(1, 255, shape)
+    gray[:, 0] = 0
+    gray[:, -1] = 255
+    return gray
+
+
 _BYTE_CASES = [
     *[
         (f"random-w{w}", np.random.default_rng(10 + w).integers(0, 256, (40, 56)), w)
@@ -125,6 +134,14 @@ _BYTE_CASES = [
     ("all-levels-w7", _all_levels(8), 7),
     ("smaller-than-window-w15", np.random.default_rng(9).integers(0, 256, (5, 9)), 15),
     ("non-square-w9", np.random.default_rng(11).integers(0, 256, (13, 61)), 9),
+    # rows narrower than the window, a single row, a row exactly one window
+    *[(f"width{w}-w15", np.random.default_rng(20 + w).integers(0, 256, (40, w)), 15)
+      for w in (1, 2)],
+    ("height1-w15", np.random.default_rng(23).integers(0, 256, (1, 50)), 15),
+    ("width-is-window-w15", np.random.default_rng(24).integers(0, 256, (20, 15)), 15),
+    # uint16 counts and five doubling blocks
+    ("random-w33", np.random.default_rng(25).integers(0, 256, (40, 56)), 33),
+    ("rare-levels-at-row-ends-w15", _edge_levels((30, 40)), 15),
 ]
 
 

@@ -479,3 +479,65 @@ def test_capture_of_generated_patterns_matches_reference(fps):
         gen_entropy_adaptive(model, fps, entropy_map(frame.rgb, 15).values, seed=3),
     )):
         _assert_capture_matches_reference(frame, pattern, config, 100 + i)
+
+
+# ---------- sample JSON against the `json` encoder ----------
+
+def records_to_dicts(samples: np.recarray) -> list[dict]:
+    """JSON rows of a sample record array: Python ints and floats per field."""
+    return [dict(zip(samples.dtype.names, row)) for row in samples.tolist()]
+
+
+def _reference_sparse_json(sparse: SparseDepth) -> str:
+    doc = {"fps": sparse.fps, "regime": sparse.regime.value, "drop_count": sparse.drop_count,
+           "samples": records_to_dicts(sparse.samples)}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _reference_pattern_json(pattern: ScanPattern) -> str:
+    doc = {"fps": pattern.fps, "regime": pattern.regime.value, "seed": pattern.seed,
+           "budget": pattern.budget, "samples": records_to_dicts(pattern.samples)}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _depth_samples(n: int) -> np.recarray:
+    rng = np.random.default_rng(n)
+    return np.rec.fromarrays(
+        [rng.random(n), rng.normal(size=n), rng.normal(size=n), np.arange(n), np.arange(n) * 3,
+         rng.uniform(0.1, 3.0, n), rng.normal(size=n)],
+        dtype=DEPTH_SAMPLE_DTYPE,
+    )
+
+
+@pytest.mark.parametrize("fields, value", [
+    *[(("t_s", "theta_rad", "phi_rad", "range_m", "raw_volts"), v)
+      for v in (-0.0, 0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308, 0.1 + 0.2)],
+    (("pixel_x", "pixel_y"), 2**53 + 1),
+    (("pixel_x", "pixel_y"), -(2**63)),
+    *[(("raw_volts",), v) for v in (math.inf, -math.inf, math.nan)],
+], ids=repr)
+def test_sample_json_matches_json_encoder(fields, value):
+    samples = _depth_samples(5)
+    for name in fields:
+        samples[name][1:4:2] = value
+    sparse = SparseDepth(depth_m=np.zeros((2, 2)), samples=samples, fps=6.0,
+                         regime=Regime.ENTROPY_ADAPTIVE, drop_count=3)
+    assert sparse.to_json() == _reference_sparse_json(sparse)
+    scan_fields = [name for name in fields if name in SCAN_SAMPLE_DTYPE.names]
+    if scan_fields:
+        scan = np.rec.fromarrays([samples[name] for name in SCAN_SAMPLE_DTYPE.names],
+                                 dtype=SCAN_SAMPLE_DTYPE)
+        pattern = ScanPattern(samples=scan, fps=30, regime=Regime.FOVEATED_ROI, seed=7,
+                              budget=5)
+        assert pattern.to_json() == _reference_pattern_json(pattern)
+
+
+def test_empty_sample_json_matches_json_encoder():
+    text = json.dumps({"fps": 6.0, "regime": "full_fov", "seed": None, "budget": 0,
+                       "samples": []})
+    pattern = ScanPattern.from_json(text)
+    assert len(pattern) == 0
+    assert pattern.to_json() == _reference_pattern_json(pattern)
+    sparse = SparseDepth(depth_m=np.zeros((2, 2)), samples=_depth_samples(0), fps=1.0,
+                         regime=Regime.FULL_FOV, drop_count=4)
+    assert sparse.to_json() == _reference_sparse_json(sparse)
