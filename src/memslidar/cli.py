@@ -163,10 +163,11 @@ def _pmap(fn, jobs: int, *columns: list) -> list:
         return list(pool.map(fn, *columns))
 
 
-def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, params) -> list:
+def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, params,
+                density=None, window_px=None) -> list:
     """`pipeline.run_frame` over the scene's frames, up to --jobs at a time."""
     fn = partial(run_frame, regime=regime, model=model, fps=fps, seed=args.seed,
-                 density=args.density, window_px=args.window_px, cap_cfg=cap_cfg, params=params)
+                 density=density, window_px=window_px, cap_cfg=cap_cfg, params=params)
     return _pmap(fn, args.jobs, seq.frames, rois)
 
 
@@ -198,9 +199,12 @@ def _background_model(args) -> BackgroundModel:
                            min_blob_area_px=args.min_blob_area, margin_px=args.margin)
 
 
-def _fixed_roi(args) -> ROI | None:
+def _fixed_roi(args, regime: Regime) -> ROI | None:
+    """The fixed --roi; only the foveated regime reads one."""
     if not args.roi:
         return None
+    if regime != Regime.FOVEATED_ROI:
+        raise UsageError(f"--roi is read only by the foveated regime, not by {args.regime}")
     x0, y0, x1, y1 = _parse_roi(args.roi)
     return ROI(x0, y0, x1, y1, args.inside_density, args.outside_density)
 
@@ -386,7 +390,7 @@ _REGIME_FLAG = {
 
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
-    roi = _fixed_roi(args)
+    roi = _fixed_roi(args, regime)
     if args.scene:
         seq = load_scene(args.scene)
         dims = (seq.meta.width, seq.meta.height)
@@ -426,7 +430,9 @@ def cmd_scan(args) -> int:
 def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion" or args.roi_mode == "motion"
-    fixed_roi = None if args.roi == "auto-motion" else _fixed_roi(args)
+    fixed_roi = None if args.roi == "auto-motion" else _fixed_roi(args, regime)
+    if fixed_roi is not None and motion:
+        raise UsageError("--roi-mode motion tracks its own ROI; it takes no fixed --roi")
     if regime == Regime.FOVEATED_ROI and fixed_roi is None and not motion:
         raise UsageError("foveated regime needs --roi")
     seq = load_scene(args.scene)
@@ -439,7 +445,8 @@ def cmd_capture(args) -> int:
                 for roi in track_motion(seq.frames, _background_model(args))]
     else:
         rois = [fixed_roi] * len(seq.frames)
-    results = _run_frames(args, seq, rois, regime, model, args.fps, cap_cfg, None)
+    results = _run_frames(args, seq, rois, regime, model, args.fps, cap_cfg, None,
+                          args.density, args.window_px)
 
     out = _outdir(args)
     summary = []
@@ -778,8 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fps list; runs capture+complete+eval per rate instead of --pred")
     p.add_argument("--jobs", type=int, default=1)
     _add_engine_flags(p)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--window-px", type=int, default=15)
     _add_capture_flags(p)
     _add_completion_flags(p)
     p.add_argument("--out", required=True)

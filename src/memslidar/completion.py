@@ -19,13 +19,14 @@ candidates are ranked for all the tile's pixels at once by the integer
 key (squared distance, sample index), exactly as a stable sort of all
 samples would rank them, so the weights are summed in a fixed order.
 Squared distances and RGB distances are integers, so both Gaussians are
-read from tables built once per call.  Tiles are processed in blocks
+read from tables, cached across calls.  Tiles are processed in blocks
 that hold at most `_CHUNK_TARGET` (tile, sample) and (pixel, candidate)
 entries, which bounds memory at any image size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,8 +38,11 @@ from .scan_engine import ROI, MirrorModel, gen_foveated, gen_full_fov
 from .scene_io import SceneFrame
 
 
-# per-block budget of (tile, sample) and of (pixel, candidate) entries
-_CHUNK_TARGET = int(5e5)
+# per-block budget of (tile, sample) and of (pixel, candidate) entries; at
+# 1e5 a block's float64 temporaries are 0.8 MB, small enough for the
+# allocator to reuse from block to block and call to call instead of
+# faulting in fresh pages
+_CHUNK_TARGET = int(1e5)
 
 
 @dataclass(frozen=True)
@@ -139,19 +143,28 @@ def _knn_blocks(ys, xs, pending, k):
         key_y = ((py[:, :, None] - cy) ** 2 << bits).astype(key_type)
         key_x = ((px[:, :, None] - cx) ** 2 << bits | cand[:, None, :]).astype(key_type)
         key = (key_y[:, :, None, :] + key_x[:, None, :, :]).reshape(b * t * t, -1)
-        if key.shape[1] > k:
-            key = np.partition(key, k - 1, axis=1)[:, :k]
         sel = tile_pending[tiles[lo:lo + b]]
         key = key[sel.ravel()]
+        # one sort per row: faster on these short integer rows than a partition first
         key.sort(axis=1)
         tile_i, oy, ox = np.nonzero(sel)
         # intp: numpy converts any other index dtype on every gather
-        d2 = (key >> bits).astype(np.intp, copy=False)
-        nn = (key & ((1 << bits) - 1)).astype(np.intp, copy=False)
+        nn = key[:, :k].astype(np.intp)
+        d2 = nn >> bits
+        nn &= (1 << bits) - 1
         yield py[tile_i, oy], px[tile_i, ox], d2, nn
         lo += b
         # size the next block for this one's candidate count, so that little is cut
         step = max(1, min(_CHUNK_TARGET // n, _CHUNK_TARGET // (t * t * int(count.max()))))
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_table(size: int, inv_2s2: float) -> np.ndarray:
+    """exp(-i * inv_2s2) for integers i < size, read-only.  np.exp of the
+    same arguments as exp(-d2 * inv_2s2) per entry: the same weights."""
+    table = np.exp(-np.arange(size) * inv_2s2)
+    table.flags.writeable = False
+    return table
 
 
 def complete(
@@ -182,10 +195,9 @@ def complete(
     if not pending.any():
         return DenseDepth(depth_m=out, provenance="completed")
     z_lo, z_hi = zs.min(), zs.max()
-    # np.exp of the same arguments as exp(-d2 * inv_2ss) per entry: the same weights
-    exp_s = np.exp(-np.arange((h - 1) ** 2 + (w - 1) ** 2 + 1) * inv_2ss)
+    exp_s = _gauss_table((h - 1) ** 2 + (w - 1) ** 2 + 1, inv_2ss)
     if inv_2sc > 0.0:
-        exp_c = np.exp(-np.arange(3 * 255**2 + 1) * inv_2sc)
+        exp_c = _gauss_table(3 * 255**2 + 1, inv_2sc)
         pixel_rgb = [rgb[..., c].ravel().astype(np.int32) for c in range(3)]
         sample_rgb = [p[ys * w + xs] for p in pixel_rgb]
 
@@ -194,9 +206,12 @@ def complete(
         if inv_2sc > 0.0:
             at = my * w + mx
             c2 = np.zeros(nn.shape, dtype=np.int32)
+            dc = np.empty(nn.shape, dtype=np.int32)
             for p, s in zip(pixel_rgb, sample_rgb):
-                dc = p[at][:, None] - s[nn]
-                c2 += dc * dc
+                np.take(s, nn, out=dc)
+                np.subtract(p[at][:, None], dc, out=dc)
+                np.multiply(dc, dc, out=dc)
+                c2 += dc
             weight *= exp_c[c2]
         z_k = zs[nn]
         wsum = weight.sum(axis=1)

@@ -39,6 +39,8 @@ DEFAULT_DOT_SOLID_ANGLE_SR = 6e-4
 # Range-proportional noise; the default reproduces the reference planar
 # residual of ~0.069 m at a 3 m working range.
 DEFAULT_NOISE_COEFF = 0.023
+# (sample, offset) entries `capture` gathers at once; bounds its memory
+_FOOTPRINT_BLOCK = 1 << 16
 
 
 class LidarSimError(ValueError):
@@ -149,6 +151,34 @@ def _disk_offsets(radius_px: float) -> tuple[np.ndarray, np.ndarray]:
     return dy[keep], dx[keep]
 
 
+def _footprint_means(padded: np.ndarray, centres: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """`f[f > 0].mean()` of each footprint `f = padded[centre + offsets]`.
+
+    Footprints are gathered in blocks of at most `_FOOTPRINT_BLOCK` entries.
+    Rows with the same valid count c are summed as one C-contiguous (rows, c)
+    block: numpy reduces each row with the same pairwise sum that a 1-D
+    `.mean()` uses, so every mean is byte-identical to the per-footprint one.
+    """
+    means = np.empty(len(centres))
+    step = max(1, _FOOTPRINT_BLOCK // len(offsets))
+    for lo in range(0, len(centres), step):
+        footprint = padded[centres[lo:lo + step, None] + offsets]
+        valid = footprint > 0
+        count = np.count_nonzero(valid, axis=1)
+        block = means[lo:lo + step]
+        full = count == len(offsets)
+        block[full] = footprint[full].sum(axis=1) / len(offsets)
+        holed = np.flatnonzero(~full)
+        holed = holed[np.argsort(count[holed], kind="stable")]
+        values = footprint[holed][valid[holed]]
+        sizes, first, rows = np.unique(count[holed], return_index=True, return_counts=True)
+        at = 0
+        for c, i, n in zip(sizes.tolist(), first.tolist(), rows.tolist()):
+            block[holed[i:i + n]] = values[at:at + n * c].reshape(n, c).sum(axis=1) / c
+            at += n * c
+    return means
+
+
 def capture(
     frame: SceneFrame,
     pattern: ScanPattern,
@@ -184,10 +214,7 @@ def capture(
     r = int(math.floor(radius_px))
     padded = np.pad(depth_gt, r).ravel()
     offsets = dy * (w + 2 * r) + dx
-    mean_range = np.empty(len(keep))
-    for i, centre in enumerate((iy + r) * (w + 2 * r) + (ix + r)):
-        footprint = padded[centre + offsets]
-        mean_range[i] = footprint[footprint > 0].mean()
+    mean_range = _footprint_means(padded, (iy + r) * (w + 2 * r) + (ix + r), offsets)
     measured = mean_range + config.noise_coeff * mean_range * noise[keep]
 
     returned = (measured > 0) & (measured <= config.z_max_m)  # else no return

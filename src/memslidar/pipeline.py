@@ -23,10 +23,11 @@ def frame_seed(seed: int, frame_index: int, stream: int) -> int:
 
 def frame_pattern(
     dims: tuple[int, int], rgb: np.ndarray | None, regime: Regime, model: MirrorModel,
-    fps: float, seed: int, roi: ROI | None, density: float, window_px: int,
+    fps: float, seed: int, roi: ROI | None, density: float | None, window_px: int | None,
 ) -> ScanPattern:
     """Scan pattern over a `dims` image; only the entropy regime reads the
-    guide `rgb` and `seed`.  Foveated with no ROI scans the full FOV."""
+    guide `rgb`, `seed` and `window_px`, and only the density regime reads
+    `density`.  Foveated with no ROI scans the full FOV."""
     if regime == Regime.FOVEATED_ROI and roi is None:
         regime = Regime.FULL_FOV
     if regime == Regime.FULL_FOV:
@@ -49,7 +50,7 @@ def track_motion(frames, background_model: BackgroundModel) -> list[ROI | None]:
 
 def run_frame(
     frame: SceneFrame, roi: ROI | None, regime: Regime, model: MirrorModel, fps: float,
-    seed: int, density: float, window_px: int, cap_cfg: CaptureConfig,
+    seed: int, density: float | None, window_px: int | None, cap_cfg: CaptureConfig,
     params: GuidedFillParams | None,
 ) -> tuple[SparseDepth, np.ndarray | None]:
     """Pattern (stream-0 seed), capture (stream-1 seed) and, given `params`,

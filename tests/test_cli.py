@@ -169,6 +169,11 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "SCENE", "--regime", "foveated"],
     ["capture", "--scene", "SCENE", "--regime", "entropy", "--fps", "63"],
     ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "0,0,40,30", "--fps", "63"],
+    # a fixed ROI is read only by the foveated regime, and motion mode brings its own
+    ["scan", "--dims", "160x120", "--regime", "full", "--roi", "0,0,40,30"],
+    ["capture", "--scene", "SCENE", "--regime", "entropy", "--roi", "0,0,40,30"],
+    ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "0,0,40,30",
+     "--roi-mode", "motion"],
     ["fovea", "--scene", "SCENE", "--mode", "entropy", "--roi-dims", "bad"],
     ["complete", "--scene", "SCENE", "--sparse", "SPARSE", "--k-neighbors", "0"],
     ["eval", "--scene", "SCENE"],

@@ -185,6 +185,31 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch):
         np.testing.assert_array_equal(whole.depth_m, chunked.depth_m, err_msg=f"{target=}")
 
 
+def test_cached_tables_match_a_fresh_call():
+    # two sizes and two parameter sets, alternated: every call must see the
+    # tables of its own (size, sigma), whatever the calls before it built
+    cases = []
+    for shape, seed in (((36, 48), 7), ((20, 64), 8)):
+        sparse = _random_sparse(shape, 30, seed=seed)
+        rgb = np.random.default_rng(seed).integers(0, 256, (*shape, 3), dtype=np.uint8)
+        cases.append((sparse, rgb))
+    params = (GuidedFillParams(), GuidedFillParams(sigma_spatial_px=3.0, sigma_color=7.0))
+    fresh = {}
+    for i, (sparse, rgb) in enumerate(cases):
+        for j, p in enumerate(params):
+            completion._gauss_table.cache_clear()
+            fresh[i, j] = complete(sparse, rgb, p).depth_m.tobytes()
+    completion._gauss_table.cache_clear()
+    for _ in range(2):
+        for j in range(len(params)):
+            for i, (sparse, rgb) in enumerate(cases):
+                assert complete(sparse, rgb, params[j]).depth_m.tobytes() == fresh[i, j], (i, j)
+    table = completion._gauss_table(100, 0.5)
+    assert table is completion._gauss_table(100, 0.5)
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+
+
 # ---------- tie order: byte-exact argsort reference ----------
 
 def _complete_argsort(sparse, rgb, params):

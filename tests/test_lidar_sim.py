@@ -463,6 +463,9 @@ def test_capture_matches_per_sample_reference(seed):
         CaptureConfig(z_max_m=3.0, noise_coeff=0.05, sensor_calibration=cal),
         CaptureConfig(z_max_m=2.2, noise_coeff=0.3, dot_solid_angle_sr=2e-3),
         CaptureConfig(z_max_m=3.0, noise_coeff=0.0, dot_solid_angle_sr=1e-6),
+        # a 20.4 px dot, as at 640x480: ~1300 offsets, so the survivors span
+        # several footprint blocks and rows of one valid count cross their edges
+        CaptureConfig(z_max_m=3.0, noise_coeff=0.1, dot_solid_angle_sr=0.062),
     ):
         _assert_capture_matches_reference(frame, pattern, config, seed)
 
