@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -66,6 +67,7 @@ from .scene_io import (
     generate_synthetic,
     load_scene,
     load_spec,
+    read_json,
     read_pgm16,
     millimeters_to_depth,
     save_scene,
@@ -173,8 +175,7 @@ def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, par
 
 def _mirror_model(args, fov_deg: float) -> MirrorModel:
     if args.sample_rate_hz is None and args.overhead_ms is None:
-        ref = reference_mirror_model(math.radians(fov_deg))
-        return ref
+        return reference_mirror_model(math.radians(fov_deg))
     rate = args.sample_rate_hz if args.sample_rate_hz is not None else 1600.0
     overhead = (args.overhead_ms or 0.0) / 1000.0
     return MirrorModel(
@@ -242,12 +243,7 @@ def cmd_optics_sweep(args) -> int:
         for u in _floats(args.u_mm)
         for f in _floats(args.f_mm)
     ]
-    z_grid = _range_grid(args.Z_m)
-    if not z_grid:
-        raise UsageError("empty range grid")
-    if not tx_grid or not rx_grid:
-        raise UsageError("empty design grid")
-    columns = sweep(tx_grid, rx_grid, z_grid)
+    columns = sweep(tx_grid, rx_grid, _range_grid(args.Z_m))
     n_rows = len(columns["Z_m"])
     out = _outdir(args)
     (out / "sweep.csv").write_text(format_sweep_csv(columns))
@@ -430,6 +426,8 @@ def cmd_scan(args) -> int:
 def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion" or args.roi_mode == "motion"
+    if motion and regime != Regime.FOVEATED_ROI:
+        raise UsageError(f"motion ROIs are read only by the foveated regime, not by {args.regime}")
     fixed_roi = None if args.roi == "auto-motion" else _fixed_roi(args, regime)
     if fixed_roi is not None and motion:
         raise UsageError("--roi-mode motion tracks its own ROI; it takes no fixed --roi")
@@ -439,7 +437,7 @@ def cmd_capture(args) -> int:
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
     cap_cfg = _capture_config(args, seq.meta)
 
-    if regime == Regime.FOVEATED_ROI and motion:
+    if motion:
         weights = dict(inside_density=args.inside_density, outside_density=args.outside_density)
         rois = [None if roi is None else replace(roi, **weights)
                 for roi in track_motion(seq.frames, _background_model(args))]
@@ -499,14 +497,11 @@ def cmd_complete(args) -> int:
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
     params = _fill_params(args)
-    sparses = []
-    for frame in seq.frames:
-        stem = f"{frame.frame_index:04d}"
-        pgm = sparse_dir / f"{stem}.pgm"
-        sjson = sparse_dir / f"{stem}.json"
-        if not pgm.is_file() or not sjson.is_file():
-            raise LidarSimError(f"{sparse_dir}: missing capture files for frame {stem}")
-        sparses.append(load_sparse(pgm, sjson))
+    sparses = [
+        load_sparse(sparse_dir / f"{frame.frame_index:04d}.pgm",
+                    sparse_dir / f"{frame.frame_index:04d}.json")
+        for frame in seq.frames
+    ]
     results = _pmap(
         partial(complete, params=params), args.jobs, sparses, [f.rgb for f in seq.frames]
     )
@@ -526,13 +521,6 @@ def _pooled_report(pairs):
     return compute(pred, truth, (pred > 0) & (truth > 0))
 
 
-def _json_file(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedCaptureSummary(f"{path}: not JSON ({exc})") from None
-
-
 def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | None]:
     """Per-frame ROI rectangles recorded at capture time, checked against the
     scene.  Looks next to --pred first, then follows its run.json back to
@@ -540,15 +528,21 @@ def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | N
     path = pred_dir / "capture_summary.json"
     run = pred_dir / "run.json"
     if not path.is_file() and run.is_file():
-        doc = _json_file(run)
+        doc = read_json(run, MalformedCaptureSummary)
         resolved = doc.get("resolved") if isinstance(doc, dict) else None
-        sparse = resolved.get("sparse") if isinstance(resolved, dict) else None
+        resolved = resolved if isinstance(resolved, dict) else {}
+        sparse, out = resolved.get("sparse"), resolved.get("out")
         if isinstance(sparse, str) and sparse:
-            path = Path(sparse) / "capture_summary.json"
+            # a relative --sparse is relative to where `complete` ran: --pred made
+            # absolute, less the parts of its recorded relative --out
+            here = Path(os.path.abspath(pred_dir)).parts
+            tail = Path(out).parts if isinstance(out, str) else ()
+            ran_in = Path(*here[:-len(tail)]) if tail and here[-len(tail):] == tail else Path()
+            path = ran_in / sparse / "capture_summary.json"
     if not path.is_file():
         raise UsageError("--roi-only needs a capture_summary.json next to --pred or reachable "
                          "through its run.json")
-    rows = _json_file(path)
+    rows = read_json(path, MalformedCaptureSummary)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise MalformedCaptureSummary(f"{path}: expected a list of objects, one per frame")
     frames = {frame.frame_index for frame in seq.frames}
@@ -588,10 +582,7 @@ def cmd_eval(args) -> int:
     lines = ["frame," + METRICS_CSV_HEADER]
     pooled_pairs = []
     for frame in seq.frames:
-        stem = f"{frame.frame_index:04d}"
-        pgm = pred_dir / f"{stem}.pgm"
-        if not pgm.is_file():
-            raise LidarSimError(f"{pgm}: missing prediction for frame {stem}")
+        pgm = pred_dir / f"{frame.frame_index:04d}.pgm"
         pred = millimeters_to_depth(read_pgm16(pgm))
         if pred.shape != frame.depth_gt.shape:
             raise SceneIOError(

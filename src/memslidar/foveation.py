@@ -14,8 +14,6 @@ import numpy as np
 
 from .scan_engine import ROI, ROIOutOfBounds
 
-MAX_ENTROPY_BITS = 8.0  # 8-bit grayscale upper bound
-
 
 class FoveationError(ValueError):
     pass

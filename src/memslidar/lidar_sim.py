@@ -10,10 +10,8 @@ sensor's range; the drop count is part of the result.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from .scene_io import (
     SceneFrame,
     millimeters_to_depth,
     depth_to_millimeters,
+    read_json,
     read_pgm16,
     write_pgm16,
 )
@@ -319,8 +318,8 @@ def _check_samples(samples: np.recarray, measured: np.ndarray, json_path) -> Non
 
 def load_sparse(pgm_path, json_path) -> SparseDepth:
     depth = millimeters_to_depth(read_pgm16(pgm_path))
+    doc = read_json(json_path, MalformedSparse)
     try:
-        doc = json.loads(Path(json_path).read_text())
         sparse = SparseDepth(
             depth_m=depth,
             samples=records_from_dicts(doc["samples"], DEPTH_SAMPLE_DTYPE),

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +27,6 @@ MAX_DEPTH_M = 65535 * DEPTH_QUANTUM_M
 # width x height x n_frames of a generated scene: 54 frames at 640x480, or
 # one 4096x4096 frame; rendering peaks near 55 bytes per pixel
 MAX_SCENE_PIXELS = 1 << 24
-
-META_KEYS = (
-    "width", "height", "fps", "z_max_m",
-    "fx_px", "fy_px", "cx_px", "cy_px", "mirror_fov_deg",
-)
 
 
 class SceneIOError(ValueError):
@@ -47,7 +42,7 @@ class DimensionMismatch(SceneIOError):
 
 
 class MalformedHeader(SceneIOError):
-    """A netpbm header or meta.json could not be parsed."""
+    """A netpbm file or meta.json could not be read, or does not hold its format."""
 
 
 class EmptyScene(SceneIOError):
@@ -85,6 +80,8 @@ class SceneMeta:
     mirror_fov_deg: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_number(f.name, getattr(self, f.name), integral=f.type == "int")
         for name in ("width", "height", "fps", "fx_px", "fy_px"):
             value = getattr(self, name)
             if not value > 0:
@@ -92,10 +89,6 @@ class SceneMeta:
         if not 0 < self.z_max_m <= MAX_DEPTH_M:
             raise ValueError(
                 f"z_max_m must be in (0, {MAX_DEPTH_M}] m, got {self.z_max_m}"
-            )
-        if not (math.isfinite(self.cx_px) and math.isfinite(self.cy_px)):
-            raise ValueError(
-                f"principal point must be finite, got ({self.cx_px}, {self.cy_px})"
             )
         if not 0 < self.mirror_fov_deg <= 180:
             raise ValueError(
@@ -130,46 +123,65 @@ class SceneSequence:
     meta: SceneMeta
 
 
-# ---------- netpbm primitives ----------
+# ---------- file readers ----------
 
-_TOKEN_RE = re.compile(rb"^\s*(?:#[^\n]*\n\s*)*(\S+)")
+_TOKEN_RE = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
 
 
-def _read_pnm_tokens(data: bytes, count: int, path: Path) -> tuple[list[bytes], int]:
-    """Pull `count` whitespace/comment-delimited header tokens; return offset."""
+def _read_netpbm(path: str | Path, magic: bytes, maxval: int, dtype: str,
+                 channels: int) -> np.ndarray:
+    """The raster of a binary netpbm file: `magic`, dims >= 1, `maxval`, then
+    height x width x `channels` values of on-disk `dtype`, returned in native
+    byte order as (H, W) or (H, W, channels).  Raises MalformedHeader for any
+    file that cannot be read or does not hold exactly that."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise MalformedHeader(f"{path}: cannot read ({e.strerror})") from None
     tokens, pos = [], 0
-    for _ in range(count):
-        m = _TOKEN_RE.match(data[pos:])
+    for _ in range(4):
+        m = _TOKEN_RE.match(data, pos)
         if not m:
             raise MalformedHeader(f"{path}: truncated netpbm header")
         tokens.append(m.group(1))
-        pos += m.end()
+        pos = m.end()
     # exactly one whitespace byte separates the header from raster data
-    if pos >= len(data) or data[pos:pos + 1] not in (b"\n", b" ", b"\t", b"\r"):
+    if data[pos:pos + 1] not in (b"\n", b" ", b"\t", b"\r"):
         raise MalformedHeader(f"{path}: missing separator after netpbm header")
-    return tokens, pos + 1
+    if tokens[0] != magic:
+        raise MalformedHeader(f"{path}: expected {magic.decode()} magic, got {tokens[0]!r}")
+    try:
+        w, h, top = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise MalformedHeader(f"{path}: non-numeric netpbm header fields") from None
+    if w < 1 or h < 1:
+        raise MalformedHeader(f"{path}: netpbm dims must be >= 1, got {w}x{h}")
+    if top != maxval:
+        raise MalformedHeader(f"{path}: {magic.decode()} maxval must be {maxval}, got {top}")
+    dtype = np.dtype(dtype)
+    expected = w * h * channels * dtype.itemsize
+    raster = data[pos + 1:pos + 1 + expected]
+    if len(raster) != expected:
+        raise MalformedHeader(f"{path}: raster has {len(raster)} bytes, expected {expected}")
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    return np.frombuffer(raster, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON value in the UTF-8 file at `path`; raises `error` for a file
+    that cannot be read or decoded."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise error(f"{path}: cannot read ({e.strerror})") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{path}: invalid JSON ({e})") from None
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary P6 RGB image (maxval 255) as (H, W, 3) uint8."""
-    path = Path(path)
-    data = path.read_bytes()
-    if not data.startswith(b"P6"):
-        raise MalformedHeader(f"{path}: expected P6 magic, got {data[:2]!r}")
-    (magic, w, h, maxval), offset = _read_pnm_tokens(data, 4, path)
-    try:
-        w, h, maxval = int(w), int(h), int(maxval)
-    except ValueError:
-        raise MalformedHeader(f"{path}: non-numeric netpbm header fields") from None
-    if maxval != 255:
-        raise MalformedHeader(f"{path}: P6 maxval must be 255, got {maxval}")
-    expected = w * h * 3
-    raster = data[offset:offset + expected]
-    if len(raster) != expected:
-        raise MalformedHeader(
-            f"{path}: raster has {len(raster)} bytes, expected {expected}"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _read_netpbm(path, b"P6", 255, "u1", 3)
 
 
 def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
@@ -184,24 +196,7 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
 
 def read_pgm16(path: str | Path) -> np.ndarray:
     """Read a binary P5 16-bit image (maxval 65535, big-endian) as (H, W) uint16."""
-    path = Path(path)
-    data = path.read_bytes()
-    if not data.startswith(b"P5"):
-        raise MalformedHeader(f"{path}: expected P5 magic, got {data[:2]!r}")
-    (magic, w, h, maxval), offset = _read_pnm_tokens(data, 4, path)
-    try:
-        w, h, maxval = int(w), int(h), int(maxval)
-    except ValueError:
-        raise MalformedHeader(f"{path}: non-numeric netpbm header fields") from None
-    if maxval != 65535:
-        raise MalformedHeader(f"{path}: P5 maxval must be 65535, got {maxval}")
-    expected = w * h * 2
-    raster = data[offset:offset + expected]
-    if len(raster) != expected:
-        raise MalformedHeader(
-            f"{path}: raster has {len(raster)} bytes, expected {expected}"
-        )
-    return np.frombuffer(raster, dtype=">u2").reshape(h, w).astype(np.uint16)
+    return _read_netpbm(path, b"P5", 65535, ">u2", 1)
 
 
 def write_pgm16(path: str | Path, values: np.ndarray) -> None:
@@ -239,29 +234,18 @@ def save_scene(seq: SceneSequence, directory: str | Path) -> None:
         stem = f"{frame.frame_index:04d}"
         write_ppm(directory / f"{stem}.ppm", frame.rgb)
         write_pgm16(directory / f"{stem}.pgm", depth_to_millimeters(frame.depth_gt))
-    meta = {k: getattr(seq.meta, k) for k in META_KEYS}
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (directory / "meta.json").write_text(
+        json.dumps(asdict(seq.meta), indent=2, sort_keys=True) + "\n"
+    )
 
 
 def load_scene(directory: str | Path) -> SceneSequence:
     """Load a scene directory; frames come back sorted by index."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
-    if not meta_path.is_file():
-        raise MalformedHeader(f"{meta_path}: missing")
-    try:
-        raw = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise MalformedHeader(f"{meta_path}: invalid JSON ({e})") from None
-    if not isinstance(raw, dict):
-        raise MalformedHeader(f"{meta_path}: expected a JSON object")
-    missing = [k for k in META_KEYS if k not in raw]
-    if missing:
-        raise MalformedHeader(f"{meta_path}: missing keys {missing}")
-    try:
-        meta = SceneMeta(**{k: raw[k] for k in META_KEYS})
-    except (TypeError, ValueError) as e:
-        raise MalformedHeader(f"{meta_path}: {e}") from None
+    raw = read_json(meta_path, MalformedHeader)
+    meta = _construct(SceneMeta, _spec_fields(raw, SceneMeta, str(meta_path), MalformedHeader),
+                      str(meta_path), MalformedHeader)
 
     ppm_stems = {p.stem for p in directory.glob("*.ppm")}
     pgm_stems = {p.stem for p in directory.glob("*.pgm")}
@@ -418,37 +402,32 @@ class SyntheticSpec:
         )
 
 
-def _spec_fields(raw, cls, where: str) -> dict:
+def _spec_fields(raw, cls, where: str, error=MalformedSpec) -> dict:
     """Keyword arguments for `cls` from a JSON object; lists become tuples."""
     if not isinstance(raw, dict):
-        raise MalformedSpec(f"{where}: expected a JSON object, got {type(raw).__name__}")
+        raise error(f"{where}: expected a JSON object, got {type(raw).__name__}")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise MalformedSpec(f"{where}: unknown key {unknown[0]!r}")
+        raise error(f"{where}: unknown key {unknown[0]!r}")
     missing = [name for name, f in known.items()
                if f.default is MISSING and f.default_factory is MISSING and name not in raw]
     if missing:
-        raise MalformedSpec(f"{where}: missing key {missing[0]!r}")
+        raise error(f"{where}: missing key {missing[0]!r}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
 
 
-def _construct(cls, kwargs: dict, where: str):
+def _construct(cls, kwargs: dict, where: str, error=MalformedSpec):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
-        raise MalformedSpec(f"{where}: {e}") from None
+        raise error(f"{where}: {e}") from None
 
 
 def load_spec(path: str | Path) -> SyntheticSpec:
     """Scene recipe from a JSON object with SyntheticSpec's keys, its
     `primitives` a list of objects with Primitive's keys."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise MalformedSpec(f"{path}: cannot read ({e.strerror})") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise MalformedSpec(f"{path}: invalid JSON ({e})") from None
+    raw = read_json(path, MalformedSpec)
     spec = _spec_fields(raw, SyntheticSpec, str(path))
     if "primitives" not in raw:
         raise MalformedSpec(f"{path}: missing key 'primitives'")
@@ -555,19 +534,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SceneSequence:
             depth[iy0:iy1, ix0:ix1][win] = z
             rgb[iy0:iy1, ix0:ix1][win] = shade[win]
 
-        valid = depth > 0
-        if not valid.any():
+        if not (depth > 0).any():
             raise EmptyScene(f"frame {k}: no primitive intersects the frustum")
-        # quantize to the disk quantum so in-memory == on-disk
-        mm = np.round(depth[valid] / DEPTH_QUANTUM_M)
-        if np.any(mm > 65535):
-            raise ValueError(f"frame {k}: depth exceeds {MAX_DEPTH_M} m")
-        depth[valid] = mm / 1000.0
 
         frames.append(
             SceneFrame(
                 rgb=rgb,
-                depth_gt=depth,
+                # quantized to the disk quantum so in-memory == on-disk
+                depth_gt=millimeters_to_depth(depth_to_millimeters(depth)),
                 intrinsics=intr,
                 frame_index=k,
                 timestamp_s=t,

@@ -186,6 +186,11 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "SCENE", "--jobs", "0"],
     ["complete", "--scene", "SCENE", "--sparse", "SPARSE", "--jobs", "-3"],
     ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--jobs", "0"],
+    # motion ROIs, like a fixed one, are read only by the foveated regime
+    ["capture", "--scene", "SCENE", "--regime", "entropy", "--roi", "auto-motion"],
+    ["capture", "--scene", "SCENE", "--regime", "full", "--roi-mode", "motion"],
+    # a zero-point grid reaches sweep, which rejects it before --out is made
+    ["optics-sweep", "--Z-m", "1:2:lin0"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -271,6 +276,106 @@ def test_cli_binds_every_name_the_benchmark_traces():
     assert len(traced) == 1 and traced[0]
     missing = [name for name in traced[0] if not callable(getattr(cli, name, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("name, data", [
+    ("0000.ppm", b"P6\n-2 -2\n255\n" + bytes(12)),
+    ("0000.pgm", b"P5\n160 0\n65535\n"),
+    ("0000.ppm", b"P6x\n160 120\n255\n" + bytes(160 * 120 * 3)),
+    ("0000.pgm", b"P5x\n160 120\n65535\n" + bytes(160 * 120 * 2)),
+    ("meta.json", b'{"fps": \xff}'),
+    ("0000.ppm", None),
+], ids=["negative-dims", "zero-height", "P6x-magic", "P5x-magic", "meta-not-utf8",
+        "frame-is-a-directory"])
+@pytest.mark.parametrize("command", ["capture", "fovea"])
+def test_unreadable_scene_file_exit_3(tmp_path, capsys, plane_capture, command, name, data):
+    scene = tmp_path / "scene"
+    shutil.copytree(plane_capture[0], scene)
+    (scene / name).unlink()
+    if data is None:
+        (scene / name).mkdir()
+    else:
+        (scene / name).write_bytes(data)
+    _rejected_run(tmp_path, capsys, plane_capture, [command, "--scene", scene], 3,
+                  f"error: {scene / name}:")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("complete", "0000.json"), ("complete", "0000.pgm"), ("eval", "0000.pgm"),
+])
+def test_missing_capture_file_exit_3(tmp_path, capsys, plane_capture, command, name):
+    # no pre-check: the reader names the file it could not read
+    sparse = tmp_path / "cap"
+    shutil.copytree(plane_capture[1], sparse)
+    (sparse / name).unlink()
+    flag = "--sparse" if command == "complete" else "--pred"
+    _rejected_run(tmp_path, capsys, plane_capture, [command, "--scene", "SCENE", flag, sparse],
+                  3, f"error: {sparse / name}: cannot read")
+
+
+_META_VALUES = (math.nan, math.inf, -math.inf, True, False, None, "1", [1], {})
+
+
+def _corrupt_scene(scene: Path, rng) -> str:
+    """One seeded corruption of a scene directory; returns what it did."""
+    frames = sorted(p for p in scene.iterdir() if p.suffix in (".ppm", ".pgm"))
+    path = frames[int(rng.integers(len(frames)))]
+    meta_path = scene / "meta.json"
+    meta = read_json(meta_path)
+    key = sorted(meta)[int(rng.integers(len(meta)))]
+    kind = int(rng.integers(6))
+    if kind == 0:
+        data = path.read_bytes()
+        cut = int(rng.integers(len(data)))
+        path.write_bytes(data[:cut])
+        return f"truncate {path.name} to {cut} bytes"
+    if kind == 1:
+        data = bytearray(path.read_bytes())
+        at, mask = int(rng.integers(16)), int(rng.integers(1, 256))
+        data[at] ^= mask
+        path.write_bytes(bytes(data))
+        return f"flip byte {at} of {path.name} by {mask:#04x}"
+    if kind == 2:
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        return f"drop meta key {key!r}"
+    if kind == 3:
+        meta[key] = _META_VALUES[int(rng.integers(len(_META_VALUES)))]
+        meta_path.write_text(json.dumps(meta))
+        return f"set meta {key!r} to {meta[key]!r}"
+    if kind == 4:
+        data = bytearray(meta_path.read_bytes())
+        at, byte = int(rng.integers(len(data))), int(rng.integers(0x80, 0x100))
+        data[at] = byte
+        meta_path.write_bytes(bytes(data))
+        return f"write byte {byte:#04x} at {at} of meta.json"
+    path.unlink()
+    path.mkdir()
+    return f"turn {path.name} into a directory"
+
+
+def test_fuzzed_scene_capture_exits_0_or_3(tmp_path, capsys):
+    # every read or decode failure of a scene file is a typed data error
+    clean = make_scene(tmp_path, "moving-box", 2, dims="40x30")
+    rng = np.random.default_rng(12)
+    codes = []
+    for i in range(120):
+        scene, out = tmp_path / f"scene{i}", tmp_path / f"out{i}"
+        shutil.copytree(clean, scene)
+        what = _corrupt_scene(scene, rng)
+        capsys.readouterr()
+        try:
+            code = run("capture", "--scene", scene, "--out", out)
+        except Exception as exc:  # a traceback is the failure this test looks for
+            pytest.fail(f"{what}: {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 3), (what, err)
+        if code == 3:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (what, err)
+            assert not out.exists(), what
+        codes.append(code)
+    assert codes.count(3) >= 100
 
 
 def _edit_first_sample(doc, **fields):
@@ -549,6 +654,25 @@ def test_eval_row_layout_and_roi(tmp_path):
     assert int(rows[1].split(",")[-1]) == 40 * 30
 
 
+def test_eval_roi_only_follows_run_json_from_another_directory(tmp_path, monkeypatch):
+    # complete's run.json records --sparse relative to where complete ran
+    monkeypatch.chdir(tmp_path)
+    assert run("gen-scene", "--preset", "plane", "--frames", "2", "--out", "scene") == 0
+    assert run("capture", "--scene", "scene", "--regime", "foveated",
+               "--roi", "20,30,90,80", "--fps", "10", "--out", "cap") == 0
+    assert run("complete", "--scene", "scene", "--sparse", "cap", "--out", "runs/pred") == 0
+    assert run("eval", "--scene", "scene", "--pred", "runs/pred", "--roi-only",
+               "--out", "ev") == 0
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert run("eval", "--scene", "../scene", "--pred", "../runs/pred", "--roi-only",
+               "--out", "ev") == 0
+    lines = (tmp_path / "sub" / "ev" / "metrics.csv").read_text()
+    assert lines == (tmp_path / "ev" / "metrics.csv").read_text()
+    for row in lines.strip().splitlines()[1:-1]:
+        assert int(row.split(",")[-1]) == 70 * 50
+
+
 def test_eval_roi_only_uses_capture_trace(tmp_path):
     scene = make_scene(tmp_path, "plane", 2)
     cap = tmp_path / "cap"
@@ -711,6 +835,10 @@ def test_unknown_scene_dir_exit_3(tmp_path):
     ("capture", "mirror_fov_deg", -5.0, 3),
     ("capture", None, 5, 3),
     ("gen-scene", None, None, 2),
+    ("capture", "fx_px", math.inf, 3),
+    ("capture", "width", True, 3),
+    ("capture", "width", 160.0, 3),
+    ("capture", "shine", 1, 3),
 ])
 def test_invalid_scene_metadata_rejected(
     tmp_path, capsys, command, key, value, code

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,48 @@ def test_malformed_magic_raises(tmp_path):
     path.write_bytes(b"P7\n1 1\n65535\n\x00\x01")
     with pytest.raises(MalformedHeader):
         read_pgm16(path)
+
+
+@pytest.mark.parametrize("read, data, match", [
+    (read_ppm, b"P6\n-2 -2\n255\n" + bytes(12), "dims"),
+    (read_pgm16, b"P5\n-2 -2\n65535\n" + bytes(8), "dims"),
+    (read_pgm16, b"P5\n0 4\n65535\n", "dims"),
+    (read_ppm, b"P6x\n1 1\n255\n" + bytes(3), "magic"),
+    (read_pgm16, b"P5x\n1 1\n65535\n" + bytes(2), "magic"),
+    (read_ppm, None, "cannot read"),
+    (read_pgm16, None, "cannot read"),
+], ids=["ppm-negative-dims", "pgm-negative-dims", "pgm-zero-width", "P6x-magic",
+        "P5x-magic", "ppm-directory", "pgm-directory"])
+def test_malformed_netpbm_raises(tmp_path, read, data, match):
+    path = tmp_path / "x"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    with pytest.raises(MalformedHeader, match=match):
+        read(path)
+
+
+def test_only_the_two_readers_read_files():
+    # one checked reader per format: every file the package reads is read in
+    # _read_netpbm or read_json, which turn each failure into a typed error
+    readers = {"_read_netpbm", "read_json"}
+    package = Path(__file__).resolve().parents[1] / "src" / "memslidar"
+    outside, inside = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef) and func.name in readers
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("read_text", "read_bytes")):
+                if id(node) in allowed:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert not outside
+    assert inside == 2
 
 
 def test_depth_millimeter_conversion():
