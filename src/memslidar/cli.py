@@ -562,9 +562,16 @@ def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | N
     return rois
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, sweep_only: tuple[argparse.Action, ...] = ()) -> int:
+    """Score --pred, or run --fps-sweep; `sweep_only` are the flags that
+    only the sweep reads, and without it a value other than the default
+    is a usage error."""
     if args.fps_sweep:
         return _eval_fps_sweep(args)
+    given = [a.option_strings[0] for a in sweep_only if getattr(args, a.dest) != a.default]
+    if given:
+        raise UsageError(f"{', '.join(given)} set up --fps-sweep's captures; "
+                         "eval without --fps-sweep takes none")
     seq = load_scene(args.scene)
     if not args.pred:
         raise UsageError("eval needs --pred (or --fps-sweep)")
@@ -637,13 +644,15 @@ def _eval_fps_sweep(args) -> int:
 
 # ---------- parser ----------
 
-def _add_engine_flags(p: argparse.ArgumentParser):
-    p.add_argument("--sample-rate-hz", type=float, default=None,
-                   help="mirror sample rate; default: fitted reference timing")
-    p.add_argument("--overhead-ms", type=float, default=None,
-                   help="per-frame settle overhead; default: fitted reference timing")
-    p.add_argument("--fps", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=0)
+def _add_engine_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        p.add_argument("--sample-rate-hz", type=float, default=None,
+                       help="mirror sample rate; default: fitted reference timing"),
+        p.add_argument("--overhead-ms", type=float, default=None,
+                       help="per-frame settle overhead; default: fitted reference timing"),
+        p.add_argument("--fps", type=float, default=6.0),
+        p.add_argument("--seed", type=int, default=0),
+    ]
 
 
 def _add_pattern_flags(p: argparse.ArgumentParser):
@@ -666,19 +675,23 @@ def _add_motion_flags(p: argparse.ArgumentParser):
     p.add_argument("--margin", type=int, default=10)
 
 
-def _add_capture_flags(p: argparse.ArgumentParser):
-    p.add_argument("--z-max-m", type=float, default=None,
-                   help="range gate; default: scene metadata")
-    p.add_argument("--noise-coeff", type=float, default=CaptureConfig().noise_coeff)
-    p.add_argument("--dot-sr", type=float, default=CaptureConfig().dot_solid_angle_sr)
+def _add_capture_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        p.add_argument("--z-max-m", type=float, default=None,
+                       help="range gate; default: scene metadata"),
+        p.add_argument("--noise-coeff", type=float, default=CaptureConfig().noise_coeff),
+        p.add_argument("--dot-sr", type=float, default=CaptureConfig().dot_solid_angle_sr),
+    ]
 
 
-def _add_completion_flags(p: argparse.ArgumentParser):
-    p.add_argument("--sigma-spatial-px", type=float, default=12.0)
-    p.add_argument("--sigma-color", type=float, default=20.0,
-                   help="<= 0 disables color guidance")
-    p.add_argument("--k-neighbors", type=int, default=16)
-    p.add_argument("--fallback", choices=["nearest", "mean"], default="nearest")
+def _add_completion_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        p.add_argument("--sigma-spatial-px", type=float, default=12.0),
+        p.add_argument("--sigma-color", type=float, default=20.0,
+                       help="<= 0 disables color guidance"),
+        p.add_argument("--k-neighbors", type=int, default=16),
+        p.add_argument("--fallback", choices=["nearest", "mean"], default="nearest"),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -774,12 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict scoring to each frame's ROI recorded at capture")
     p.add_argument("--fps-sweep", default="",
                    help="fps list; runs capture+complete+eval per rate instead of --pred")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_engine_flags(p)
-    _add_capture_flags(p)
-    _add_completion_flags(p)
+    sweep_only = (p.add_argument("--jobs", type=int, default=1), *_add_engine_flags(p),
+                  *_add_capture_flags(p), *_add_completion_flags(p))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=partial(cmd_eval, sweep_only=sweep_only))
 
     return parser
 

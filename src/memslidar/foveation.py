@@ -8,6 +8,7 @@ rectangles consumed by the foveated pattern generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,8 +84,34 @@ def _window_plan(src: np.ndarray, n: int, stride: int, out: np.ndarray) -> list:
 
 
 # elements per gather-and-subtract slice, so counts, terms and sums stay in
-# cache; 32k measured a little faster than 8k, 16k or 64k at 640x480
+# cache; 32k measured a little faster than 8k, 16k or 64k at 640x480; even,
+# so that a slice holds whole count pairs
 _SLICE = 1 << 15
+
+
+@functools.lru_cache(maxsize=8)
+def _term_table(area: int) -> np.ndarray:
+    """`p * log2(p)` for `p = c / area`, c = 0..area (0 for c = 0), read-only."""
+    p = np.arange(area + 1) / float(area)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = p * np.log2(p)
+    table[0] = 0.0
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_table(area: int) -> np.ndarray:
+    """Entry i is (t[a], t[b]) as one complex128, for i's two bytes a, b in
+    memory order and t the `_term_table(area)` values, 0 past `area`: one
+    gather by a `uint16` view of two `uint8` counts fetches both terms."""
+    t = np.zeros(256)
+    t[:area + 1] = _term_table(area)
+    a, b = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2).T
+    table = np.empty(1 << 16, dtype=np.complex128)
+    table.real, table.imag = t[a], t[b]
+    table.flags.writeable = False
+    return table
 
 
 def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
@@ -97,9 +124,10 @@ def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
     power-of-two block sums built by doubling (`_window_plan`).  The term
     `p * log2(p)` for `p = count / area` is looked up in a table indexed
     by that count (0 for an empty count) and subtracted, a slice at a
-    time.  The maps are byte-identical to the float summed-area-table
-    version kept as `_entropy_map_cumsum` in the tests, and match a
-    brute-force per-pixel histogram to 1e-9.
+    time.  `uint8` counts (windows up to 15) are gathered two at a time
+    from `_pair_table`.  The maps are byte-identical to the float
+    summed-area-table version kept as `_entropy_map_cumsum` in the tests,
+    and match a brute-force per-pixel histogram to 1e-9.
 
     Every pass runs on flat C-order buffers of padded-width rows: a shift
     down by b rows is an offset of b * padded width, and a shift across
@@ -108,7 +136,9 @@ def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
     count is wrapped; those are exactly the padded columns past the
     image width, and they are cropped before the map is returned.  A
     wrapped count is still a sum of `window_px` column counts, so it
-    never exceeds the area and indexes the table safely.
+    never exceeds the area and indexes the table safely.  Small frames
+    count up to 8 levels per pass, stacked one even `stride` apart in
+    about 2**17 entries; counts between two levels are wrapped ones too.
     """
     if window_px < 3 or window_px % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window_px}")
@@ -118,37 +148,45 @@ def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
     padded = np.pad(gray, half, mode="edge")
     wp = padded.shape[1]
     area = window_px * window_px
-    p = np.arange(area + 1) / float(area)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = p * np.log2(p)
-    table[0] = 0.0
 
     count_type = np.min_scalar_type(area)  # counts reach `area`, never more
     flat = padded.ravel()
-    ind = np.empty(flat.size, dtype=bool)
-    rows = np.empty(h * wp, dtype=count_type)  # window counts down each column
+    stride = flat.size + flat.size % 2
+    batch = min(max((1 << 17) // stride, 1), 8)
+    ind = np.zeros((batch - 1) * stride + flat.size, dtype=bool)
+    rows = np.empty((batch - 1) * stride + h * wp, dtype=count_type)  # counts down columns
     # pixel (y, x) sits at y * wp + x; counts stop window_px - 1 short of
     # h * wp, in the last row's padded columns, where a window would run
-    # past the end of `rows`
-    counts = np.empty(h * wp - window_px + 1, dtype=count_type)
+    # past the end of `rows`; m rounds that up to whole pairs with a zero
+    m = (h * wp - window_px + 2) // 2 * 2
+    counts = np.zeros((batch - 1) * stride + m, dtype=count_type)
     calls = (_window_plan(ind.view(np.uint8), window_px, wp, rows)
-             + _window_plan(rows, window_px, 1, counts))
-    entropy = np.zeros(h * wp)
+             + _window_plan(rows, window_px, 1, counts[:len(rows) - window_px + 1]))
     term = np.empty(_SLICE)
-    slices = []
-    for start in range(0, len(counts), _SLICE):
-        c = counts[start:start + _SLICE]
-        slices.append((c, term[:len(c)], entropy[start:start + len(c)]))
-    # one pass per gray level present, in ascending order
-    for level in np.flatnonzero(np.bincount(flat, minlength=256)).astype(np.uint8):
-        np.equal(flat, level, out=ind)
+    if count_type == np.uint8:
+        index, table = counts.view(np.uint16), _pair_table(area)
+    else:
+        index, table = counts, _term_table(area)
+    gathered = term.view(table.dtype)
+    per = len(term) // len(gathered)  # counts per gather
+    entropy = np.zeros(h * wp)
+    cuts = [(s, min(_SLICE, m - s)) for s in range(0, m, _SLICE)]
+    # per stacked level: (index, gathered, term, entropy) slices
+    slices = [[(index[(g * stride + s) // per:(g * stride + s + n) // per], gathered[:n // per],
+                term[:n], entropy[s:s + n]) for s, n in cuts] for g in range(batch)]
+    levels = np.flatnonzero(np.bincount(flat, minlength=256)).astype(np.uint8)
+    # one pass per `batch` gray levels present, in ascending order
+    for group in np.split(levels, range(batch, len(levels), batch)):
+        for g, level in enumerate(group):
+            np.equal(flat, level, out=ind[g * stride:g * stride + flat.size])
         for ufunc, a, b, out in calls:
             ufunc(a, b, out=out, dtype=count_type)
-        for c, t, e in slices:
-            # counts <= area by construction, so "clip" never fires; it
-            # is the fast gather mode for a small-integer index
-            table.take(c, out=t, mode="clip")
-            np.subtract(e, t, out=e)
+        for g in range(len(group)):
+            for c, t, tf, e in slices[g]:
+                # every index is in the table, so "clip" never fires; it
+                # is the fast gather mode for a small-integer index
+                table.take(c, out=t, mode="clip")
+                np.subtract(e, tf, out=e)
     values = entropy.reshape(h, wp)[:, :w].copy()
     return EntropyMap(values=values, window_px=window_px)
 

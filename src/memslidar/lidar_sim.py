@@ -194,6 +194,10 @@ def capture(
     depth_gt = frame.depth_gt
     h, w = depth_gt.shape
     radius_px = dot_footprint_radius_px(frame, config.dot_solid_angle_sr)
+    if radius_px > math.hypot(w, h):  # the disk would be sized from a bad fx_px
+        raise LidarSimError(
+            f"dot footprint radius {radius_px:.6g} px exceeds the {w}x{h} image diagonal"
+        )
     dy, dx = _disk_offsets(radius_px)
     scheduled = pattern.samples
     n = len(scheduled)

@@ -59,6 +59,10 @@ class ROIOutOfBounds(ScanEngineError):
     """Region of interest does not fit the image."""
 
 
+class MalformedPattern(ScanEngineError):
+    """Scan pattern JSON is not JSON, lacks a field, or has one of the wrong type."""
+
+
 class Regime(str, Enum):
     FULL_FOV = "full_fov"
     ENTROPY_ADAPTIVE = "entropy_adaptive"
@@ -235,14 +239,20 @@ class ScanPattern:
 
     @classmethod
     def from_json(cls, text: str) -> "ScanPattern":
-        doc = json.loads(text)
-        return cls(
-            samples=records_from_dicts(doc["samples"], SCAN_SAMPLE_DTYPE),
-            fps=doc["fps"],
-            regime=Regime(doc["regime"]),
-            seed=doc.get("seed"),
-            budget=doc.get("budget"),
-        )
+        try:
+            doc = json.loads(text)
+            if type(doc["fps"]) not in (int, float) or any(
+                    type(doc.get(key)) not in (int, type(None)) for key in ("seed", "budget")):
+                raise TypeError("fps must be a number, seed and budget integers or null")
+            return cls(
+                samples=records_from_dicts(doc["samples"], SCAN_SAMPLE_DTYPE),
+                fps=doc["fps"],
+                regime=Regime(doc["regime"]),
+                seed=doc.get("seed"),
+                budget=doc.get("budget"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise MalformedPattern(f"not a scan pattern ({exc!r})") from None
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,13 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "SCENE", "--regime", "full", "--roi-mode", "motion"],
     # a zero-point grid reaches sweep, which rejects it before --out is made
     ["optics-sweep", "--Z-m", "1:2:lin0"],
+    # jobs, engine, capture and completion flags are read only by --fps-sweep
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--jobs", "4"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--sample-rate-hz", "5"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--fps", "30"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--dot-sr", "1e-4"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--k-neighbors", "4"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--jobs", "4", "--sample-rate-hz", "5"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -814,6 +821,20 @@ def test_entropy_capture_does_not_import_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_cli_import_builds_no_entropy_table():
+    # the tables are built on a process's first entropy map, not at import
+    code = (
+        "import memslidar.cli\n"
+        "from memslidar.foveation import _pair_table, _term_table\n"
+        "print(_pair_table.cache_info().currsize, _term_table.cache_info().currsize)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "0"]
+
+
 def test_unknown_scene_dir_exit_3(tmp_path):
     assert run(
         "scan", "--scene", tmp_path / "nope", "--fps", "30",
@@ -839,6 +860,9 @@ def test_unknown_scene_dir_exit_3(tmp_path):
     ("capture", "width", True, 3),
     ("capture", "width", 160.0, 3),
     ("capture", "shine", 1, 3),
+    # finite, but the dot footprint would outgrow the image
+    ("capture", "fx_px", 1e9, 3),
+    ("capture", "fx_px", 1e12, 3),
 ])
 def test_invalid_scene_metadata_rejected(
     tmp_path, capsys, command, key, value, code

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from memslidar.foveation import (
     BackgroundModel,
     EntropyMap,
     FoveationError,
+    _pair_table,
+    _term_table,
     entropy_map,
     grayscale,
     max_entropy_roi,
@@ -142,6 +146,15 @@ _BYTE_CASES = [
     # uint16 counts and five doubling blocks
     ("random-w33", np.random.default_rng(25).integers(0, 256, (40, 56)), 33),
     ("rare-levels-at-row-ends-w15", _edge_levels((30, 40)), 15),
+    # more than one 32k slice, an odd count length, and 256 levels three
+    # to a pass; in uint8 pairs at window 15 and single uint16 counts at 17
+    *[(f"odd-count-length-w{w}", np.random.default_rng(27).integers(0, 256, (181, 203)), w)
+      for w in (15, 17)],
+    # 7 levels, 8 to a pass
+    ("seven-levels-w15", np.random.default_rng(28).integers(0, 7, (40, 56)) * 37, 15),
+    # the two guide-camera sizes: 5 levels to a pass, and one
+    ("qqvga-w15", np.random.default_rng(29).integers(0, 256, (120, 160)), 15),
+    ("vga-w15", np.random.default_rng(30).integers(0, 256, (480, 640)), 15),
 ]
 
 
@@ -154,6 +167,35 @@ def test_entropy_matches_cumsum_reference_bytes(gray, window):
     expected = _entropy_map_cumsum(rgb, window)
     assert values.dtype == expected.dtype and values.shape == expected.shape
     assert values.tobytes() == expected.tobytes()
+
+
+def test_entropy_matches_cumsum_reference_bytes_on_random_frames():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(1, 90, 2))
+        window = int(rng.choice([3, 5, 7, 9, 11, 13, 15, 17, 19]))
+        levels = rng.choice(256, size=int(rng.integers(1, 257)), replace=False)
+        rgb = _rgb(rng.choice(levels, size=shape))
+        values = entropy_map(rgb, window_px=window).values
+        assert values.tobytes() == _entropy_map_cumsum(rgb, window).tobytes(), (shape, window)
+
+
+def test_cached_pair_table_matches_a_fresh_build():
+    high, low = np.divmod(np.arange(1 << 16), 256)
+    first, second = (low, high) if sys.byteorder == "little" else (high, low)
+    for window in (3, 9, 15):
+        area = window * window
+        table = _pair_table(area)
+        assert table is _pair_table(area) and not table.flags.writeable
+        assert table.dtype == np.complex128 and table.shape == (1 << 16,)
+        assert table.tobytes() == _pair_table.__wrapped__(area).tobytes()
+        terms = np.zeros(256)
+        p = np.arange(1, area + 1) / area
+        terms[1:area + 1] = p * np.log2(p)
+        assert table.real.tobytes() == terms[first].tobytes()
+        assert table.imag.tobytes() == terms[second].tobytes()
+        assert _term_table(area).tobytes() == terms[:area + 1].tobytes()
+    assert not np.array_equal(_pair_table(9), _pair_table(225))
 
 
 def test_entropy_is_translation_equivariant_in_the_interior():

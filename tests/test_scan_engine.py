@@ -7,6 +7,7 @@ import pytest
 from memslidar.scan_engine import (
     REFERENCE_BUDGET_PAIRS,
     DegenerateMap,
+    MalformedPattern,
     MirrorModel,
     OverheadExceedsFrame,
     Regime,
@@ -343,6 +344,30 @@ def test_pattern_json_roundtrip():
     assert back.seed == pattern.seed
     assert back.budget == pattern.budget
     assert np.array_equal(back.samples, pattern.samples)
+
+
+def _pattern_doc():
+    pattern = gen_entropy_adaptive(model_with_budget(4), 10.0, np.ones((12, 16)), seed=3)
+    return json.loads(pattern.to_json())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: "not json",
+    lambda doc: "[1, 2]",
+    lambda doc: json.dumps({k: v for k, v in doc.items() if k != "samples"}),
+    lambda doc: json.dumps({k: v for k, v in doc.items() if k != "fps"}),
+    lambda doc: json.dumps({**doc, "regime": "sideways"}),
+    lambda doc: json.dumps({**doc, "fps": "fast"}),
+    lambda doc: json.dumps({**doc, "seed": 1.5}),
+    lambda doc: json.dumps({**doc, "samples": 5}),
+    lambda doc: json.dumps({**doc, "samples": [{"theta_rad": 0.0}]}),
+    lambda doc: json.dumps({**doc, "samples": [{**doc["samples"][0], "theta_rad": "x"}]}),
+], ids=["not-json", "not-an-object", "no-samples", "no-fps", "unknown-regime",
+        "string-fps", "fractional-seed", "samples-not-a-list", "sample-lacks-fields",
+        "string-angle"])
+def test_pattern_from_bad_json_raises_typed_error(edit):
+    with pytest.raises(MalformedPattern, match="not a scan pattern"):
+        ScanPattern.from_json(edit(_pattern_doc()))
 
 
 # ---------- generators against the list-based reference ----------
