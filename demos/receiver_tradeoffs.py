@@ -15,10 +15,10 @@ from memslidar.optics import (
     TransmitterSpec,
     characterize,
     find_crossovers,
-    format_sweep_csv,
     fov_limit_underfocused,
     log_range_grid,
     sweep,
+    write_sweep_csv,
 )
 
 OUT = Path(__file__).parent / "out"
@@ -45,7 +45,7 @@ def main():
 
     OUT.mkdir(exist_ok=True)
     csv_path = OUT / "receiver_tradeoffs.csv"
-    csv_path.write_text(format_sweep_csv(columns))
+    write_sweep_csv(columns, csv_path)
     print(f"swept {len(columns['Z_m'])} design points to {csv_path}")
 
     print("\nspot checks at 1 m / 100 m:")

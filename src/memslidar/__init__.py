@@ -63,6 +63,7 @@ from .optics import (
     log_range_grid,
     solid_angle_to_apex,
     sweep,
+    write_sweep_csv,
 )
 from .scan_engine import (
     ROI,

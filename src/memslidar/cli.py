@@ -21,7 +21,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,9 @@ from .optics import (
     ReceiverSpec,
     TransmitterSpec,
     find_crossovers,
-    format_sweep_csv,
     log_range_grid,
     sweep,
+    write_sweep_csv,
 )
 from .pipeline import frame_pattern, frame_seed, run_frame, track_motion
 from .scan_engine import (
@@ -78,6 +78,7 @@ from .scene_io import (
 # unused here: bound so the benchmark's span tracer can patch them (bench/workloads.py CLI_TRACED)
 from .foveation import update_and_detect  # noqa: F401
 from .lidar_sim import capture  # noqa: F401
+from .optics import format_sweep_csv  # noqa: F401
 from .scan_engine import gen_entropy_adaptive, gen_foveated, gen_full_fov  # noqa: F401
 
 ROI_TRACE_HEADER = "frame,x0,y0,x1,y1,area_px"
@@ -246,19 +247,20 @@ def cmd_optics_sweep(args) -> int:
     columns = sweep(tx_grid, rx_grid, _range_grid(args.Z_m))
     n_rows = len(columns["Z_m"])
     out = _outdir(args)
-    (out / "sweep.csv").write_text(format_sweep_csv(columns))
+    write_sweep_csv(columns, out / "sweep.csv")
     extra = {"n_rows": n_rows}
     if args.find_crossover:
         crossings = find_crossovers(columns)
         fields = {key: [c[key] for c in crossings] for key in crossings[0]} if crossings else {}
         (out / "crossovers.json").write_text(records_json(fields) + "\n")
         extra["n_crossovers"] = len(crossings)
-        for c in crossings:
-            print(
+        if crossings:
+            print("\n".join(
                 f"crossover ({c['design_a']} vs {c['design_b']}, M={c['M']:g}, "
                 f"w0={c['w0_m'] * 1e3:g} mm): Z* ~ {c['z_star_m']:.4g} m, "
                 f"{c['winner_above']} wins above"
-            )
+                for c in crossings
+            ))
     _write_run_json(out, args, extra)
     print(f"wrote {n_rows} rows to {out / 'sweep.csv'}")
     return 0
@@ -562,13 +564,17 @@ def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | N
     return rois
 
 
-def cmd_eval(args, sweep_only: tuple[argparse.Action, ...] = ()) -> int:
-    """Score --pred, or run --fps-sweep; `sweep_only` are the flags that
-    only the sweep reads, and without it a value other than the default
-    is a usage error."""
+def cmd_eval(args, sweep_only: dict[str, tuple[str, object]]) -> int:
+    """Score --pred, or run --fps-sweep.  `sweep_only` maps the dest of each
+    flag that only the sweep reads to its option and default; the parser
+    leaves an absent one off `args`, and without the sweep a given one is a
+    usage error."""
+    given = [option for dest, (option, _) in sweep_only.items() if hasattr(args, dest)]
+    for dest, (_, default) in sweep_only.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
     if args.fps_sweep:
         return _eval_fps_sweep(args)
-    given = [a.option_strings[0] for a in sweep_only if getattr(args, a.dest) != a.default]
     if given:
         raise UsageError(f"{', '.join(given)} set up --fps-sweep's captures; "
                          "eval without --fps-sweep takes none")
@@ -787,17 +793,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict scoring to each frame's ROI recorded at capture")
     p.add_argument("--fps-sweep", default="",
                    help="fps list; runs capture+complete+eval per rate instead of --pred")
-    sweep_only = (p.add_argument("--jobs", type=int, default=1), *_add_engine_flags(p),
-                  *_add_capture_flags(p), *_add_completion_flags(p))
+    sweep_only = {}
+    for action in (p.add_argument("--jobs", type=int, default=1), *_add_engine_flags(p),
+                   *_add_capture_flags(p), *_add_completion_flags(p)):
+        # told by presence, not value: `--jobs 1` is given though it is the default
+        sweep_only[action.dest] = (action.option_strings[0], action.default)
+        action.default = argparse.SUPPRESS
     p.add_argument("--out", required=True)
     p.set_defaults(func=partial(cmd_eval, sweep_only=sweep_only))
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")

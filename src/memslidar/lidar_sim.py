@@ -20,6 +20,7 @@ from .scan_engine import (
     SCAN_SAMPLE_DTYPE,
     Regime,
     ScanPattern,
+    _fit_line,
     angles_to_pixel,
     json_with_records,
     records_from_dicts,
@@ -248,16 +249,10 @@ def capture(
 
 def fit_calibration(pairs) -> CalibrationModel:
     """Least-squares line through (volts, true_range_m) pairs."""
-    pairs = [(float(v), float(z)) for v, z in pairs]
-    if len(pairs) < 2:
-        raise SingularFit(f"need >= 2 calibration pairs, got {len(pairs)}")
-    v = np.array([p[0] for p in pairs])
-    z = np.array([p[1] for p in pairs])
-    if np.ptp(v) == 0.0:
-        raise SingularFit("all calibration pairs share one voltage")
-    design = np.stack([v, np.ones_like(v)], axis=1)
-    (gain, offset), *_ = np.linalg.lstsq(design, z, rcond=None)
-    resid = design @ (gain, offset) - z
+    gain, offset, resid = _fit_line(
+        pairs, lambda v: v, 1.0, SingularFit, "calibration pairs",
+        "all calibration pairs share one voltage",
+    )
     return CalibrationModel(
         gain_m_per_v=float(gain),
         offset_m=float(offset),

@@ -24,10 +24,12 @@ of each design kind over the whole range grid in one `_characterize_ranges`
 call and returns a dict of numpy columns keyed by the SWEEP_CSV_HEADER
 names.  Consecutive rows with equal design fields form a run (each pair's
 range block, in a sweep): `format_sweep_csv` formats a run's design fields
-once and each distinct per-row float once, and `find_crossovers` groups runs,
-not rows, by transmitter and receiver before it scans one rr matrix
-(receiver x range) per transmitter.  `characterize` is the same call for
-one pair at a single range.  The columns equal a scalar, row-at-a-time
+once and each distinct per-row float once, and joins the same blocks of
+rows that `write_sweep_csv` writes to a file; `find_crossovers` groups
+runs, not rows, by transmitter and receiver, and scans the receiver pairs
+of every transmitter in one pass over one rr matrix ((transmitter,
+receiver) x range).  `characterize` is the same call for one pair at a
+single range.  The columns equal a scalar, row-at-a-time
 evaluation bit for bit, which is why two things stay scalar: each
 transcendental of a range is `math.atan` mapped over the column
 (`np.arctan` and `np.tan` take SIMD paths that differ from libm in the last
@@ -248,10 +250,35 @@ def fov_limit_underfocused(rx: ReceiverSpec) -> float:
     return 2.0 * math.atan(a * (f - u) / (2.0 * u * f))
 
 
+def _changes(keys: np.ndarray) -> np.ndarray:
+    """Indices of the entries that differ from the one before, the first included."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of a 1-D array, and each entry's index
+    among them.  Equal neighbours are looked up once (a run-length pass),
+    and only the run heads are sorted."""
+    heads = _changes(keys)
+    compress = len(heads) < len(keys)
+    head_keys = keys[heads] if compress else keys
+    distinct = np.sort(head_keys)
+    distinct = distinct[_changes(distinct)]
+    codes = np.searchsorted(distinct, head_keys)
+    if compress:
+        codes = np.repeat(codes, np.diff(heads, append=len(keys)))
+    return distinct, codes
+
+
 def _atan(x: np.ndarray) -> np.ndarray:
-    """math.atan over an array; np.arctan's SIMD path differs from libm."""
-    flat = x.ravel().tolist()
-    return np.fromiter(map(math.atan, flat), dtype=np.float64, count=len(flat)).reshape(x.shape)
+    """math.atan over an array, once per distinct value (by bit pattern);
+    np.arctan's SIMD path differs from libm."""
+    distinct, codes = _distinct(np.ascontiguousarray(x).view(np.int64).ravel())
+    values = distinct.view(np.float64).tolist()
+    atan = np.fromiter(map(math.atan, values), dtype=np.float64, count=len(values))
+    return atan[codes].reshape(x.shape)
 
 
 def _column(values) -> np.ndarray:
@@ -446,28 +473,29 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     # '<U' as wide as the longest flag present
     width = max(1, *(len(_FLAG_TEXT[c]) for c in np.flatnonzero(np.bincount(code))))
 
-    def per_pair(values):
-        return np.repeat(values, len(z))
+    def per_tx(values):
+        return np.repeat(values, len(rx_grid) * len(z))
 
+    def per_rx(values):
+        return np.tile(np.repeat(values, len(z)), len(tx_grid))
+
+    retro = per_rx([rx.design_kind == DesignKind.RETROREFLECTIVE for rx in rx_grid])
     return {
-        "design_kind": per_pair([rx.design_kind.value for _, rx in pairs]),
-        "M": per_pair([tx.beam_quality_m for tx, _ in pairs]),
-        "w0_m": per_pair([tx.waist_radius_m for tx, _ in pairs]),
-        "lambda_m": per_pair([tx.wavelength_m for tx, _ in pairs]),
-        "n": per_pair([rx.detector_count_n for _, rx in pairs]),
+        "design_kind": per_rx([rx.design_kind.value for rx in rx_grid]),
+        "M": per_tx([tx.beam_quality_m for tx in tx_grid]),
+        "w0_m": per_tx([tx.waist_radius_m for tx in tx_grid]),
+        "lambda_m": per_tx([tx.wavelength_m for tx in tx_grid]),
+        "n": per_rx([rx.detector_count_n for rx in rx_grid]),
         # Effective aperture: the retro design receives through the
         # mirror, so its aperture column reports the waist.
-        "A_m": per_pair([
-            tx.waist_radius_m if rx.design_kind == DesignKind.RETROREFLECTIVE
-            else rx.aperture_m
-            for tx, rx in pairs
-        ]),
-        "u_m": per_pair([rx.image_distance_m for _, rx in pairs]),
-        "f_m": per_pair([rx.focal_length_m for _, rx in pairs]),
+        "A_m": np.where(retro, per_tx([tx.waist_radius_m for tx in tx_grid]),
+                        per_rx([rx.aperture_m for rx in rx_grid])),
+        "u_m": per_rx([rx.image_distance_m for rx in rx_grid]),
+        "f_m": per_rx([rx.focal_length_m for rx in rx_grid]),
         "Z_m": np.tile(z, len(pairs)),
         "fov_rad": fov.ravel(),
         "rr_per_m": rr.ravel(),
-        "volume_m3": per_pair(volume),
+        "volume_m3": np.repeat(volume, len(z)),
         "flag": np.array(_FLAG_TEXT, dtype=f"<U{width}")[code],
     }
 
@@ -495,39 +523,66 @@ def _design_runs(columns) -> np.ndarray:
     return np.flatnonzero(new)
 
 
-def _column_text(column: np.ndarray, name: str, end: str = "") -> list[str]:
-    """The named column's text, each entry followed by `end`: each distinct
-    entry is formatted once, then spread over the rows.  Text columns (the
-    design kind and the flag, which take no `end`) are used as they are."""
+def _column_text(column: np.ndarray, name: str, end: str = "") -> np.ndarray:
+    """The named column's text, each entry followed by `end`, as an object
+    array: each distinct entry is formatted once, then spread over the rows.
+    Float columns take one ``%.9g`` template over their distinct values;
+    text columns (the design kind and the flag) are used as they are.
+    """
+    distinct, codes = _distinct(_keys(column))
+    values = distinct.view(column.dtype).tolist()
     if column.dtype.kind == "U":
-        return column.tolist()
-    fmt = ("{:.9g}" if name in _FLOAT_COLUMNS else "{}") + end
-    _, first, inverse = np.unique(_keys(column), return_index=True, return_inverse=True)
-    text = np.array([fmt.format(v) for v in column[first].tolist()], dtype=object)
-    return text[inverse].tolist()
+        text = values
+    else:
+        # one template: a NUL never occurs in formatted numbers
+        fmt = ("%.9g" if name in _FLOAT_COLUMNS else "%s") + end + "\0"
+        text = (fmt * len(values) % tuple(values)).split("\0")[:-1]
+    return np.array(text, dtype=object)[codes]
 
 
-def format_sweep_csv(columns) -> str:
-    """Render sweep columns as CSV text (9 significant digits for floats).
+# rows per block of CSV text; blocks keep the cell lists and the written
+# text small, so the whole file is never one string in `write_sweep_csv`
+_CSV_BLOCK_ROWS = 1 << 12
+
+
+def _sweep_csv_blocks(columns):
+    """The CSV text of sweep columns in blocks: the header, the rows
+    `_CSV_BLOCK_ROWS` at a time, then the last newline.
 
     The eight design fields are formatted once per run of equal designs, as
     one prefix that the run's rows share; each row adds its five own fields.
     """
     n = len(columns["Z_m"])
     starts = _design_runs(columns)
-    design = zip(*(_column_text(np.asarray(columns[name])[starts], name)
+    design = zip(*(_column_text(np.asarray(columns[name])[starts], name).tolist()
                    for name in _DESIGN_FIELDS))
-    # the header, six cells per row, and the last newline; a row's cells are
-    # a newline and its run's prefix, then its own fields, each but the
-    # last (the flag) followed by its comma
     prefix = np.array(["\n" + ",".join(fields) + "," for fields in design], dtype=object)
-    cells = [""] * (6 * n + 2)
-    cells[0], cells[-1] = SWEEP_CSV_HEADER, "\n"
-    cells[1:-1:6] = np.repeat(prefix, np.diff(starts, append=n)).tolist()
-    for i, name in enumerate(_ROW_FIELDS[:-1], 2):
-        cells[i:-1:6] = _column_text(np.asarray(columns[name]), name, ",")
-    cells[6:-1:6] = _column_text(np.asarray(columns["flag"]), "flag")
-    return "".join(cells)
+    # a row's cells: a newline and its run's prefix, then its own fields,
+    # each but the last (the flag) followed by its comma
+    texts = [np.repeat(prefix, np.diff(starts, append=n))] + [
+        _column_text(np.asarray(columns[name]), name, "," if name != "flag" else "")
+        for name in _ROW_FIELDS
+    ]
+    yield SWEEP_CSV_HEADER
+    cells = np.empty((_CSV_BLOCK_ROWS, len(texts)), dtype=object)
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        block = cells[:min(n - start, _CSV_BLOCK_ROWS)]
+        for i, text in enumerate(texts):
+            block[:, i] = text[start:start + len(block)]
+        yield "".join(block.ravel().tolist())
+    yield "\n"
+
+
+def format_sweep_csv(columns) -> str:
+    """Render sweep columns as CSV text (9 significant digits for floats)."""
+    return "".join(_sweep_csv_blocks(columns))
+
+
+def write_sweep_csv(columns, path) -> None:
+    """Write `format_sweep_csv(columns)` to the file at `path`, one block at
+    a time, so the whole text is never held, nor encoded, at once."""
+    with open(path, "w") as fh:
+        fh.writelines(_sweep_csv_blocks(columns))
 
 
 def _group_codes(*columns) -> np.ndarray:
@@ -542,33 +597,38 @@ def _group_codes(*columns) -> np.ndarray:
     return code
 
 
-# (pair, range) entries per block in _first_flips: about 20 MB of temporaries
+# (pair, range) entries per block in _first_flips: about 15 MB of temporaries
 _PAIR_BLOCK_ENTRIES = 1 << 19
 
 
 def _first_flips(rr: np.ndarray, have: np.ndarray, ia: np.ndarray, ib: np.ndarray):
-    """Yield (p, j, k, d_j, d_k) for each receiver pair (ia[p], ib[p]) whose
-    difference d = rr[ia[p]] - rr[ib[p]] changes sign over the ranges both
-    have: k is the first such range, j the shared range before it.  A zero
-    d never starts a flip.  Pairs go in blocks that bound the temporaries.
+    """(p, j, k) for each receiver pair p = (ia[p], ib[p]) whose difference
+    d = rr[ia[p]] - rr[ib[p]] changes sign over the ranges both have: k is
+    the first such range, j the shared range before it.  A zero d never
+    starts a flip.  Pairs go in blocks that bound the temporaries.
     """
-    cols = np.arange(rr.shape[1])
+    full = have.all(axis=1)
+    # 2 * range index + (d > 0) at a shared range, -1 elsewhere; its running
+    # maximum holds the last shared range and the sign of d there
+    twice = np.arange(0, 2 * rr.shape[1], 2, dtype=np.min_scalar_type(-2 * rr.shape[1]))
     step = max(1, _PAIR_BLOCK_ENTRIES // rr.shape[1])
+    found = [(ia[:0], ia[:0], ia[:0])]  # so that no pairs give three empty columns
     for start in range(0, len(ia), step):
         a, b = ia[start:start + step], ib[start:start + step]
         d = rr[a] - rr[b]
-        shared = have[a] & have[b]
-        # prev[p, k]: the last shared range before k for pair p, or -1
-        last = np.maximum.accumulate(np.where(shared, cols, -1), axis=1)
-        prev = np.concatenate([np.full((len(a), 1), -1), last[:, :-1]], axis=1)
         pos = d > 0
-        flips = (shared & (prev >= 0) & (d != 0)
-                 & (pos != np.take_along_axis(pos, np.maximum(prev, 0), axis=1)))
+        if full[a].all() and full[b].all():
+            # every range is shared, so the one before k is k - 1
+            last = None
+            flips = (d[:, 1:] != 0) & (pos[:, 1:] != pos[:, :-1])
+        else:
+            shared = have[a] & have[b]
+            last = np.maximum.accumulate(np.where(shared, twice + pos, -1), axis=1)[:, :-1]
+            flips = shared[:, 1:] & (d[:, 1:] != 0) & (last >= 0) & ((last & 1) != pos[:, 1:])
         hit = np.flatnonzero(flips.any(axis=1))
         k = flips[hit].argmax(axis=1)
-        j = prev[hit, k]
-        yield from zip((start + hit).tolist(), j.tolist(), k.tolist(),
-                       d[hit, j].tolist(), d[hit, k].tolist())
+        found.append((start + hit, k if last is None else last[hit, k] >> 1, k + 1))
+    return [np.concatenate(column) for column in zip(*found)]
 
 
 def find_crossovers(columns) -> list[dict]:
@@ -576,13 +636,15 @@ def find_crossovers(columns) -> list[dict]:
 
     Unflagged rows are grouped by transmitter (M, w0, lambda), in order of
     first appearance, and by receiver geometry (design, n, A, u, f) in
-    sorted order; equal values share a group.  Each transmitter gets an
-    rr matrix (receiver x distinct range, ascending).  For each pair of
-    receivers of different design kinds, taken in sorted order, the scan
-    runs over the ranges both have and reports the first bracket
-    [z_lo, z_hi] where the sign of (rr_a - rr_b) flips, with a
-    log-interpolated crossover estimate clipped to the bracket.  A zero
-    difference never starts a flip but does become the bracket's lower end.
+    sorted order; equal values share a group.  One rr matrix holds a row
+    per (transmitter, receiver) and a column per distinct range, ascending.
+    For each pair of receivers of different design kinds under one
+    transmitter, taken in sorted order, the scan runs over the ranges both
+    have and reports the first bracket [z_lo, z_hi] where the sign of
+    (rr_a - rr_b) flips, with a log-interpolated crossover estimate clipped
+    to the bracket.  A zero difference never starts a flip but does become
+    the bracket's lower end.  All transmitters' pairs go through one
+    `_first_flips` pass.
     """
     ok = np.asarray(columns["flag"]) == ""
     if not ok.any():
@@ -597,55 +659,69 @@ def find_crossovers(columns) -> list[dict]:
     rx_kind[rx_code] = design["design_kind"]
     # the run of each unflagged row (nondecreasing), and the runs that have one
     run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(ok)))[ok]
-    ok_runs = run[np.diff(run, prepend=-1) != 0]
+    new_run = np.diff(run, prepend=-1) != 0
+    ok_runs = run[new_run]
+    # transmitters ranked by first appearance; each one's first unflagged run
     tx_ids, tx_first = np.unique(tx_code[ok_runs], return_index=True)
-    z_values, z_index = np.unique(np.asarray(columns["Z_m"])[ok], return_inverse=True)
-    z_values = z_values.tolist()
-    # unflagged rows by transmitter, in row order within each transmitter
-    tx_group = tx_code[run]
-    order = np.argsort(tx_group, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(tx_group))])
-    rx_group, z_index = rx_code[run][order], z_index[order]
-    rr_ok = np.asarray(columns["rr_per_m"])[ok][order]
+    by_first = np.argsort(tx_first, kind="stable")
+    tx_rank = np.empty(tx_code.max() + 1, dtype=np.int64)
+    tx_rank[tx_ids[by_first]] = np.arange(len(tx_ids))
+    first_run = ok_runs[tx_first[by_first]]
+    tx_values = list(zip(*(design[name][first_run].tolist()
+                           for name in ("M", "w0_m", "lambda_m"))))
+    # one rr row per (transmitter, receiver), transmitter-major; receivers
+    # in sorted order within each transmitter
+    n_rx = len(rx_kind)
+    keys, row = np.unique(tx_rank[tx_code[ok_runs]] * n_rx + rx_code[ok_runs],
+                          return_inverse=True)
+    row = row[np.cumsum(new_run) - 1]
+    z_values, z_index = _distinct(np.asarray(columns["Z_m"])[ok])
+    rr = np.zeros((len(keys), len(z_values)))
+    have = np.zeros(rr.shape, dtype=bool)
+    rr[row, z_index] = np.asarray(columns["rr_per_m"])[ok]
+    have[row, z_index] = True
+    # every (a, b) pair of rows, a < b, under one transmitter, in row-major
+    # upper-triangle order; rows past `end` belong to the next transmitter
+    tx_row = keys // n_rx
+    end = np.searchsorted(tx_row, tx_row, side="right")
+    partners = end - np.arange(len(keys)) - 1
+    ia = np.repeat(np.arange(len(keys)), partners)
+    ib = (np.arange(len(ia)) - np.repeat(np.cumsum(partners) - partners, partners)) + ia + 1
+    kinds = rx_kind[keys % n_rx]
+    cross = kinds[ia] != kinds[ib]
+    ia, ib = ia[cross], ib[cross]
 
+    p, j, k = _first_flips(rr, have, ia, ib)
+    a, b = ia[p], ib[p]
+    # the same subtraction, entry by entry, as inside _first_flips
+    prev_d, dk = (rr[a, j] - rr[b, j]).tolist(), (rr[a, k] - rr[b, k]).tolist()
+    z_values = z_values.tolist()
+    logs = list(map(math.log, z_values))
     crossovers = []
-    for t in np.argsort(tx_first, kind="stable"):
-        rows = slice(bounds[tx_ids[t]], bounds[tx_ids[t] + 1])
-        rx_ids, rx_local = np.unique(rx_group[rows], return_inverse=True)
-        rr = np.zeros((len(rx_ids), len(z_values)))
-        have = np.zeros(rr.shape, dtype=bool)
-        rr[rx_local, z_index[rows]] = rr_ok[rows]
-        have[rx_local, z_index[rows]] = True
-        kinds = rx_kind[rx_ids]
-        ia, ib = np.triu_indices(len(rx_ids), k=1)
-        cross = kinds[ia] != kinds[ib]
-        ia, ib = ia[cross], ib[cross]
-        kinds_a, kinds_b = kinds[ia].tolist(), kinds[ib].tolist()
-        i0 = ok_runs[tx_first[t]]
-        m, w0, lam = (design[name][i0].item() for name in ("M", "w0_m", "lambda_m"))
-        for p, j, k, prev_d, dk in _first_flips(rr, have, ia, ib):
-            prev_z, z = z_values[j], z_values[k]
-            # log-linear interpolation of the sign change
-            frac = prev_d / (prev_d - dk)
-            z_star = math.exp(
-                math.log(prev_z) + frac * (math.log(z) - math.log(prev_z))
-            )
-            # exp(log(z_lo)) can round an ulp outside [z_lo, z_hi]
-            z_star = min(max(z_star, prev_z), z)
-            kind_a, kind_b = kinds_a[p], kinds_b[p]
-            crossovers.append(
-                {
-                    "M": m,
-                    "w0_m": w0,
-                    "lambda_m": lam,
-                    "design_a": kind_a,
-                    "design_b": kind_b,
-                    "z_lo_m": prev_z,
-                    "z_hi_m": z,
-                    "z_star_m": z_star,
-                    "winner_above": kind_a if dk > 0 else kind_b,
-                }
-            )
+    for t, kind_a, kind_b, lo, hi, d_lo, d_hi in zip(
+        tx_row[a].tolist(), kinds[a].tolist(), kinds[b].tolist(), j.tolist(), k.tolist(),
+        prev_d, dk,
+    ):
+        prev_z, z = z_values[lo], z_values[hi]
+        # log-linear interpolation of the sign change
+        frac = d_lo / (d_lo - d_hi)
+        z_star = math.exp(logs[lo] + frac * (logs[hi] - logs[lo]))
+        # exp(log(z_lo)) can round an ulp outside [z_lo, z_hi]
+        z_star = min(max(z_star, prev_z), z)
+        m, w0, lam = tx_values[t]
+        crossovers.append(
+            {
+                "M": m,
+                "w0_m": w0,
+                "lambda_m": lam,
+                "design_a": kind_a,
+                "design_b": kind_b,
+                "z_lo_m": prev_z,
+                "z_hi_m": z,
+                "z_star_m": z_star,
+                "winner_above": kind_a if d_hi > 0 else kind_b,
+            }
+        )
     return crossovers
 
 

@@ -159,6 +159,10 @@ def _json_values(values: list) -> list[str]:
         return [_NON_FINITE_JSON.get(t, t) for t in text]
     if kinds == {int}:
         return list(map(int.__repr__, values))
+    if kinds == {str}:
+        # a column of names repeats a few of them: each is encoded once
+        text = {v: json.dumps(v) for v in set(values)}
+        return list(map(text.__getitem__, values))
     return list(map(json.dumps, values))
 
 
@@ -291,25 +295,41 @@ def fps_for_budget(model: MirrorModel, n_samples: int) -> float:
     return 1.0 / ((n_samples + 1e-9) / model.sample_rate_hz + model.frame_overhead_s)
 
 
+def _fit_line(points, x, const: float, error: type[Exception], noun: str, flat: str):
+    """Least-squares (a, b) of y = a * x(p) + b * const over (p, y) points,
+    and each point's residual (fitted minus observed).
+
+    The one two-parameter fit of the package: `fit_budget` and
+    `lidar_sim.fit_calibration` differ only in x, the constant column and
+    the error they raise, with `noun` or `flat` as its message, for fewer
+    than two points or points that share one x.
+    """
+    points = [(float(p), float(y)) for p, y in points]
+    if len(points) < 2:
+        raise error(f"need >= 2 {noun}, got {len(points)}")
+    xs = np.array([x(p) for p, _ in points])
+    ys = np.array([y for _, y in points])
+    if np.ptp(xs) == 0.0:
+        raise error(flat)
+    design = np.stack([xs, np.full_like(xs, const)], axis=1)
+    (a, b), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return a, b, design @ (a, b) - ys
+
+
 def fit_budget(observations) -> BudgetFit:
     """Least-squares (rate, overhead) from (fps, samples) observations.
 
     The model is linear once rewritten as samples = rate/fps - rate*overhead,
     so an ordinary least-squares solve recovers both parameters.
     """
-    obs = [(float(fps), float(n)) for fps, n in observations]
-    if len(obs) < 2:
-        raise SingularFit(f"need >= 2 observations, got {len(obs)}")
-    x = np.array([1.0 / fps for fps, _ in obs])
-    y = np.array([n for _, n in obs])
-    if np.ptp(x) == 0.0:
-        raise SingularFit("all observations share one fps; overhead is unidentifiable")
-    design = np.stack([x, -np.ones_like(x)], axis=1)
-    (rate, rate_x_overhead), *_ = np.linalg.lstsq(design, y, rcond=None)
+    rate, rate_x_overhead, residuals = _fit_line(
+        observations, lambda fps: 1.0 / fps, -1.0, SingularFit, "observations",
+        "all observations share one fps; overhead is unidentifiable",
+    )
     if rate == 0.0:
         raise SingularFit("fitted rate is zero")
     overhead = rate_x_overhead / rate
-    residuals = tuple(float(r) for r in (design @ (rate, rate_x_overhead) - y))
+    residuals = tuple(float(r) for r in residuals)
     rmse = float(np.sqrt(np.mean(np.square(residuals))))
     return BudgetFit(
         sample_rate_hz=float(rate),

@@ -13,6 +13,7 @@ to 1 mm on disk, which caps representable range at 65.535 m.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -440,35 +441,37 @@ def load_spec(path: str | Path) -> SyntheticSpec:
     return _construct(SyntheticSpec, {**spec, "primitives": tuple(prims)}, str(path))
 
 
+@functools.lru_cache(maxsize=16)
 def _noise_tile(seed: int, prim_index: int) -> np.ndarray:
-    """Deterministic 256x256 grayscale tile, fixed per (seed, primitive)."""
+    """Deterministic 256x256 grayscale tile, fixed per (seed, primitive); read-only."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, prim_index]))
-    return rng.integers(0, 256, size=(256, 256), dtype=np.uint8)
+    tile = rng.integers(0, 256, size=(256, 256), dtype=np.uint8)
+    tile.flags.writeable = False
+    return tile
 
 
-def _shade(prim: Primitive, local_x_m, local_y_m, tile) -> np.ndarray:
-    """Per-pixel RGB for a primitive, in its own (moving) coordinates."""
-    shape = np.broadcast(local_x_m, local_y_m).shape
-    base = np.empty(shape + (3,), dtype=np.uint8)
-    base[...] = np.array(prim.color, dtype=np.uint8)
+def _shade(prim: Primitive, x_m: np.ndarray, y_m: np.ndarray, tile) -> np.ndarray:
+    """Per-pixel RGB for a primitive, in its own (moving) coordinates: the
+    pixel at (row i, column j) sits at (x_m[j], y_m[i]).  Texel indices are
+    taken per column and per row, then combined."""
+    shape = (len(y_m), len(x_m), 3)
+    color = np.array(prim.color, dtype=np.uint8)
     if prim.texture == "flat":
-        return base
+        return np.broadcast_to(color, shape)
     if prim.texture == "checker":
         parity = (
-            np.floor(local_x_m / prim.checker_m).astype(np.int64)
-            + np.floor(local_y_m / prim.checker_m).astype(np.int64)
+            np.floor(y_m / prim.checker_m).astype(np.int64)[:, None]
+            + np.floor(x_m / prim.checker_m).astype(np.int64)
         ) % 2
         dark = (np.array(prim.color, dtype=np.float64) * 0.25).astype(np.uint8)
-        out = base.copy()
-        out[parity == 1] = dark
-        return out
-    # noise: sample the tile in local metric coords so texture rides along
-    u = (np.floor(local_x_m / prim.noise_texel_m).astype(np.int64)) % 256
-    v = (np.floor(local_y_m / prim.noise_texel_m).astype(np.int64)) % 256
-    gray = tile[v, u].astype(np.float64) / 255.0
-    color = np.array(prim.color, dtype=np.float64)
-    out = (color * (0.25 + 0.75 * gray[..., None])).astype(np.uint8)
-    return out
+        return np.where((parity == 1)[..., None], dark, color)
+    # noise: sample the tile in local metric coords so texture rides along;
+    # each gray level's shade is the same expression as per pixel
+    u = (np.floor(x_m / prim.noise_texel_m).astype(np.int64)) % 256
+    v = (np.floor(y_m / prim.noise_texel_m).astype(np.int64)) % 256
+    gray = np.arange(256, dtype=np.float64) / 255.0
+    shades = (np.array(prim.color, dtype=np.float64) * (0.25 + 0.75 * gray[:, None])).astype(np.uint8)
+    return shades[tile[v[:, None], u]]
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SceneSequence:
@@ -523,10 +526,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SceneSequence:
             sub_px = px[ix0:ix1]
             sub_py = py[iy0:iy1]
             # camera-space coordinates of the hit points, then primitive-local
-            x_m = (sub_px[None, :] - intr.cx_px) / intr.fx_px * z - cx_m
-            y_m = (sub_py[:, None] - intr.cy_px) / intr.fy_px * z - cy_m
-            shade = _shade(prim, np.broadcast_to(x_m, (iy1 - iy0, ix1 - ix0)),
-                           np.broadcast_to(y_m, (iy1 - iy0, ix1 - ix0)), tiles[i])
+            x_m = (sub_px - intr.cx_px) / intr.fx_px * z - cx_m
+            y_m = (sub_py - intr.cy_px) / intr.fy_px * z - cy_m
+            shade = _shade(prim, x_m, y_m, tiles[i])
 
             region_z = zbuf[iy0:iy1, ix0:ix1]
             win = z < region_z

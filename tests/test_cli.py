@@ -198,6 +198,12 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--dot-sr", "1e-4"],
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--k-neighbors", "4"],
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--jobs", "4", "--sample-rate-hz", "5"],
+    # told by presence: a sweep-only flag given at its default, or abbreviated
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--jobs", "1"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--jo", "1"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--fps", "6"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--fallback", "nearest"],
+    ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--noise-c", "0.001"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -822,17 +828,49 @@ def test_entropy_capture_does_not_import_scipy(tmp_path):
 
 
 def test_cli_import_builds_no_entropy_table():
-    # the tables are built on a process's first entropy map, not at import
+    # the tables are built on a process's first entropy map, and the
+    # argument parser on its first main(), not at import
     code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
         "import memslidar.cli\n"
         "from memslidar.foveation import _pair_table, _term_table\n"
-        "print(_pair_table.cache_info().currsize, _term_table.cache_info().currsize)\n"
+        "print(_pair_table.cache_info().currsize, _term_table.cache_info().currsize, len(built))\n"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "0"]
+
+
+def test_shared_parser_gives_the_same_bytes_on_every_call(tmp_path, capsys):
+    # one parser per process: a usage error and --version between two
+    # sweeps leave it as it was, and a sweep run twice writes the same bytes
+    argv = ["optics-sweep", "--find-crossover", "--M", "1,30", "--Z-m", "0.5:300:log20"]
+
+    def sweep_outputs(name):
+        out = str(tmp_path / name)
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 0
+        # run.json records --out
+        return capsys.readouterr().out.replace(out, "OUT"), {
+            p.name: p.read_bytes().replace(out.encode(), b"OUT")
+            for p in (tmp_path / name).iterdir()}
+
+    first = sweep_outputs("a")
+    with pytest.raises(SystemExit) as exc:
+        main(["optics-sweep", "--bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert run("optics-sweep", "--M", "300", "--out", tmp_path / "c") == 2
+    assert sweep_outputs("b") == first
+    assert len(first[1]) == 3 and "crossover (" in first[0]
+    assert cli._parser() is cli._parser()
 
 
 def test_unknown_scene_dir_exit_3(tmp_path):

@@ -26,6 +26,7 @@ from memslidar.optics import (
     log_range_grid,
     solid_angle_to_apex,
     sweep,
+    write_sweep_csv,
 )
 
 MIRROR_25 = math.radians(25.0)
@@ -625,3 +626,39 @@ def test_crossover_blocks_do_not_change_results(monkeypatch, entries):
     monkeypatch.setattr(optics, "_PAIR_BLOCK_ENTRIES", entries)
     assert json.dumps(find_crossovers(columns)) == want
     assert want == json.dumps(_find_crossovers_ref(_sweep_ref(txs, rxs, zs)))
+
+
+def test_crossover_blocks_inside_and_across_transmitters(monkeypatch):
+    # three transmitters with five cross-kind receiver pairs each, in one
+    # pass over all 15 pairs: a block of any size but 5 or 15 pairs ends
+    # inside a transmitter, and blocks of 6 or more hold pairs of two or three
+    txs = [tx(m=m, w0=w0) for m, w0 in ((1.0, 5e-3), (2.0, 5e-3), (1.0, 2e-3))]
+    rxs = [rx(DesignKind.RETROREFLECTIVE), rx(DesignKind.RECEIVER_ARRAY, n=8),
+           rx(DesignKind.SINGLE_DETECTOR), rx(DesignKind.SINGLE_DETECTOR, a=0.05, u=0.012)]
+    zs = list(log_range_grid(0.5, 1000.0, 40))
+    columns = sweep(txs, rxs, zs)
+    want = json.dumps(_find_crossovers_ref(_sweep_ref(txs, rxs, zs)))
+    assert len({c["M"] * c["w0_m"] for c in json.loads(want)}) == 3
+    for pairs_per_block in range(1, 17):
+        monkeypatch.setattr(optics, "_PAIR_BLOCK_ENTRIES", pairs_per_block * len(zs))
+        assert json.dumps(find_crossovers(columns)) == want, pairs_per_block
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_written_csv_is_the_formatted_text(tmp_path, monkeypatch, block_rows):
+    # sentinel rows, the same rows shuffled into one-row runs, and a grid
+    # with no crossovers, written in blocks that end inside runs
+    monkeypatch.setattr(optics, "_CSV_BLOCK_ROWS", block_rows)
+    txs, rxs, zs = _reference_grid(5)
+    grids = [sweep(txs, rxs, zs),
+             sweep([tx(w0=5e-3)], [rx(DesignKind.RECEIVER_ARRAY, n=n) for n in (2, 4)], [1.0, 2.0])]
+    perm = np.random.default_rng(5).permutation(len(grids[0]["Z_m"]))
+    grids.append({name: column[perm] for name, column in grids[0].items()})
+    assert not find_crossovers(grids[1])
+    for i, columns in enumerate(grids):
+        path = tmp_path / f"{i}.csv"
+        write_sweep_csv(columns, path)
+        text = format_sweep_csv(columns)
+        assert path.read_bytes() == text.encode()
+        rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+        assert text == _format_csv_ref(rows)

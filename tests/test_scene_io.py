@@ -1,10 +1,12 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memslidar import scene_io
 from memslidar.scene_io import (
     DimensionMismatch,
     EmptyScene,
@@ -255,6 +257,60 @@ def test_checker_texture_has_two_shades():
     )
     frame = generate_synthetic(spec, seed=0).frames[0]
     assert len(np.unique(frame.rgb[..., 0])) == 2
+
+
+def _shade_ref(prim, local_x_m, local_y_m, tile):
+    """Per-pixel shading as the renderer did it before texel indices were
+    taken per column and per row: every pixel's coordinates, one by one."""
+    shape = np.broadcast(local_x_m, local_y_m).shape
+    base = np.empty(shape + (3,), dtype=np.uint8)
+    base[...] = np.array(prim.color, dtype=np.uint8)
+    if prim.texture == "flat":
+        return base
+    if prim.texture == "checker":
+        parity = (
+            np.floor(local_x_m / prim.checker_m).astype(np.int64)
+            + np.floor(local_y_m / prim.checker_m).astype(np.int64)
+        ) % 2
+        dark = (np.array(prim.color, dtype=np.float64) * 0.25).astype(np.uint8)
+        out = base.copy()
+        out[parity == 1] = dark
+        return out
+    u = (np.floor(local_x_m / prim.noise_texel_m).astype(np.int64)) % 256
+    v = (np.floor(local_y_m / prim.noise_texel_m).astype(np.int64)) % 256
+    gray = tile[v, u].astype(np.float64) / 255.0
+    color = np.array(prim.color, dtype=np.float64)
+    return (color * (0.25 + 0.75 * gray[..., None])).astype(np.uint8)
+
+
+def test_render_matches_per_pixel_shading_reference(monkeypatch):
+    # flat, checker and noise primitives moving through the frame centre, so
+    # local coordinates run negative; the plane's texels and checker squares
+    # are half a pixel pitch wide, so their edges fall on pixel centres
+    w, h, fov_deg, z = 64, 48, 25.0, 2.0
+    half_pitch = z / (w / math.tan(math.radians(fov_deg) / 2.0))
+    rng = np.random.default_rng(11)
+    prims = [Primitive(kind="plane", z_m=z, texture=texture, color=(200, 120, 40),
+                       noise_texel_m=half_pitch, checker_m=half_pitch)
+             for texture in ("noise", "checker")]
+    for texture in ("flat", "checker", "noise"):
+        prims.append(Primitive(
+            kind="quad", z_m=float(rng.uniform(0.9, 1.8)), size_xy_m=(0.2, 0.15),
+            center_xy_m=(-0.12, 0.05), texture=texture, checker_m=0.013,
+            noise_texel_m=0.0021, color=tuple(int(c) for c in rng.integers(0, 256, 3)),
+            velocity_m_s=(float(rng.uniform(1.0, 3.0)), -0.5, 0.1)))
+    scenes = [SyntheticSpec(width=w, height=h, fov_deg=fov_deg, n_frames=4,
+                            primitives=(prims[i], *prims[2:])) for i in (0, 1)]
+    got = [generate_synthetic(spec, seed=3) for spec in scenes]
+    monkeypatch.setattr(scene_io, "_shade", lambda prim, x_m, y_m, tile: _shade_ref(
+        prim, *np.broadcast_arrays(x_m[None, :], y_m[:, None]), tile))
+    want = [generate_synthetic(spec, seed=3) for spec in scenes]
+    for a, b in zip(got, want):
+        for fa, fb in zip(a.frames, b.frames):
+            assert fa.rgb.tobytes() == fb.rgb.tobytes()
+            assert fa.depth_gt.tobytes() == fb.depth_gt.tobytes()
+    # the first scene's noise plane repeats its tile, which is cached read-only
+    assert not scene_io._noise_tile(3, 0).flags.writeable
 
 
 def test_empty_frustum_raises():
