@@ -696,7 +696,6 @@ def find_crossovers(columns) -> list[dict]:
     # the same subtraction, entry by entry, as inside _first_flips
     prev_d, dk = (rr[a, j] - rr[b, j]).tolist(), (rr[a, k] - rr[b, k]).tolist()
     z_values = z_values.tolist()
-    logs = list(map(math.log, z_values))
     crossovers = []
     for t, kind_a, kind_b, lo, hi, d_lo, d_hi in zip(
         tx_row[a].tolist(), kinds[a].tolist(), kinds[b].tolist(), j.tolist(), k.tolist(),
@@ -705,7 +704,9 @@ def find_crossovers(columns) -> list[dict]:
         prev_z, z = z_values[lo], z_values[hi]
         # log-linear interpolation of the sign change
         frac = d_lo / (d_lo - d_hi)
-        z_star = math.exp(logs[lo] + frac * (logs[hi] - logs[lo]))
+        z_star = math.exp(
+            math.log(prev_z) + frac * (math.log(z) - math.log(prev_z))
+        )
         # exp(log(z_lo)) can round an ulp outside [z_lo, z_hi]
         z_star = min(max(z_star, prev_z), z)
         m, w0, lam = tx_values[t]
