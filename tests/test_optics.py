@@ -662,3 +662,22 @@ def test_written_csv_is_the_formatted_text(tmp_path, monkeypatch, block_rows):
         assert path.read_bytes() == text.encode()
         rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
         assert text == _format_csv_ref(rows)
+
+
+def test_crossover_range_in_no_bracket_needs_no_log():
+    # a range that only one receiver has never brackets a crossover, so a
+    # zero there (outside log's domain) must not raise
+    rows = []
+    for kind, rr in (("receiver_array", {0.0: 5.0, 1.0: 3.0, 2.0: 1.0}),
+                     ("retroreflective", {1.0: 2.0, 2.0: 2.0})):
+        for z, value in rr.items():
+            rows.append({
+                "design_kind": kind, "M": 1.0, "w0_m": 1e-3, "lambda_m": 1e-6,
+                "n": 1, "A_m": 0.05, "u_m": 0.01, "f_m": 0.015, "Z_m": z,
+                "fov_rad": 0.4, "rr_per_m": value, "volume_m3": 1e-6, "flag": "",
+            })
+    columns = {name: np.array([row[name] for row in rows])
+               for name in SWEEP_CSV_HEADER.split(",")}
+    crossings = find_crossovers(columns)
+    assert json.dumps(crossings) == json.dumps(_find_crossovers_ref(rows))
+    assert [(c["z_lo_m"], c["z_hi_m"]) for c in crossings] == [(1.0, 2.0)]
