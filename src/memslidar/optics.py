@@ -601,20 +601,29 @@ def _group_codes(*columns) -> np.ndarray:
 _PAIR_BLOCK_ENTRIES = 1 << 19
 
 
-def _first_flips(rr: np.ndarray, have: np.ndarray, ia: np.ndarray, ib: np.ndarray):
-    """(p, j, k) for each receiver pair p = (ia[p], ib[p]) whose difference
-    d = rr[ia[p]] - rr[ib[p]] changes sign over the ranges both have: k is
-    the first such range, j the shared range before it.  A zero d never
-    starts a flip.  Pairs go in blocks that bound the temporaries.
+def _first_flips(rr: np.ndarray, have: np.ndarray, kinds: np.ndarray, end: np.ndarray):
+    """(a, b, j, k) for each pair of rows a < b < end[a] of different kinds
+    whose difference d = rr[a] - rr[b] changes sign over the ranges both
+    have: k is the first such range, j the shared range before it.  A zero
+    d never starts a flip.  Pairs go in row-major order, in blocks that
+    bound the temporaries; a block's pairs are made from their numbers.
     """
     full = have.all(axis=1)
     # 2 * range index + (d > 0) at a shared range, -1 elsewhere; its running
     # maximum holds the last shared range and the sign of d there
     twice = np.arange(0, 2 * rr.shape[1], 2, dtype=np.min_scalar_type(-2 * rr.shape[1]))
+    partners = end - np.arange(len(end)) - 1
+    first = np.cumsum(partners) - partners  # the number of each row's first pair
+    n_pairs = int(partners.sum())
     step = max(1, _PAIR_BLOCK_ENTRIES // rr.shape[1])
-    found = [(ia[:0], ia[:0], ia[:0])]  # so that no pairs give three empty columns
-    for start in range(0, len(ia), step):
-        a, b = ia[start:start + step], ib[start:start + step]
+    found = [(end[:0],) * 4]  # so that no pairs give four empty columns
+    for start in range(0, n_pairs, step):
+        pair = np.arange(start, min(start + step, n_pairs))
+        # rows without partners share the next row's first number
+        a = np.searchsorted(first, pair, side="right") - 1
+        b = a + 1 + pair - first[a]
+        cross = kinds[a] != kinds[b]
+        a, b = a[cross], b[cross]
         d = rr[a] - rr[b]
         pos = d > 0
         if full[a].all() and full[b].all():
@@ -627,7 +636,7 @@ def _first_flips(rr: np.ndarray, have: np.ndarray, ia: np.ndarray, ib: np.ndarra
             flips = shared[:, 1:] & (d[:, 1:] != 0) & (last >= 0) & ((last & 1) != pos[:, 1:])
         hit = np.flatnonzero(flips.any(axis=1))
         k = flips[hit].argmax(axis=1)
-        found.append((start + hit, k if last is None else last[hit, k] >> 1, k + 1))
+        found.append((a[hit], b[hit], k if last is None else last[hit, k] >> 1, k + 1))
     return [np.concatenate(column) for column in zip(*found)]
 
 
@@ -680,19 +689,11 @@ def find_crossovers(columns) -> list[dict]:
     have = np.zeros(rr.shape, dtype=bool)
     rr[row, z_index] = np.asarray(columns["rr_per_m"])[ok]
     have[row, z_index] = True
-    # every (a, b) pair of rows, a < b, under one transmitter, in row-major
-    # upper-triangle order; rows past `end` belong to the next transmitter
+    # pairs of rows under one transmitter: rows from `end` on belong to the next
     tx_row = keys // n_rx
     end = np.searchsorted(tx_row, tx_row, side="right")
-    partners = end - np.arange(len(keys)) - 1
-    ia = np.repeat(np.arange(len(keys)), partners)
-    ib = (np.arange(len(ia)) - np.repeat(np.cumsum(partners) - partners, partners)) + ia + 1
     kinds = rx_kind[keys % n_rx]
-    cross = kinds[ia] != kinds[ib]
-    ia, ib = ia[cross], ib[cross]
-
-    p, j, k = _first_flips(rr, have, ia, ib)
-    a, b = ia[p], ib[p]
+    a, b, j, k = _first_flips(rr, have, kinds, end)
     # the same subtraction, entry by entry, as inside _first_flips
     prev_d, dk = (rr[a, j] - rr[b, j]).tolist(), (rr[a, k] - rr[b, k]).tolist()
     z_values = z_values.tolist()
