@@ -601,29 +601,27 @@ def _group_codes(*columns) -> np.ndarray:
 _PAIR_BLOCK_ENTRIES = 1 << 19
 
 
-def _first_flips(rr: np.ndarray, have: np.ndarray, kinds: np.ndarray, end: np.ndarray):
-    """(a, b, j, k) for each pair of rows a < b < end[a] of different kinds
-    whose difference d = rr[a] - rr[b] changes sign over the ranges both
-    have: k is the first such range, j the shared range before it.  A zero
-    d never starts a flip.  Pairs go in row-major order, in blocks that
-    bound the temporaries; a block's pairs are made from their numbers.
+def _first_flips(rr: np.ndarray, have: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """(a, b, j, k) for each pair of rows a, lo[a] <= b < hi[a], whose
+    difference d = rr[a] - rr[b] changes sign over the ranges both have: k
+    is the first such range, j the shared range before it.  A zero d never
+    starts a flip.  Pairs go in order of a, then b, in blocks that bound
+    the temporaries; a block's pairs are made from their numbers.
     """
     full = have.all(axis=1)
     # 2 * range index + (d > 0) at a shared range, -1 elsewhere; its running
     # maximum holds the last shared range and the sign of d there
     twice = np.arange(0, 2 * rr.shape[1], 2, dtype=np.min_scalar_type(-2 * rr.shape[1]))
-    partners = end - np.arange(len(end)) - 1
+    partners = hi - lo
     first = np.cumsum(partners) - partners  # the number of each row's first pair
     n_pairs = int(partners.sum())
     step = max(1, _PAIR_BLOCK_ENTRIES // rr.shape[1])
-    found = [(end[:0],) * 4]  # so that no pairs give four empty columns
+    found = [(lo[:0],) * 4]  # so that no pairs give four empty columns
     for start in range(0, n_pairs, step):
         pair = np.arange(start, min(start + step, n_pairs))
         # rows without partners share the next row's first number
         a = np.searchsorted(first, pair, side="right") - 1
-        b = a + 1 + pair - first[a]
-        cross = kinds[a] != kinds[b]
-        a, b = a[cross], b[cross]
+        b = lo[a] + pair - first[a]
         d = rr[a] - rr[b]
         pos = d > 0
         if full[a].all() and full[b].all():
@@ -689,11 +687,14 @@ def find_crossovers(columns) -> list[dict]:
     have = np.zeros(rr.shape, dtype=bool)
     rr[row, z_index] = np.asarray(columns["rr_per_m"])[ok]
     have[row, z_index] = True
-    # pairs of rows under one transmitter: rows from `end` on belong to the next
+    # a row's partners are the rows of later design kinds under its
+    # transmitter: from the next (transmitter, kind) group to the next
+    # transmitter, as the rows sort by kind within a transmitter
     tx_row = keys // n_rx
-    end = np.searchsorted(tx_row, tx_row, side="right")
     kinds = rx_kind[keys % n_rx]
-    a, b, j, k = _first_flips(rr, have, kinds, end)
+    group = tx_row * len(rx_kind) + np.unique(kinds, return_inverse=True)[1]
+    a, b, j, k = _first_flips(rr, have, np.searchsorted(group, group, side="right"),
+                              np.searchsorted(tx_row, tx_row, side="right"))
     # the same subtraction, entry by entry, as inside _first_flips
     prev_d, dk = (rr[a, j] - rr[b, j]).tolist(), (rr[a, k] - rr[b, k]).tolist()
     z_values = z_values.tolist()

@@ -629,10 +629,10 @@ def test_crossover_blocks_do_not_change_results(monkeypatch, entries):
 
 
 def test_crossover_blocks_inside_and_across_transmitters(monkeypatch):
-    # three transmitters with six receiver pairs each (five of different
-    # kinds), in one pass over all 18 pairs: blocks of any size but 6, 12 or
-    # 18 and more put a boundary inside a transmitter, and blocks of 7 or
-    # more hold pairs of two or three
+    # three transmitters with five cross-kind receiver pairs each, in one
+    # pass over all 15 pairs: blocks of any size but 5, 10 or 15 and more put
+    # a boundary inside a transmitter, and blocks of 6 or more hold pairs of
+    # two or three
     txs = [tx(m=m, w0=w0) for m, w0 in ((1.0, 5e-3), (2.0, 5e-3), (1.0, 2e-3))]
     rxs = [rx(DesignKind.RETROREFLECTIVE), rx(DesignKind.RECEIVER_ARRAY, n=8),
            rx(DesignKind.SINGLE_DETECTOR), rx(DesignKind.SINGLE_DETECTOR, a=0.05, u=0.012)]
@@ -640,7 +640,7 @@ def test_crossover_blocks_inside_and_across_transmitters(monkeypatch):
     columns = sweep(txs, rxs, zs)
     want = json.dumps(_find_crossovers_ref(_sweep_ref(txs, rxs, zs)))
     assert len({c["M"] * c["w0_m"] for c in json.loads(want)}) == 3
-    for pairs_per_block in range(1, 20):
+    for pairs_per_block in range(1, 17):
         monkeypatch.setattr(optics, "_PAIR_BLOCK_ENTRIES", pairs_per_block * len(zs))
         assert json.dumps(find_crossovers(columns)) == want, pairs_per_block
 
