@@ -647,8 +647,8 @@ def test_crossover_blocks_inside_and_across_transmitters(monkeypatch):
 
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])
 def test_written_csv_is_the_formatted_text(tmp_path, monkeypatch, block_rows):
-    # sentinel rows, the same rows shuffled into one-row runs, and a grid
-    # with no crossovers, written in blocks that end inside runs
+    # sentinel rows, the same rows shuffled (runs of mostly one row), and a
+    # grid with no crossovers, written in blocks that end inside runs
     monkeypatch.setattr(optics, "_CSV_BLOCK_ROWS", block_rows)
     txs, rxs, zs = _reference_grid(5)
     grids = [sweep(txs, rxs, zs),

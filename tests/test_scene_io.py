@@ -309,7 +309,7 @@ def test_render_matches_per_pixel_shading_reference(monkeypatch):
         for fa, fb in zip(a.frames, b.frames):
             assert fa.rgb.tobytes() == fb.rgb.tobytes()
             assert fa.depth_gt.tobytes() == fb.depth_gt.tobytes()
-    # the first scene's noise plane repeats its tile, which is cached read-only
+    # noise tiles are cached across renders, so they are read-only
     assert not scene_io._noise_tile(3, 0).flags.writeable
 
 
