@@ -78,8 +78,10 @@ from .scene_io import (
 # unused here: bound so the benchmark's span tracer can patch them (bench/workloads.py CLI_TRACED)
 from .foveation import update_and_detect  # noqa: F401
 from .lidar_sim import capture  # noqa: F401
-from .optics import format_sweep_csv  # noqa: F401
 from .scan_engine import gen_entropy_adaptive, gen_foveated, gen_full_fov  # noqa: F401
+# bound only because the tracer looks up every name it lists; optics-sweep
+# writes through write_sweep_csv, so a span on this name times nothing
+from .optics import format_sweep_csv  # noqa: F401
 
 ROI_TRACE_HEADER = "frame,x0,y0,x1,y1,area_px"
 

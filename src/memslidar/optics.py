@@ -479,7 +479,6 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     def per_rx(values):
         return np.tile(np.repeat(values, len(z)), len(tx_grid))
 
-    retro = per_rx([rx.design_kind == DesignKind.RETROREFLECTIVE for rx in rx_grid])
     return {
         "design_kind": per_rx([rx.design_kind.value for rx in rx_grid]),
         "M": per_tx([tx.beam_quality_m for tx in tx_grid]),
@@ -488,8 +487,11 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
         "n": per_rx([rx.detector_count_n for rx in rx_grid]),
         # Effective aperture: the retro design receives through the
         # mirror, so its aperture column reports the waist.
-        "A_m": np.where(retro, per_tx([tx.waist_radius_m for tx in tx_grid]),
-                        per_rx([rx.aperture_m for rx in rx_grid])),
+        "A_m": np.repeat([
+            tx.waist_radius_m if rx.design_kind == DesignKind.RETROREFLECTIVE
+            else rx.aperture_m
+            for tx, rx in pairs
+        ], len(z)),
         "u_m": per_rx([rx.image_distance_m for rx in rx_grid]),
         "f_m": per_rx([rx.focal_length_m for rx in rx_grid]),
         "Z_m": np.tile(z, len(pairs)),
@@ -608,7 +610,6 @@ def _first_flips(rr: np.ndarray, have: np.ndarray, lo: np.ndarray, hi: np.ndarra
     starts a flip.  Pairs go in order of a, then b, in blocks that bound
     the temporaries; a block's pairs are made from their numbers.
     """
-    full = have.all(axis=1)
     # 2 * range index + (d > 0) at a shared range, -1 elsewhere; its running
     # maximum holds the last shared range and the sign of d there
     twice = np.arange(0, 2 * rr.shape[1], 2, dtype=np.min_scalar_type(-2 * rr.shape[1]))
@@ -624,17 +625,12 @@ def _first_flips(rr: np.ndarray, have: np.ndarray, lo: np.ndarray, hi: np.ndarra
         b = lo[a] + pair - first[a]
         d = rr[a] - rr[b]
         pos = d > 0
-        if full[a].all() and full[b].all():
-            # every range is shared, so the one before k is k - 1
-            last = None
-            flips = (d[:, 1:] != 0) & (pos[:, 1:] != pos[:, :-1])
-        else:
-            shared = have[a] & have[b]
-            last = np.maximum.accumulate(np.where(shared, twice + pos, -1), axis=1)[:, :-1]
-            flips = shared[:, 1:] & (d[:, 1:] != 0) & (last >= 0) & ((last & 1) != pos[:, 1:])
+        shared = have[a] & have[b]
+        last = np.maximum.accumulate(np.where(shared, twice + pos, -1), axis=1)[:, :-1]
+        flips = shared[:, 1:] & (d[:, 1:] != 0) & (last >= 0) & ((last & 1) != pos[:, 1:])
         hit = np.flatnonzero(flips.any(axis=1))
         k = flips[hit].argmax(axis=1)
-        found.append((a[hit], b[hit], k if last is None else last[hit, k] >> 1, k + 1))
+        found.append((a[hit], b[hit], last[hit, k] >> 1, k + 1))
     return [np.concatenate(column) for column in zip(*found)]
 
 

@@ -682,3 +682,21 @@ def test_crossover_range_in_no_bracket_needs_no_log():
     crossings = find_crossovers(columns)
     assert json.dumps(crossings) == json.dumps(_find_crossovers_ref(rows))
     assert [(c["z_lo_m"], c["z_hi_m"]) for c in crossings] == [(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("kinds", [
+    (DesignKind.RETROREFLECTIVE,), (DesignKind.RECEIVER_ARRAY,),
+    (DesignKind.SINGLE_DETECTOR,), tuple(DesignKind),
+])
+def test_sweep_dtypes_follow_spec_types(kinds):
+    # the specs keep values as given, and each design column takes the
+    # dtype of an array of its rows' values: an int M makes an int64
+    # column, and a float32 aperture a float32 A_m where no retro waist
+    # joins it
+    txs = [tx(m=2, w0=2e-3), tx(m=3, w0=1e-3)]
+    rxs = [rx(kind, a=np.float32(0.05)) for kind in kinds]
+    zs = [1.0, 10.0]
+    columns = sweep(txs, rxs, zs)
+    rows = _sweep_ref(txs, rxs, zs)
+    for name in optics._DESIGN_FIELDS:
+        assert columns[name].dtype == np.array([row[name] for row in rows]).dtype, name
