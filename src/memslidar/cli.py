@@ -1,9 +1,9 @@
 """Command-line front end for the simulator.
 
 Subcommands cover the pipeline end to end: optics-sweep, fit-budget,
-gen-scene, scan, capture, fovea, complete, eval.  Per-frame pattern,
-capture and completion run through `memslidar.pipeline`; this module
-parses flags, builds each config from them once, and writes the files.
+gen-scene, scan, capture, fovea, complete, eval, fps-sweep.  Per-frame
+pattern, capture and completion run through `memslidar.pipeline`; this
+module parses flags, builds each config from them once, and writes the files.
 Lengths are taken in millimeters (wavelength in micrometers, angles in
 degrees) and converted to SI internally.  Every run writes run.json with
 the fully resolved configuration into its output directory.
@@ -203,14 +203,18 @@ def _background_model(args) -> BackgroundModel:
                            min_blob_area_px=args.min_blob_area, margin_px=args.margin)
 
 
-def _fixed_roi(args, regime: Regime) -> ROI | None:
-    """The fixed --roi; only the foveated regime reads one."""
-    if not args.roi:
+def _fixed_roi(args, text: str, motion: bool = False) -> ROI | None:
+    """The fixed ROI `text` names, if any.  Only the foveated regime reads an
+    ROI, and it needs exactly one: a fixed one, or capture's motion ROIs."""
+    if args.regime != "foveated":
+        if text or motion:
+            raise UsageError(f"{'--roi' if text else 'a motion ROI'} is read only by the "
+                             f"foveated regime, not by {args.regime}")
         return None
-    if regime != Regime.FOVEATED_ROI:
-        raise UsageError(f"--roi is read only by the foveated regime, not by {args.regime}")
-    x0, y0, x1, y1 = _parse_roi(args.roi)
-    return ROI(x0, y0, x1, y1, args.inside_density, args.outside_density)
+    if bool(text) == motion:
+        raise UsageError("--roi-mode motion tracks its own ROI; it takes no fixed --roi"
+                         if motion else "foveated regime needs --roi")
+    return ROI(*_parse_roi(text), args.inside_density, args.outside_density) if text else None
 
 
 # ---------- optics-sweep ----------
@@ -390,23 +394,19 @@ _REGIME_FLAG = {
 
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
-    roi = _fixed_roi(args, regime)
-    if args.scene:
+    roi = _fixed_roi(args, args.roi)
+    if not args.scene:
+        if not args.dims:
+            raise UsageError("scan needs --scene or --dims")
+        if regime == Regime.ENTROPY_ADAPTIVE:
+            raise UsageError("entropy regime needs --scene for the guide image")
+        dims, fov_deg, guides = _parse_dims(args.dims), args.mirror_fov_deg, [(0, None)]
+    else:
         seq = load_scene(args.scene)
         dims = (seq.meta.width, seq.meta.height)
         fov_deg = seq.meta.mirror_fov_deg
         guides = [(frame.frame_index, frame.rgb) for frame in seq.frames]
-    else:
-        if not args.dims:
-            raise UsageError("scan needs --scene or --dims")
-        dims = _parse_dims(args.dims)
-        fov_deg = args.mirror_fov_deg
-        guides = [(0, None)]
     model = _mirror_model(args, fov_deg)
-    if regime == Regime.FOVEATED_ROI and roi is None:
-        raise UsageError("foveated regime needs --roi")
-    if regime == Regime.ENTROPY_ADAPTIVE and not args.scene:
-        raise UsageError("entropy regime needs --scene for the guide image")
     if regime != Regime.ENTROPY_ADAPTIVE:
         guides = guides[:1]  # pattern is frame-independent; one file is enough
 
@@ -430,13 +430,7 @@ def cmd_scan(args) -> int:
 def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion" or args.roi_mode == "motion"
-    if motion and regime != Regime.FOVEATED_ROI:
-        raise UsageError(f"motion ROIs are read only by the foveated regime, not by {args.regime}")
-    fixed_roi = None if args.roi == "auto-motion" else _fixed_roi(args, regime)
-    if fixed_roi is not None and motion:
-        raise UsageError("--roi-mode motion tracks its own ROI; it takes no fixed --roi")
-    if regime == Regime.FOVEATED_ROI and fixed_roi is None and not motion:
-        raise UsageError("foveated regime needs --roi")
+    fixed_roi = _fixed_roi(args, "" if args.roi == "auto-motion" else args.roi, motion)
     seq = load_scene(args.scene)
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
     cap_cfg = _capture_config(args, seq.meta)
@@ -476,13 +470,13 @@ def cmd_capture(args) -> int:
 # ---------- fovea ----------
 
 def cmd_fovea(args) -> int:
+    roi_dims = _parse_dims(args.roi_dims) if args.mode == "entropy" else None
     seq = load_scene(args.scene)
     lines = [ROI_TRACE_HEADER]
-    if args.mode == "motion":
+    if roi_dims is None:  # motion
         rois = track_motion(seq.frames, _background_model(args))
-    else:  # entropy
-        rw, rh = _parse_dims(args.roi_dims)
-        rois = [max_entropy_roi(entropy_map(f.rgb, args.window_px), (rw, rh)) for f in seq.frames]
+    else:
+        rois = [max_entropy_roi(entropy_map(f.rgb, args.window_px), roi_dims) for f in seq.frames]
     for frame, roi in zip(seq.frames, rois):
         if roi is None:
             lines.append(f"{frame.frame_index},,,,,")
@@ -544,8 +538,8 @@ def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | N
             ran_in = Path(*here[:-len(tail)]) if tail and here[-len(tail):] == tail else Path()
             path = ran_in / sparse / "capture_summary.json"
     if not path.is_file():
-        raise UsageError("--roi-only needs a capture_summary.json next to --pred or reachable "
-                         "through its run.json")
+        raise MalformedCaptureSummary(f"{path}: not found; --roi-only needs a capture summary "
+                                      "next to --pred or reachable through its run.json")
     rows = read_json(path, MalformedCaptureSummary)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise MalformedCaptureSummary(f"{path}: expected a list of objects, one per frame")
@@ -566,29 +560,14 @@ def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | N
     return rois
 
 
-def cmd_eval(args, sweep_only: dict[str, tuple[str, object]]) -> int:
-    """Score --pred, or run --fps-sweep.  `sweep_only` maps the dest of each
-    flag that only the sweep reads to its option and default; the parser
-    leaves an absent one off `args`, and without the sweep a given one is a
-    usage error."""
-    given = [option for dest, (option, _) in sweep_only.items() if hasattr(args, dest)]
-    for dest, (_, default) in sweep_only.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
-    if args.fps_sweep:
-        return _eval_fps_sweep(args)
-    if given:
-        raise UsageError(f"{', '.join(given)} set up --fps-sweep's captures; "
-                         "eval without --fps-sweep takes none")
+def cmd_eval(args) -> int:
+    """Score --pred against the scene's ground truth: over --roi, over each
+    frame's ROI recorded at capture (--roi-only), or over the whole frame."""
+    roi = ROI(*_parse_roi(args.roi)) if args.roi else None
     seq = load_scene(args.scene)
-    if not args.pred:
-        raise UsageError("eval needs --pred (or --fps-sweep)")
     pred_dir = Path(args.pred)
-    if args.roi and args.roi_only:
-        raise UsageError("--roi and --roi-only are mutually exclusive")
     rects = {}  # frame index -> scored rectangle; a frame without one scores in full
-    if args.roi:
-        roi = ROI(*_parse_roi(args.roi))
+    if roi is not None:
         roi.validate_bounds(seq.meta.width, seq.meta.height)
         rects = {frame.frame_index: (roi.x0, roi.y0, roi.x1, roi.y1) for frame in seq.frames}
     elif args.roi_only:
@@ -624,20 +603,20 @@ def cmd_eval(args, sweep_only: dict[str, tuple[str, object]]) -> int:
     return 0
 
 
-def _eval_fps_sweep(args) -> int:
-    """Capture + complete + evaluate at each frame rate; one CSV row per rate."""
-    for flag, given in (("--pred", args.pred), ("--roi", args.roi), ("--roi-only", args.roi_only)):
-        if given:
-            raise UsageError(f"--fps-sweep scores its own captures; it takes no {flag}")
+# ---------- fps-sweep ----------
+
+def cmd_fps_sweep(args) -> int:
+    """Capture + complete + evaluate at each --fps rate; one CSV row per rate."""
+    rates = _floats(args.fps)
     seq = load_scene(args.scene)
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
     cap_cfg = _capture_config(args, seq.meta)
     params = _fill_params(args)
     no_rois = [None] * len(seq.frames)
     lines = ["fps,budget,samples_per_frame," + METRICS_CSV_HEADER]
-    for fps in _floats(args.fps_sweep):
+    for fps in rates:
         results = _run_frames(args, seq, no_rois, Regime.FULL_FOV, model, fps, cap_cfg, params)
-        # run_frame's depth is the millimetre depth `complete` writes, as `eval --pred` reads
+        # run_frame's depth is the millimetre depth `complete` writes, as `eval` reads
         report = _pooled_report([(pred, f.depth_gt) for (_, pred), f in zip(results, seq.frames)])
         mean_samples = sum(len(sparse.samples) for sparse, _ in results) / len(seq.frames)
         lines.append(
@@ -652,18 +631,23 @@ def _eval_fps_sweep(args) -> int:
 
 # ---------- parser ----------
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
-    return [
-        p.add_argument("--sample-rate-hz", type=float, default=None,
-                       help="mirror sample rate; default: fitted reference timing"),
-        p.add_argument("--overhead-ms", type=float, default=None,
-                       help="per-frame settle overhead; default: fitted reference timing"),
-        p.add_argument("--fps", type=float, default=6.0),
-        p.add_argument("--seed", type=int, default=0),
-    ]
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a UsageError, reported by `main` like any other."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _add_timing_flags(p: argparse.ArgumentParser):
+    p.add_argument("--sample-rate-hz", type=float, default=None,
+                   help="mirror sample rate; default: fitted reference timing")
+    p.add_argument("--overhead-ms", type=float, default=None,
+                   help="per-frame settle overhead; default: fitted reference timing")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_pattern_flags(p: argparse.ArgumentParser):
+    p.add_argument("--fps", type=float, default=6.0)
     p.add_argument("--regime", choices=sorted(_REGIME_FLAG), default="full")
     p.add_argument("--roi", default="",
                    help="x0,y0,x1,y1 in pixels; capture also accepts "
@@ -683,27 +667,22 @@ def _add_motion_flags(p: argparse.ArgumentParser):
     p.add_argument("--margin", type=int, default=10)
 
 
-def _add_capture_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
-    return [
-        p.add_argument("--z-max-m", type=float, default=None,
-                       help="range gate; default: scene metadata"),
-        p.add_argument("--noise-coeff", type=float, default=CaptureConfig().noise_coeff),
-        p.add_argument("--dot-sr", type=float, default=CaptureConfig().dot_solid_angle_sr),
-    ]
+def _add_capture_flags(p: argparse.ArgumentParser):
+    p.add_argument("--z-max-m", type=float, default=None,
+                   help="range gate; default: scene metadata")
+    p.add_argument("--noise-coeff", type=float, default=CaptureConfig().noise_coeff)
+    p.add_argument("--dot-sr", type=float, default=CaptureConfig().dot_solid_angle_sr)
 
 
-def _add_completion_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
-    return [
-        p.add_argument("--sigma-spatial-px", type=float, default=12.0),
-        p.add_argument("--sigma-color", type=float, default=20.0,
-                       help="<= 0 disables color guidance"),
-        p.add_argument("--k-neighbors", type=int, default=16),
-        p.add_argument("--fallback", choices=["nearest", "mean"], default="nearest"),
-    ]
+def _add_completion_flags(p: argparse.ArgumentParser):
+    p.add_argument("--sigma-spatial-px", type=float, default=12.0)
+    p.add_argument("--sigma-color", type=float, default=20.0, help="<= 0 disables color guidance")
+    p.add_argument("--k-neighbors", type=int, default=16)
+    p.add_argument("--fallback", choices=["nearest", "mean"], default="nearest")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="memslidar",
         description="Adaptive scanned-lidar design explorer and frame simulator.",
     )
@@ -754,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default="", help="scene dir (entropy source / dims)")
     p.add_argument("--dims", default="", help="WxH when no scene is given")
     p.add_argument("--mirror-fov-deg", type=float, default=25.0)
-    _add_engine_flags(p)
+    _add_timing_flags(p)
     _add_pattern_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
@@ -763,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--roi-mode", choices=["fixed", "motion"], default="fixed")
     p.add_argument("--jobs", type=int, default=1)
-    _add_engine_flags(p)
+    _add_timing_flags(p)
     _add_pattern_flags(p)
     _add_motion_flags(p)
     _add_capture_flags(p)
@@ -789,20 +768,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score predictions against scene ground truth")
     p.add_argument("--scene", required=True)
-    p.add_argument("--pred", default="", help="dir of 16-bit depth pgm predictions")
-    p.add_argument("--roi", default="", help="restrict scoring to x0,y0,x1,y1")
-    p.add_argument("--roi-only", action="store_true",
-                   help="restrict scoring to each frame's ROI recorded at capture")
-    p.add_argument("--fps-sweep", default="",
-                   help="fps list; runs capture+complete+eval per rate instead of --pred")
-    sweep_only = {}
-    for action in (p.add_argument("--jobs", type=int, default=1), *_add_engine_flags(p),
-                   *_add_capture_flags(p), *_add_completion_flags(p)):
-        # told by presence, not value: `--jobs 1` is given though it is the default
-        sweep_only[action.dest] = (action.option_strings[0], action.default)
-        action.default = argparse.SUPPRESS
+    p.add_argument("--pred", required=True, help="dir of 16-bit depth pgm predictions")
+    roi = p.add_mutually_exclusive_group()
+    roi.add_argument("--roi", default="", help="restrict scoring to x0,y0,x1,y1")
+    roi.add_argument("--roi-only", action="store_true",
+                     help="restrict scoring to each frame's ROI recorded at capture")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=partial(cmd_eval, sweep_only=sweep_only))
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("fps-sweep", help="capture, complete and score a scene at each frame rate")
+    p.add_argument("--scene", required=True)
+    p.add_argument("--fps", required=True, help="comma-separated frame rates, one CSV row each")
+    p.add_argument("--jobs", type=int, default=1)
+    _add_timing_flags(p)
+    _add_capture_flags(p)
+    _add_completion_flags(p)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_fps_sweep)
 
     return parser
 
@@ -814,8 +796,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)

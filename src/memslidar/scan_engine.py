@@ -302,13 +302,15 @@ def _fit_line(points, x, const: float, error: type[Exception], noun: str, flat: 
     The one two-parameter fit of the package: `fit_budget` and
     `lidar_sim.fit_calibration` differ only in x, the constant column and
     the error they raise, with `noun` or `flat` as its message, for fewer
-    than two points or points that share one x.
+    than two points, a non-finite point or x, or points that share one x.
     """
     points = [(float(p), float(y)) for p, y in points]
     if len(points) < 2:
         raise error(f"need >= 2 {noun}, got {len(points)}")
     xs = np.array([x(p) for p, _ in points])
     ys = np.array([y for _, y in points])
+    if not (np.isfinite(points).all() and np.isfinite(xs).all()):
+        raise error(f"{noun} must be finite, got {points}")
     if np.ptp(xs) == 0.0:
         raise error(flat)
     design = np.stack([xs, np.full_like(xs, const)], axis=1)
@@ -322,6 +324,9 @@ def fit_budget(observations) -> BudgetFit:
     The model is linear once rewritten as samples = rate/fps - rate*overhead,
     so an ordinary least-squares solve recovers both parameters.
     """
+    observations = [(float(fps), n) for fps, n in observations]
+    if any(fps <= 0.0 for fps, _ in observations):
+        raise SingularFit(f"every observation's fps must be > 0, got {observations}")
     rate, rate_x_overhead, residuals = _fit_line(
         observations, lambda fps: 1.0 / fps, -1.0, SingularFit, "observations",
         "all observations share one fps; overhead is unidentifiable",

@@ -178,8 +178,8 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["complete", "--scene", "SCENE", "--sparse", "SPARSE", "--k-neighbors", "0"],
     ["eval", "--scene", "SCENE"],
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--roi", "0,0,500,500"],
+    # eval takes no --fps-sweep: the frame-rate study is its own subcommand
     ["eval", "--scene", "SCENE", "--fps-sweep", "62"],
-    # --fps-sweep captures and completes its own frames
     ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--pred", "SPARSE"],
     ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--roi", "0,0,5,5"],
     ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--roi-only"],
@@ -204,6 +204,28 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--fps", "6"],
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--fallback", "nearest"],
     ["eval", "--scene", "SCENE", "--pred", "SPARSE", "--noise-c", "0.001"],
+    # fit-budget: a zero, non-finite or negative fps fails before any arithmetic
+    ["fit-budget", "--pairs", "0:5,10:7"],
+    ["fit-budget", "--pairs", "nan:5,10:7"],
+    ["fit-budget", "--pairs=-5:5,10:7"],
+    # a malformed flag or a flag conflict wins over a missing scene
+    ["eval", "--scene", "NOPE", "--pred", "SPARSE", "--roi", "bad"],
+    ["fovea", "--scene", "NOPE", "--mode", "entropy", "--roi-dims", "bad"],
+    ["fps-sweep", "--scene", "NOPE", "--fps", "x"],
+    ["scan", "--scene", "NOPE", "--regime", "foveated"],
+    ["eval", "--scene", "NOPE"],
+    ["eval", "--scene", "NOPE", "--pred", "SPARSE", "--roi", "0,0,2,2", "--roi-only"],
+    # fps-sweep captures and completes its own frames
+    ["fps-sweep", "--scene", "SCENE", "--fps", "62"],
+    ["fps-sweep", "--scene", "SCENE", "--fps", "30", "--pred", "SPARSE"],
+    ["fps-sweep", "--scene", "SCENE", "--fps", "30", "--roi", "0,0,5,5"],
+    ["fps-sweep", "--scene", "SCENE", "--fps", "30", "--roi-only"],
+    ["fps-sweep", "--scene", "SCENE", "--fps", "30", "--jobs", "0"],
+    # argparse's own errors: bad choice, bad int, unknown flag, missing flag
+    ["capture", "--scene", "SCENE", "--regime", "bogus"],
+    ["capture", "--scene", "SCENE", "--jobs", "x"],
+    ["optics-sweep", "--bogus"],
+    ["fps-sweep", "--scene", "SCENE"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -218,6 +240,8 @@ def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     ["complete", "--scene", "SCENE", "--sparse", "NOPE"],
     ["eval", "--scene", "NOPE", "--pred", "SPARSE"],
     ["eval", "--scene", "SCENE", "--pred", "NOPE"],
+    # no capture summary beside the prediction or behind its run.json
+    ["eval", "--scene", "SCENE", "--pred", "SCENE", "--roi-only"],
 ], ids=" ".join)
 def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
@@ -270,12 +294,33 @@ def test_jobs_capped_at_frame_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     scene = make_scene(tmp_path, "moving-box", 2)
-    for command in (["capture", "--fps", "30"], ["eval", "--fps-sweep", "30,6"]):
+    for command in (["capture", "--fps", "30"], ["fps-sweep", "--fps", "30,6"]):
         out = tmp_path / command[0]
         assert run(*command, "--scene", scene, "--jobs", "64", "--out", out) == 0
     assert run("complete", "--scene", scene, "--sparse", tmp_path / "capture",
                "--jobs", "64", "--out", tmp_path / "pred") == 0
     assert sizes == [2, 2, 2, 2]
+
+
+def test_usage_checks_come_before_any_file_is_read():
+    # a usage error wins over a data error: in every command, each flag parse
+    # and usage check comes before the first file read
+    reads = {"load_scene", "load_sparse", "load_spec", "read_json", "read_pgm16"}
+    checks = {"_parse_roi", "_parse_dims", "_floats", "_range_grid", "_fixed_roi"}
+
+    def called(node):
+        call = node.exc if isinstance(node, ast.Raise) else node
+        return isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    late = []
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_"):
+            nodes = [n for n in ast.walk(func) if isinstance(n, (ast.Call, ast.Raise))]
+            first_read = min((n.lineno for n in nodes if called(n) in reads), default=math.inf)
+            late += [f"{func.name}:{n.lineno}" for n in nodes if n.lineno > first_read and (
+                called(n) in checks if isinstance(n, ast.Call) else called(n) == "UsageError")]
+    assert not late
 
 
 def test_cli_binds_every_name_the_benchmark_traces():
@@ -463,6 +508,14 @@ def test_fit_budget_bad_pairs_exit_2(tmp_path):
     assert run("fit-budget", "--pairs", "30,28", "--out", tmp_path / "a") == 2
     # two fps values, identical: singular system
     assert run("fit-budget", "--pairs", "10:5,10:7", "--out", tmp_path / "b") == 2
+
+
+def test_fit_budget_non_finite_pair_prints_one_line(tmp_path, capfd):
+    # checked before the solve, so LAPACK prints nothing to the process's stdout
+    capfd.readouterr()
+    assert run("fit-budget", "--pairs", "nan:5,10:7", "--out", tmp_path / "fit") == 2
+    out, err = capfd.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("usage error:"), err
 
 
 def test_gen_scene_preset_loads(tmp_path):
@@ -781,7 +834,7 @@ def test_fovea_entropy_trace(tmp_path):
 def test_eval_fps_sweep(tmp_path):
     scene = make_scene(tmp_path, "plane", "1")
     out = tmp_path / "sweep"
-    assert run("eval", "--scene", scene, "--fps-sweep", "30,6", "--out", out) == 0
+    assert run("fps-sweep", "--scene", scene, "--fps", "30,6", "--out", out) == 0
     lines = (out / "fps_sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("30,27,")
@@ -794,7 +847,7 @@ def test_fps_sweep_scores_like_capture_complete_eval(tmp_path):
     assert run("capture", "--scene", scene, "--fps", "6", "--out", cap) == 0
     assert run("complete", "--scene", scene, "--sparse", cap, "--out", pred) == 0
     assert run("eval", "--scene", scene, "--pred", pred, "--out", tmp_path / "ev") == 0
-    assert run("eval", "--scene", scene, "--fps-sweep", "6", "--out", tmp_path / "sw") == 0
+    assert run("fps-sweep", "--scene", scene, "--fps", "6", "--out", tmp_path / "sw") == 0
     on_disk = (tmp_path / "ev" / "metrics.csv").read_text().strip().splitlines()[-1]
     swept = (tmp_path / "sw" / "fps_sweep.csv").read_text().strip().splitlines()[-1]
     assert on_disk.startswith("all,") and swept.startswith("6,230,230,")
@@ -861,9 +914,7 @@ def test_shared_parser_gives_the_same_bytes_on_every_call(tmp_path, capsys):
             for p in (tmp_path / name).iterdir()}
 
     first = sweep_outputs("a")
-    with pytest.raises(SystemExit) as exc:
-        main(["optics-sweep", "--bogus"])
-    assert exc.value.code == 2
+    assert main(["optics-sweep", "--bogus"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0

@@ -248,6 +248,12 @@ def test_fit_calibration_singular_cases():
         fit_calibration([(1.0, 2.0), (1.0, 3.0)])
 
 
+@pytest.mark.parametrize("pair", [(math.nan, 2.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_fit_calibration_rejects_non_finite_pairs(pair):
+    with pytest.raises(SingularFit):
+        fit_calibration([pair, (2.0, 3.0)])
+
+
 def test_raw_volts_use_identity_calibration_by_default():
     frame = _plane(2.0)
     pattern = gen_full_fov(model_with_budget(30), 10.0, (64, 48))

@@ -99,6 +99,13 @@ def test_fit_budget_singular_cases():
         fit_budget([(10.0, 100), (10.0, 120)])
 
 
+@pytest.mark.parametrize("fps", [0.0, -5.0, -math.inf, math.nan, math.inf, 1e-320])
+def test_fit_budget_rejects_fps_without_a_finite_period(fps):
+    # typed, before any arithmetic: no ZeroDivisionError and no LAPACK solve
+    with pytest.raises(SingularFit):
+        fit_budget([(fps, 5), (10.0, 7)])
+
+
 def test_mirror_model_validation():
     with pytest.raises(ValueError):
         MirrorModel(fov_rad=0.0)
