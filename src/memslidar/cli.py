@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -177,13 +176,13 @@ def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, par
 
 
 def _mirror_model(args, fov_deg: float) -> MirrorModel:
-    if args.sample_rate_hz is None and args.overhead_ms is None:
-        return reference_mirror_model(math.radians(fov_deg))
-    rate = args.sample_rate_hz if args.sample_rate_hz is not None else 1600.0
-    overhead = (args.overhead_ms or 0.0) / 1000.0
-    return MirrorModel(
-        fov_rad=math.radians(fov_deg), sample_rate_hz=rate, frame_overhead_s=overhead
-    )
+    """The fitted reference mirror, with each timing flag given replacing its field."""
+    model = reference_mirror_model(math.radians(fov_deg))
+    if args.sample_rate_hz is not None:
+        model = replace(model, sample_rate_hz=args.sample_rate_hz)
+    if args.overhead_ms is not None:
+        model = replace(model, frame_overhead_s=args.overhead_ms / 1000.0)
+    return model
 
 
 def _capture_config(args, meta: SceneMeta) -> CaptureConfig:
@@ -203,18 +202,17 @@ def _background_model(args) -> BackgroundModel:
                            min_blob_area_px=args.min_blob_area, margin_px=args.margin)
 
 
-def _fixed_roi(args, text: str, motion: bool = False) -> ROI | None:
-    """The fixed ROI `text` names, if any.  Only the foveated regime reads an
-    ROI, and it needs exactly one: a fixed one, or capture's motion ROIs."""
+def _fixed_roi(args, motion: bool = False) -> ROI | None:
+    """The fixed ROI --roi names, if any.  Only the foveated regime reads an
+    ROI, and it needs one: a fixed one, or capture's `auto-motion`."""
     if args.regime != "foveated":
-        if text or motion:
-            raise UsageError(f"{'--roi' if text else 'a motion ROI'} is read only by the "
-                             f"foveated regime, not by {args.regime}")
+        if args.roi:
+            raise UsageError(f"--roi is read only by the foveated regime, not by {args.regime}")
         return None
-    if bool(text) == motion:
-        raise UsageError("--roi-mode motion tracks its own ROI; it takes no fixed --roi"
-                         if motion else "foveated regime needs --roi")
-    return ROI(*_parse_roi(text), args.inside_density, args.outside_density) if text else None
+    if not args.roi:
+        raise UsageError("foveated regime needs --roi")
+    return None if motion else ROI(*_parse_roi(args.roi), args.inside_density,
+                                   args.outside_density)
 
 
 # ---------- optics-sweep ----------
@@ -394,10 +392,8 @@ _REGIME_FLAG = {
 
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
-    roi = _fixed_roi(args, args.roi)
-    if not args.scene:
-        if not args.dims:
-            raise UsageError("scan needs --scene or --dims")
+    roi = _fixed_roi(args)
+    if args.dims:
         if regime == Regime.ENTROPY_ADAPTIVE:
             raise UsageError("entropy regime needs --scene for the guide image")
         dims, fov_deg, guides = _parse_dims(args.dims), args.mirror_fov_deg, [(0, None)]
@@ -429,8 +425,8 @@ def cmd_scan(args) -> int:
 
 def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
-    motion = args.roi == "auto-motion" or args.roi_mode == "motion"
-    fixed_roi = _fixed_roi(args, "" if args.roi == "auto-motion" else args.roi, motion)
+    motion = args.roi == "auto-motion"
+    fixed_roi = _fixed_roi(args, motion)
     seq = load_scene(args.scene)
     model = _mirror_model(args, seq.meta.mirror_fov_deg)
     cap_cfg = _capture_config(args, seq.meta)
@@ -458,9 +454,7 @@ def cmd_capture(args) -> int:
                 "roi": None if roi is None else [roi.x0, roi.y0, roi.x1, roi.y1],
             }
         )
-    (out / "capture_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    (out / "capture_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_run_json(out, args, {"budget": budget(model, args.fps)})
     total = sum(s["n_samples"] for s in summary)
     print(f"captured {len(summary)} frame(s), {total} samples total, to {out}")
@@ -492,9 +486,12 @@ def cmd_fovea(args) -> int:
 # ---------- complete ----------
 
 def cmd_complete(args) -> int:
+    """Complete each captured frame, and copy the capture summary beside the
+    output, so `eval --roi-only` scores the ROIs this prediction was made from."""
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
     params = _fill_params(args)
+    summary = read_json(sparse_dir / "capture_summary.json", MalformedCaptureSummary)
     sparses = [
         load_sparse(sparse_dir / f"{frame.frame_index:04d}.pgm",
                     sparse_dir / f"{frame.frame_index:04d}.json")
@@ -506,6 +503,7 @@ def cmd_complete(args) -> int:
     out = _outdir(args)
     for frame, dense in zip(seq.frames, results):
         write_pgm16(out / f"{frame.frame_index:04d}.pgm", depth_to_millimeters(dense.depth_m))
+    (out / "capture_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_run_json(out, args)
     print(f"completed {len(results)} frame(s) to {out}")
     return 0
@@ -521,25 +519,8 @@ def _pooled_report(pairs):
 
 def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | None]:
     """Per-frame ROI rectangles recorded at capture time, checked against the
-    scene.  Looks next to --pred first, then follows its run.json back to
-    the capture directory, so the flag works on completed output."""
+    scene, from the capture summary beside --pred (`complete` copies it there)."""
     path = pred_dir / "capture_summary.json"
-    run = pred_dir / "run.json"
-    if not path.is_file() and run.is_file():
-        doc = read_json(run, MalformedCaptureSummary)
-        resolved = doc.get("resolved") if isinstance(doc, dict) else None
-        resolved = resolved if isinstance(resolved, dict) else {}
-        sparse, out = resolved.get("sparse"), resolved.get("out")
-        if isinstance(sparse, str) and sparse:
-            # a relative --sparse is relative to where `complete` ran: --pred made
-            # absolute, less the parts of its recorded relative --out
-            here = Path(os.path.abspath(pred_dir)).parts
-            tail = Path(out).parts if isinstance(out, str) else ()
-            ran_in = Path(*here[:-len(tail)]) if tail and here[-len(tail):] == tail else Path()
-            path = ran_in / sparse / "capture_summary.json"
-    if not path.is_file():
-        raise MalformedCaptureSummary(f"{path}: not found; --roi-only needs a capture summary "
-                                      "next to --pred or reachable through its run.json")
     rows = read_json(path, MalformedCaptureSummary)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise MalformedCaptureSummary(f"{path}: expected a list of objects, one per frame")
@@ -661,10 +642,11 @@ def _add_pattern_flags(p: argparse.ArgumentParser):
 
 
 def _add_motion_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--threshold", type=float, default=25.0)
-    p.add_argument("--min-blob-area", type=int, default=100)
-    p.add_argument("--margin", type=int, default=10)
+    bg = BackgroundModel()
+    p.add_argument("--alpha", type=float, default=bg.alpha)
+    p.add_argument("--threshold", type=float, default=bg.diff_threshold)
+    p.add_argument("--min-blob-area", type=int, default=bg.min_blob_area_px)
+    p.add_argument("--margin", type=int, default=bg.margin_px)
 
 
 def _add_capture_flags(p: argparse.ArgumentParser):
@@ -675,10 +657,12 @@ def _add_capture_flags(p: argparse.ArgumentParser):
 
 
 def _add_completion_flags(p: argparse.ArgumentParser):
-    p.add_argument("--sigma-spatial-px", type=float, default=12.0)
-    p.add_argument("--sigma-color", type=float, default=20.0, help="<= 0 disables color guidance")
-    p.add_argument("--k-neighbors", type=int, default=16)
-    p.add_argument("--fallback", choices=["nearest", "mean"], default="nearest")
+    fill = GuidedFillParams()
+    p.add_argument("--sigma-spatial-px", type=float, default=fill.sigma_spatial_px)
+    p.add_argument("--sigma-color", type=float, default=fill.sigma_color,
+                   help="<= 0 disables color guidance")
+    p.add_argument("--k-neighbors", type=int, default=fill.k_neighbors)
+    p.add_argument("--fallback", choices=["nearest", "mean"], default=fill.fallback)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -730,8 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_scene)
 
     p = sub.add_parser("scan", help="emit scan pattern json without capturing")
-    p.add_argument("--scene", default="", help="scene dir (entropy source / dims)")
-    p.add_argument("--dims", default="", help="WxH when no scene is given")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--scene", default="", help="scene dir (entropy source / dims)")
+    size.add_argument("--dims", default="", help="WxH, without a scene")
     p.add_argument("--mirror-fov-deg", type=float, default=25.0)
     _add_timing_flags(p)
     _add_pattern_flags(p)
@@ -740,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capture", help="scan a scene into sparse depth")
     p.add_argument("--scene", required=True)
-    p.add_argument("--roi-mode", choices=["fixed", "motion"], default="fixed")
     p.add_argument("--jobs", type=int, default=1)
     _add_timing_flags(p)
     _add_pattern_flags(p)

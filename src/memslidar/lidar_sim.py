@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import MetricsReport, compute
+from .optics import solid_angle_to_apex
 from .scan_engine import (
     SCAN_SAMPLE_DTYPE,
     Regime,
@@ -60,11 +61,11 @@ class SingularFit(LidarSimError):
 
 
 class MalformedSparse(LidarSimError):
-    """Sparse capture JSON is not JSON, lacks a field, or disagrees with its PGM."""
+    """Sparse capture JSON is not JSON, lacks or mistypes a field, or disagrees with its PGM."""
 
 
 class MalformedCaptureSummary(LidarSimError):
-    """capture_summary.json, or the run.json leading to it, is not JSON or does not fit the scene."""
+    """capture_summary.json is not JSON or does not fit the scene."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class SparseDepth:
 
 def dot_footprint_radius_px(frame: SceneFrame, dot_solid_angle_sr: float) -> float:
     """Dot radius in pixels; constant with range for a co-located camera."""
-    apex = 2.0 * math.acos(1.0 - dot_solid_angle_sr / (2.0 * math.pi))
+    apex = solid_angle_to_apex(dot_solid_angle_sr)
     return max(frame.intrinsics.fx_px * math.tan(apex / 2.0), 1.0)
 
 
@@ -319,6 +320,9 @@ def load_sparse(pgm_path, json_path) -> SparseDepth:
     depth = millimeters_to_depth(read_pgm16(pgm_path))
     doc = read_json(json_path, MalformedSparse)
     try:
+        if (type(doc["fps"]) not in (int, float) or type(doc["drop_count"]) is not int
+                or doc["drop_count"] < 0):
+            raise TypeError("fps must be a number and drop_count an integer >= 0")
         sparse = SparseDepth(
             depth_m=depth,
             samples=records_from_dicts(doc["samples"], DEPTH_SAMPLE_DTYPE),

@@ -1,10 +1,12 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import argparse
 import ast
 import hashlib
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,8 @@ import pytest
 
 from memslidar import cli
 from memslidar.cli import main
+from memslidar.completion import GuidedFillParams
+from memslidar.foveation import BackgroundModel
 from memslidar.scan_engine import ScanPattern
 from memslidar.scene_io import load_scene, read_pgm16, write_pgm16
 
@@ -169,7 +173,8 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "SCENE", "--regime", "foveated"],
     ["capture", "--scene", "SCENE", "--regime", "entropy", "--fps", "63"],
     ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "0,0,40,30", "--fps", "63"],
-    # a fixed ROI is read only by the foveated regime, and motion mode brings its own
+    # a fixed ROI is read only by the foveated regime; --roi-mode, a retired second
+    # spelling of --roi auto-motion, is now an unknown flag
     ["scan", "--dims", "160x120", "--regime", "full", "--roi", "0,0,40,30"],
     ["capture", "--scene", "SCENE", "--regime", "entropy", "--roi", "0,0,40,30"],
     ["capture", "--scene", "SCENE", "--regime", "foveated", "--roi", "0,0,40,30",
@@ -188,7 +193,7 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["eval", "--scene", "SCENE", "--fps-sweep", "30", "--jobs", "0"],
     # motion ROIs, like a fixed one, are read only by the foveated regime
     ["capture", "--scene", "SCENE", "--regime", "entropy", "--roi", "auto-motion"],
-    ["capture", "--scene", "SCENE", "--regime", "full", "--roi-mode", "motion"],
+    ["capture", "--scene", "SCENE", "--regime", "full", "--roi", "auto-motion"],
     # a zero-point grid reaches sweep, which rejects it before --out is made
     ["optics-sweep", "--Z-m", "1:2:lin0"],
     # jobs, engine, capture and completion flags are read only by --fps-sweep
@@ -226,6 +231,9 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "SCENE", "--jobs", "x"],
     ["optics-sweep", "--bogus"],
     ["fps-sweep", "--scene", "SCENE"],
+    # scan takes its image size from exactly one of --scene and --dims
+    ["scan", "--scene", "SCENE", "--dims", "bad"],
+    ["scan", "--fps", "30"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -240,10 +248,17 @@ def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     ["complete", "--scene", "SCENE", "--sparse", "NOPE"],
     ["eval", "--scene", "NOPE", "--pred", "SPARSE"],
     ["eval", "--scene", "SCENE", "--pred", "NOPE"],
-    # no capture summary beside the prediction or behind its run.json
+    # no capture summary beside the prediction
     ["eval", "--scene", "SCENE", "--pred", "SCENE", "--roi-only"],
+    # complete copies its capture's summary, so it reads it before making --out
+    ["complete", "--scene", "SCENE", "--sparse", "BAD_SUMMARY"],
 ], ids=" ".join)
 def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
+    if "BAD_SUMMARY" in argv:  # a capture dir whose summary is not JSON
+        sparse = tmp_path / "cap"
+        shutil.copytree(plane_capture[1], sparse)
+        (sparse / "capture_summary.json").write_text("not json")
+        argv = [sparse if a == "BAD_SUMMARY" else a for a in argv]
     _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
 
 
@@ -457,9 +472,17 @@ def _shift_first_sample(doc, name, edit):
     lambda doc: _shift_first_sample(doc, "range_m", lambda z: str(z)),
     lambda doc: _edit_first_sample(doc, range_m=True),
     lambda doc: _edit_first_sample(doc, t_s=None),
+    # the header is checked like a scan pattern's
+    lambda doc: {**doc, "fps": "x"},
+    lambda doc: {**doc, "fps": None},
+    lambda doc: {**doc, "fps": True},
+    lambda doc: {**doc, "drop_count": -5},
+    lambda doc: {**doc, "drop_count": "many"},
+    lambda doc: {**doc, "drop_count": 1.5},
 ], ids=["no-samples-key", "sample-lacks-range", "not-json", "fractional-pixel",
         "string-pixel", "bool-pixel", "pixel-beyond-int64", "string-range", "bool-range",
-        "null-time"])
+        "null-time", "fps-string", "fps-null", "fps-bool", "drop-count-negative",
+        "drop-count-string", "drop-count-float"])
 def test_complete_malformed_sparse_json_exit_3(tmp_path, capsys, plane_capture, corrupt):
     scene, cap = plane_capture
     sparse = tmp_path / "cap"
@@ -721,7 +744,8 @@ def test_eval_row_layout_and_roi(tmp_path):
 
 
 def test_eval_roi_only_follows_run_json_from_another_directory(tmp_path, monkeypatch):
-    # complete's run.json records --sparse relative to where complete ran
+    # complete copies the capture summary beside its output, so --roi-only
+    # reads it from there whatever directory eval runs in
     monkeypatch.chdir(tmp_path)
     assert run("gen-scene", "--preset", "plane", "--frames", "2", "--out", "scene") == 0
     assert run("capture", "--scene", "scene", "--regime", "foveated",
@@ -760,6 +784,68 @@ def test_eval_roi_only_uses_capture_trace(tmp_path):
         "eval", "--pred", pred, "--scene", scene, "--roi-only",
         "--roi", "0,0,10,10", "--out", tmp_path / "both",
     ) == 2
+
+
+def test_eval_roi_only_scores_the_rois_a_prediction_was_captured_with(tmp_path):
+    # complete copies the capture summary byte for byte, so re-capturing into
+    # the same dir, or deleting its summary, leaves the prediction's ROIs as
+    # they were captured
+    scene = make_scene(tmp_path, "plane", 2)
+    cap, pred = tmp_path / "cap", tmp_path / "pred"
+    capture = ["capture", "--scene", scene, "--regime", "foveated", "--fps", "10", "--out", cap]
+    assert run(*capture, "--roi", "20,30,90,80") == 0
+    assert run("complete", "--sparse", cap, "--scene", scene, "--out", pred) == 0
+    summary = "capture_summary.json"
+    assert (pred / summary).read_bytes() == (cap / summary).read_bytes()
+    assert run(*capture, "--roi", "0,0,40,30") == 0
+    evaluate = ["eval", "--pred", pred, "--scene", scene, "--roi-only", "--out"]
+    assert run(*evaluate, tmp_path / "ev") == 0
+    rows = (tmp_path / "ev" / "metrics.csv").read_text().strip().splitlines()[1:-1]
+    assert [int(row.split(",")[-1]) for row in rows] == [70 * 50] * 2
+    (cap / summary).unlink()
+    assert run(*evaluate, tmp_path / "ev2") == 0
+    assert (tmp_path / "ev2" / "metrics.csv").read_bytes() == (
+        tmp_path / "ev" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, fitted", [
+    ("--overhead-ms", "15.495989161577512"),
+    ("--sample-rate-hz", "1527.6715945089757"),
+])
+def test_one_timing_flag_keeps_the_other_field_fitted(tmp_path, flag, fitted):
+    # the fitted reference timing gives 230 samples per frame at 6 fps
+    out = tmp_path / "scan"
+    assert run("scan", "--dims", "160x120", "--fps", "6", flag, fitted, "--out", out) == 0
+    assert read_json(out / "run.json")["extra"]["budget"] == 230
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parse = cli._parser().parse_args
+    for argv in (["complete", "--scene", "S", "--sparse", "C", "--out", "O"],
+                 ["fps-sweep", "--scene", "S", "--fps", "6", "--out", "O"]):
+        assert cli._fill_params(parse(argv)) == GuidedFillParams()
+    for argv in (["capture", "--scene", "S", "--out", "O"],
+                 ["fovea", "--scene", "S", "--out", "O"]):
+        assert cli._background_model(parse(argv)) == BackgroundModel()
+
+
+def test_readme_commands_parse():
+    # every memslidar call in README's command-line block parses, and the
+    # block shows every subcommand; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = [shlex.split(line, comments=True)[1:]
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("memslidar ")]
+    bad = []
+    for argv in calls:
+        try:
+            cli._parser().parse_args(argv)
+        except cli.UsageError as exc:
+            bad.append(f"{shlex.join(argv)}: {exc}")
+    assert not bad
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in calls} == set(sub.choices)
 
 
 def test_capture_auto_motion_roi_trace(tmp_path):
