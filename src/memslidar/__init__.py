@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .completion import (
     DenseDepth,
     GuidedFillParams,
-    compare_foveated,
     complete,
     complete_bruteforce,
 )
@@ -34,7 +33,6 @@ from .lidar_sim import (
     SparseDepth,
     capture,
     dot_footprint_radius_px,
-    evaluate_against_reference,
     fit_calibration,
     load_sparse,
     save_sparse,
@@ -65,6 +63,7 @@ from .optics import (
     sweep,
     write_sweep_csv,
 )
+from .pipeline import compare_foveated
 from .scan_engine import (
     ROI,
     SCAN_SAMPLE_DTYPE,

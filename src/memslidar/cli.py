@@ -60,7 +60,6 @@ from .scan_engine import (
 from .scene_io import (
     Primitive,
     SceneIOError,
-    SceneMeta,
     SceneSequence,
     SyntheticSpec,
     generate_synthetic,
@@ -175,9 +174,10 @@ def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, par
     return _pmap(fn, args.jobs, seq.frames, rois)
 
 
-def _mirror_model(args, fov_deg: float) -> MirrorModel:
-    """The fitted reference mirror, with each timing flag given replacing its field."""
-    model = reference_mirror_model(math.radians(fov_deg))
+def _mirror_model(args) -> MirrorModel:
+    """The fitted reference mirror, with each timing flag given replacing its
+    field.  Its FOV is the default until the caller sets the scene's."""
+    model = reference_mirror_model()
     if args.sample_rate_hz is not None:
         model = replace(model, sample_rate_hz=args.sample_rate_hz)
     if args.overhead_ms is not None:
@@ -185,8 +185,10 @@ def _mirror_model(args, fov_deg: float) -> MirrorModel:
     return model
 
 
-def _capture_config(args, meta: SceneMeta) -> CaptureConfig:
-    z_max_m = args.z_max_m if args.z_max_m is not None else meta.z_max_m
+def _capture_config(args) -> CaptureConfig:
+    """Capture knobs from the flags.  Without --z-max-m the range gate is the
+    default until the caller sets the scene's."""
+    z_max_m = args.z_max_m if args.z_max_m is not None else CaptureConfig().z_max_m
     return CaptureConfig(z_max_m=z_max_m, noise_coeff=args.noise_coeff,
                          dot_solid_angle_sr=args.dot_sr)
 
@@ -393,6 +395,8 @@ _REGIME_FLAG = {
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     roi = _fixed_roi(args)
+    model = _mirror_model(args)
+    frame_budget = budget(model, args.fps)
     if args.dims:
         if regime == Regime.ENTROPY_ADAPTIVE:
             raise UsageError("entropy regime needs --scene for the guide image")
@@ -402,7 +406,7 @@ def cmd_scan(args) -> int:
         dims = (seq.meta.width, seq.meta.height)
         fov_deg = seq.meta.mirror_fov_deg
         guides = [(frame.frame_index, frame.rgb) for frame in seq.frames]
-    model = _mirror_model(args, fov_deg)
+    model = replace(model, fov_rad=math.radians(fov_deg))
     if regime != Regime.ENTROPY_ADAPTIVE:
         guides = guides[:1]  # pattern is frame-independent; one file is enough
 
@@ -416,7 +420,7 @@ def cmd_scan(args) -> int:
     out = _outdir(args)
     for index, pattern in patterns.items():
         (out / f"pattern_{index:04d}.json").write_text(pattern.to_json() + "\n")
-    _write_run_json(out, args, {"n_patterns": len(patterns), "budget": budget(model, args.fps)})
+    _write_run_json(out, args, {"n_patterns": len(patterns), "budget": frame_budget})
     print(f"wrote {len(patterns)} pattern file(s) to {out}")
     return 0
 
@@ -427,14 +431,19 @@ def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion"
     fixed_roi = _fixed_roi(args, motion)
+    model = _mirror_model(args)
+    frame_budget = budget(model, args.fps)
+    cap_cfg = _capture_config(args)
+    background = _background_model(args) if motion else None
     seq = load_scene(args.scene)
-    model = _mirror_model(args, seq.meta.mirror_fov_deg)
-    cap_cfg = _capture_config(args, seq.meta)
+    model = replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg))
+    if args.z_max_m is None:
+        cap_cfg = replace(cap_cfg, z_max_m=seq.meta.z_max_m)
 
     if motion:
         weights = dict(inside_density=args.inside_density, outside_density=args.outside_density)
         rois = [None if roi is None else replace(roi, **weights)
-                for roi in track_motion(seq.frames, _background_model(args))]
+                for roi in track_motion(seq.frames, background)]
     else:
         rois = [fixed_roi] * len(seq.frames)
     results = _run_frames(args, seq, rois, regime, model, args.fps, cap_cfg, None,
@@ -455,7 +464,7 @@ def cmd_capture(args) -> int:
             }
         )
     (out / "capture_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_run_json(out, args, {"budget": budget(model, args.fps)})
+    _write_run_json(out, args, {"budget": frame_budget})
     total = sum(s["n_samples"] for s in summary)
     print(f"captured {len(summary)} frame(s), {total} samples total, to {out}")
     return 0
@@ -464,11 +473,13 @@ def cmd_capture(args) -> int:
 # ---------- fovea ----------
 
 def cmd_fovea(args) -> int:
-    roi_dims = _parse_dims(args.roi_dims) if args.mode == "entropy" else None
+    motion = args.mode == "motion"
+    background = _background_model(args) if motion else None
+    roi_dims = None if motion else _parse_dims(args.roi_dims)
     seq = load_scene(args.scene)
     lines = [ROI_TRACE_HEADER]
-    if roi_dims is None:  # motion
-        rois = track_motion(seq.frames, _background_model(args))
+    if motion:
+        rois = track_motion(seq.frames, background)
     else:
         rois = [max_entropy_roi(entropy_map(f.rgb, args.window_px), roi_dims) for f in seq.frames]
     for frame, roi in zip(seq.frames, rois):
@@ -488,9 +499,9 @@ def cmd_fovea(args) -> int:
 def cmd_complete(args) -> int:
     """Complete each captured frame, and copy the capture summary beside the
     output, so `eval --roi-only` scores the ROIs this prediction was made from."""
+    params = _fill_params(args)
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
-    params = _fill_params(args)
     summary = read_json(sparse_dir / "capture_summary.json", MalformedCaptureSummary)
     sparses = [
         load_sparse(sparse_dir / f"{frame.frame_index:04d}.pgm",
@@ -514,7 +525,7 @@ def cmd_complete(args) -> int:
 def _pooled_report(pairs):
     pred = np.concatenate([p.ravel() for p, _ in pairs])
     truth = np.concatenate([t.ravel() for _, t in pairs])
-    return compute(pred, truth, (pred > 0) & (truth > 0))
+    return compute(pred, truth)
 
 
 def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | None]:
@@ -571,7 +582,7 @@ def cmd_eval(args) -> int:
             sel[y0:y1, x0:x1] = True
             pred = np.where(sel, pred, 0.0)
             truth = np.where(sel, truth, 0.0)
-        report = compute(pred, truth, (pred > 0) & (truth > 0))
+        report = compute(pred, truth)
         lines.append(f"{frame.frame_index}," + report.to_csv_row())
         pooled_pairs.append((pred, truth))
     pooled = _pooled_report(pooled_pairs)
@@ -589,19 +600,23 @@ def cmd_eval(args) -> int:
 def cmd_fps_sweep(args) -> int:
     """Capture + complete + evaluate at each --fps rate; one CSV row per rate."""
     rates = _floats(args.fps)
-    seq = load_scene(args.scene)
-    model = _mirror_model(args, seq.meta.mirror_fov_deg)
-    cap_cfg = _capture_config(args, seq.meta)
+    model = _mirror_model(args)
+    budgets = [budget(model, fps) for fps in rates]
+    cap_cfg = _capture_config(args)
     params = _fill_params(args)
+    seq = load_scene(args.scene)
+    model = replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg))
+    if args.z_max_m is None:
+        cap_cfg = replace(cap_cfg, z_max_m=seq.meta.z_max_m)
     no_rois = [None] * len(seq.frames)
     lines = ["fps,budget,samples_per_frame," + METRICS_CSV_HEADER]
-    for fps in rates:
+    for fps, frame_budget in zip(rates, budgets):
         results = _run_frames(args, seq, no_rois, Regime.FULL_FOV, model, fps, cap_cfg, params)
         # run_frame's depth is the millimetre depth `complete` writes, as `eval` reads
         report = _pooled_report([(pred, f.depth_gt) for (_, pred), f in zip(results, seq.frames)])
         mean_samples = sum(len(sparse.samples) for sparse, _ in results) / len(seq.frames)
         lines.append(
-            f"{fps:.9g},{budget(model, fps)},{mean_samples:.9g}," + report.to_csv_row()
+            f"{fps:.9g},{frame_budget},{mean_samples:.9g}," + report.to_csv_row()
         )
     out = _outdir(args)
     (out / "fps_sweep.csv").write_text("\n".join(lines) + "\n")

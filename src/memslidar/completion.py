@@ -32,10 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lidar_sim import CaptureConfig, NoSamples, SparseDepth, capture
-from .metrics import MetricsReport, compute
-from .scan_engine import ROI, MirrorModel, gen_foveated, gen_full_fov
-from .scene_io import SceneFrame
+from .lidar_sim import NoSamples, SparseDepth
 
 
 # per-block budget of (tile, sample) and of (pixel, candidate) entries; at
@@ -76,10 +73,9 @@ class GuidedFillParams:
 
 @dataclass
 class DenseDepth:
-    """Fully populated depth map plus provenance ('completed' or 'ground_truth')."""
+    """Fully populated depth map."""
 
     depth_m: np.ndarray
-    provenance: str
 
 
 def _tile_size(h: int, w: int, n: int) -> int:
@@ -193,7 +189,7 @@ def complete(
     out = depth.copy()
     pending = depth <= 0
     if not pending.any():
-        return DenseDepth(depth_m=out, provenance="completed")
+        return DenseDepth(depth_m=out)
     z_lo, z_hi = zs.min(), zs.max()
     exp_s = _gauss_table((h - 1) ** 2 + (w - 1) ** 2 + 1, inv_2ss)
     if inv_2sc > 0.0:
@@ -223,7 +219,7 @@ def complete(
         else:
             vals[~ok] = z_k[~ok].mean(axis=1)
         out[my, mx] = np.clip(vals, z_lo, z_hi)
-    return DenseDepth(depth_m=out, provenance="completed")
+    return DenseDepth(depth_m=out)
 
 
 def complete_bruteforce(
@@ -271,38 +267,4 @@ def complete_bruteforce(
             else:
                 z = np.mean([zs[i] for _, i in cand])
             out[py, px] = min(max(z, z_lo), z_hi)
-    return DenseDepth(depth_m=out, provenance="completed")
-
-
-def compare_foveated(
-    frame: SceneFrame,
-    roi: ROI,
-    model: MirrorModel,
-    fps: float,
-    params: GuidedFillParams = GuidedFillParams(),
-    config: CaptureConfig = CaptureConfig(),
-    noise_seed: int = 0,
-) -> tuple[MetricsReport, MetricsReport]:
-    """Full-FOV vs foveated completion quality inside the ROI.
-
-    Both pipelines run with the same per-frame budget and the same noise
-    seed; metrics are restricted to ROI pixels with valid ground truth.
-    Returns (full_fov_report, foveated_report).
-    """
-    dims = (frame.intrinsics.width, frame.intrinsics.height)
-    pattern_full = gen_full_fov(model, fps, dims)
-    pattern_fov = gen_foveated(model, fps, roi, dims)
-    if len(pattern_full) != len(pattern_fov):
-        raise ValueError(
-            f"pattern budgets diverged: {len(pattern_full)} vs {len(pattern_fov)}"
-        )
-    mask = np.zeros(frame.depth_gt.shape, dtype=bool)
-    mask[roi.y0:roi.y1, roi.x0:roi.x1] = True
-    mask &= frame.depth_gt > 0
-
-    reports = []
-    for pattern in (pattern_full, pattern_fov):
-        sparse = capture(frame, pattern, config, noise_seed)
-        dense = complete(sparse, frame.rgb, params)
-        reports.append(compute(dense.depth_m, frame.depth_gt, mask))
-    return reports[0], reports[1]
+    return DenseDepth(depth_m=out)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricsReport, compute
 from .optics import solid_angle_to_apex
 from .scan_engine import (
     SCAN_SAMPLE_DTYPE,
@@ -50,10 +49,6 @@ class LidarSimError(ValueError):
 
 class NoSamples(LidarSimError):
     """Capture produced zero valid returns."""
-
-
-class NoOverlap(LidarSimError):
-    """Sparse samples and reference share no valid pixels."""
 
 
 class SingularFit(LidarSimError):
@@ -259,26 +254,6 @@ def fit_calibration(pairs) -> CalibrationModel:
         offset_m=float(offset),
         residual_rmse_m=float(np.sqrt(np.mean(np.square(resid)))),
     )
-
-
-def evaluate_against_reference(
-    sparse: SparseDepth, reference_m: np.ndarray
-) -> MetricsReport:
-    """Metrics over sampled pixels that the reference also covers.
-
-    The reference sensor has its own error (a few tenths of a percent of
-    range for typical structured-light devices); that uncertainty is not
-    compensated here, only documented.
-    """
-    reference_m = np.asarray(reference_m, dtype=np.float64)
-    if reference_m.shape != sparse.depth_m.shape:
-        raise LidarSimError(
-            f"reference shape {reference_m.shape} != sparse shape {sparse.depth_m.shape}"
-        )
-    mask = (sparse.depth_m > 0) & (reference_m > 0)
-    if not mask.any():
-        raise NoOverlap("no pixel is valid in both the capture and the reference")
-    return compute(sparse.depth_m, reference_m, mask)
 
 
 # ---------- sparse file I/O (shares scene conventions) ----------

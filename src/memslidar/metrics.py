@@ -10,7 +10,7 @@ strictly below 1.25**i.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,19 +46,7 @@ class MetricsReport:
     n_pixels: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mre_pct": self.mre_pct,
-                "rmse_m": self.rmse_m,
-                "log10": self.log10,
-                "delta1_pct": self.delta1_pct,
-                "delta2_pct": self.delta2_pct,
-                "delta3_pct": self.delta3_pct,
-                "n_pixels": self.n_pixels,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_csv_row(self) -> str:
         return (
@@ -76,6 +64,12 @@ def compute(
     mask defaults to pixels where both maps are positive.  Raises
     EmptyMask when nothing is selected and NonPositiveDepth when the mask
     reaches a pixel either map cannot support.
+
+    A capture is scored against a reference depth map the same way:
+    compute(sparse.depth_m, reference_m) selects the sampled pixels the
+    reference also covers.  The reference sensor has its own error (a few
+    tenths of a percent of range for typical structured-light devices);
+    that uncertainty is not compensated here, only documented.
     """
     pred_m = np.asarray(pred_m, dtype=np.float64)
     truth_m = np.asarray(truth_m, dtype=np.float64)

@@ -1,6 +1,7 @@
 """One frame of the sensor loop: pick a measurement pattern from the guide
 image, capture sparse depth with the mirror, and optionally complete it.
-The CLI and the demos run their frames through here.
+The CLI and the demos run their frames through here, and the foveated
+versus full-FOV comparison scores its two frames here.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import numpy as np
 from .completion import GuidedFillParams, complete
 from .foveation import BackgroundModel, entropy_map, update_and_detect
 from .lidar_sim import CaptureConfig, SparseDepth, capture
+from .metrics import MetricsReport, compute
 from .scan_engine import (ROI, MirrorModel, Regime, ScanPattern, gen_density_sweep,
                           gen_entropy_adaptive, gen_foveated, gen_full_fov)
 from .scene_io import SceneFrame, depth_to_millimeters, millimeters_to_depth
@@ -66,3 +68,34 @@ def run_frame(
         return sparse, None
     dense = complete(sparse, frame.rgb, params)
     return sparse, millimeters_to_depth(depth_to_millimeters(dense.depth_m))
+
+
+def compare_foveated(
+    frame: SceneFrame,
+    roi: ROI,
+    model: MirrorModel,
+    fps: float,
+    params: GuidedFillParams = GuidedFillParams(),
+    config: CaptureConfig = CaptureConfig(),
+    noise_seed: int = 0,
+) -> tuple[MetricsReport, MetricsReport]:
+    """Full-FOV vs foveated completion quality inside the ROI.
+
+    Both pipelines run with the same per-frame budget and the same noise
+    seed; metrics are restricted to ROI pixels with valid ground truth.
+    Returns (full_fov_report, foveated_report).
+    """
+    dims = (frame.intrinsics.width, frame.intrinsics.height)
+    patterns = [frame_pattern(dims, None, regime, model, fps, seed=0, roi=roi,
+                              density=None, window_px=None)
+                for regime in (Regime.FULL_FOV, Regime.FOVEATED_ROI)]
+    mask = np.zeros(frame.depth_gt.shape, dtype=bool)
+    mask[roi.y0:roi.y1, roi.x0:roi.x1] = True
+    mask &= frame.depth_gt > 0
+
+    reports = []
+    for pattern in patterns:
+        sparse = capture(frame, pattern, config, noise_seed)
+        dense = complete(sparse, frame.rgb, params)
+        reports.append(compute(dense.depth_m, frame.depth_gt, mask))
+    return reports[0], reports[1]

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import foveation_scene, model_with_budget
 from memslidar.cli import main as cli_main
-from memslidar.completion import compare_foveated
+from memslidar.pipeline import compare_foveated
 from memslidar.foveation import BackgroundModel, update_and_detect
 from memslidar.lidar_sim import CaptureConfig, capture
 from memslidar.metrics import compute, depth_to_points, planar_rmse

@@ -47,6 +47,19 @@ def test_version_exits_zero(capsys):
     assert "memslidar" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["capture", "--bogus"], 2)])
+def test_python_dash_m_entry_point(argv, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "memslidar", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("usage error:")
+    else:
+        assert "memslidar" in done.stdout
+
+
 def test_optics_sweep_row_count(tmp_path):
     out = tmp_path / "sweep"
     code = run(
@@ -220,6 +233,15 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["scan", "--scene", "NOPE", "--regime", "foveated"],
     ["eval", "--scene", "NOPE"],
     ["eval", "--scene", "NOPE", "--pred", "SPARSE", "--roi", "0,0,2,2", "--roi-only"],
+    ["complete", "--scene", "NOPE", "--sparse", "NOPE", "--k-neighbors", "0"],
+    ["fps-sweep", "--scene", "NOPE", "--fps", "6", "--sigma-spatial-px", "0"],
+    ["capture", "--scene", "NOPE", "--noise-coeff", "-1"],
+    ["capture", "--scene", "NOPE", "--z-max-m", "-1"],
+    ["capture", "--scene", "NOPE", "--dot-sr", "0"],
+    ["capture", "--scene", "NOPE", "--overhead-ms", "-5"],
+    ["capture", "--scene", "NOPE", "--fps", "0"],
+    ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion", "--alpha", "5"],
+    ["fovea", "--scene", "NOPE", "--mode", "motion", "--margin", "-1"],
     # fps-sweep captures and completes its own frames
     ["fps-sweep", "--scene", "SCENE", "--fps", "62"],
     ["fps-sweep", "--scene", "SCENE", "--fps", "30", "--pred", "SPARSE"],
@@ -234,6 +256,13 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     # scan takes its image size from exactly one of --scene and --dims
     ["scan", "--scene", "SCENE", "--dims", "bad"],
     ["scan", "--fps", "30"],
+    # the entropy regime reads the guide image, which --dims does not give
+    ["scan", "--dims", "160x120", "--regime", "entropy"],
+    # malformed range grids: no kind, non-numeric bounds, unknown kind, no count
+    ["optics-sweep", "--Z-m", "1:2"],
+    ["optics-sweep", "--Z-m", "a:b:log5"],
+    ["optics-sweep", "--Z-m", "1:2:foo5"],
+    ["optics-sweep", "--Z-m", "1:2:log"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -321,7 +350,8 @@ def test_usage_checks_come_before_any_file_is_read():
     # a usage error wins over a data error: in every command, each flag parse
     # and usage check comes before the first file read
     reads = {"load_scene", "load_sparse", "load_spec", "read_json", "read_pgm16"}
-    checks = {"_parse_roi", "_parse_dims", "_floats", "_range_grid", "_fixed_roi"}
+    checks = {"_parse_roi", "_parse_dims", "_floats", "_range_grid", "_fixed_roi",
+              "_mirror_model", "_capture_config", "_fill_params", "_background_model", "budget"}
 
     def called(node):
         call = node.exc if isinstance(node, ast.Raise) else node
@@ -548,6 +578,15 @@ def test_gen_scene_preset_loads(tmp_path):
     assert scene.frames[0].depth_gt.shape == (120, 160)
     stamps = [f.timestamp_s for f in scene.frames]
     assert stamps == sorted(stamps) and len(set(stamps)) == 3
+
+
+def test_gen_scene_box_preset(tmp_path):
+    # a 0.18 x 0.14 m box face at 1.2 m, centred on a 2.5 m plane
+    depth = load_scene(make_scene(tmp_path, "box", 1)).frames[0].depth_gt
+    assert np.array_equal(np.unique(depth), [1.2, 2.5])
+    ys, xs = np.nonzero(depth == 1.2)
+    assert len(ys) == (ys.max() - ys.min() + 1) * (xs.max() - xs.min() + 1)
+    assert abs(ys.min() + ys.max() + 1 - 120) <= 1 and abs(xs.min() + xs.max() + 1 - 160) <= 1
 
 
 def test_gen_scene_spec_json(tmp_path):

@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 import memslidar.completion as completion
-from memslidar.completion import (
-    GuidedFillParams,
-    compare_foveated,
-    complete,
-    complete_bruteforce,
-)
+from memslidar.completion import GuidedFillParams, complete, complete_bruteforce
 from memslidar.lidar_sim import (
     CaptureConfig,
     DEPTH_SAMPLE_DTYPE,
@@ -22,6 +17,7 @@ from memslidar.lidar_sim import (
     capture,
 )
 from memslidar.metrics import compute
+from memslidar.pipeline import compare_foveated
 from memslidar.foveation import entropy_map, max_entropy_roi
 from memslidar.scan_engine import (
     ROI,
@@ -69,7 +65,6 @@ def test_fully_measured_map_passes_through():
     dense = complete(sparse, _flat_rgb(shape))
     assert np.array_equal(dense.depth_m, sparse.depth_m)
     assert dense.depth_m is not sparse.depth_m
-    assert dense.provenance == "completed"
 
 
 def test_measured_pixels_are_untouched(plane_frame):
@@ -166,6 +161,24 @@ def test_rounding_cannot_leave_measured_range():
 def test_chunked_matches_bruteforce(params):
     shape = (36, 48)
     sparse = _random_sparse(shape, 40, seed=3)
+    rgb = np.random.default_rng(4).integers(0, 256, (*shape, 3), dtype=np.uint8)
+    fast = complete(sparse, rgb, params)
+    slow = complete_bruteforce(sparse, rgb, params)
+    np.testing.assert_allclose(fast.depth_m, slow.depth_m, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma_color", [20.0, math.inf])
+@pytest.mark.parametrize("fallback", ["nearest", "mean"])
+def test_underflow_fallbacks_match_bruteforce(fallback, sigma_color):
+    # six samples at sigma 0.5 px leave pixels whose nearest sample's spatial
+    # weight, and so every weight, underflows: both fallback branches run
+    shape = (36, 48)
+    params = GuidedFillParams(sigma_spatial_px=0.5, sigma_color=sigma_color, fallback=fallback)
+    sparse = _random_sparse(shape, 6, seed=3)
+    ys, xs = np.mgrid[:shape[0], :shape[1]]
+    nearest_d2 = np.min([(ys - s.pixel_y) ** 2 + (xs - s.pixel_x) ** 2 for s in sparse.samples],
+                        axis=0)
+    assert np.any(np.exp(-nearest_d2 / (2 * params.sigma_spatial_px**2)) == 0.0)
     rgb = np.random.default_rng(4).integers(0, 256, (*shape, 3), dtype=np.uint8)
     fast = complete(sparse, rgb, params)
     slow = complete_bruteforce(sparse, rgb, params)

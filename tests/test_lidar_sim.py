@@ -9,22 +9,19 @@ from memslidar.lidar_sim import (
     CaptureConfig,
     DEPTH_SAMPLE_DTYPE,
     IDENTITY_CALIBRATION,
-    LidarSimError,
-    NoOverlap,
     NoSamples,
     SingularFit,
     SparseDepth,
     _disk_offsets,
     capture,
     dot_footprint_radius_px,
-    evaluate_against_reference,
     fit_calibration,
     load_sparse,
     save_sparse,
 )
 from memslidar.completion import complete
 from memslidar.foveation import entropy_map
-from memslidar.metrics import planar_rmse, depth_to_points
+from memslidar.metrics import EmptyMask, MetricsError, compute, depth_to_points, planar_rmse
 from memslidar.scan_engine import (
     ROI,
     SCAN_SAMPLE_DTYPE,
@@ -215,7 +212,7 @@ def test_aggregate_relative_error_band():
         frame = _plane(float(z))
         pattern = gen_full_fov(model_with_budget(100), 10.0, (64, 48))
         sparse = capture(frame, pattern, config, noise_seed=i)
-        report = evaluate_against_reference(sparse, frame.depth_gt)
+        report = compute(sparse.depth_m, frame.depth_gt)
         errors.append((report.mre_pct, report.n_pixels))
     pooled = sum(m * n for m, n in errors) / sum(n for _, n in errors)
     assert 8.0 <= pooled <= 13.0
@@ -279,7 +276,7 @@ def test_evaluation_of_exact_capture_is_perfect():
     frame = _plane(2.0)
     pattern = gen_full_fov(model_with_budget(100), 10.0, (64, 48))
     sparse = capture(frame, pattern, NOISELESS)
-    report = evaluate_against_reference(sparse, frame.depth_gt)
+    report = compute(sparse.depth_m, frame.depth_gt)
     assert report.mre_pct == 0.0
     assert report.delta1_pct == 100.0
     assert report.n_pixels == 100
@@ -295,7 +292,7 @@ def test_single_sample_arithmetic():
         regime=Regime.FULL_FOV,
         drop_count=0,
     )
-    report = evaluate_against_reference(sparse, np.ones((4, 4)))
+    report = compute(sparse.depth_m, np.ones((4, 4)))
     assert report.mre_pct == pytest.approx(10.0, rel=1e-9)
     assert report.rmse_m == pytest.approx(0.1, rel=1e-9)
     assert report.delta1_pct == 100.0  # 1.10 < 1.25
@@ -314,10 +311,10 @@ def test_no_overlap_raises():
     )
     reference = np.ones((4, 4))
     reference[1, 2] = 0.0
-    with pytest.raises(NoOverlap):
-        evaluate_against_reference(sparse, reference)
-    with pytest.raises(LidarSimError):
-        evaluate_against_reference(sparse, np.ones((5, 5)))
+    with pytest.raises(EmptyMask):
+        compute(sparse.depth_m, reference)
+    with pytest.raises(MetricsError):
+        compute(sparse.depth_m, np.ones((5, 5)))
 
 
 # ---------- config validation ----------
