@@ -17,7 +17,7 @@ from memslidar.foveation import BackgroundModel
 from memslidar.lidar_sim import CaptureConfig, capture
 from memslidar.metrics import compute
 from memslidar.pipeline import frame_pattern, track_motion
-from memslidar.scan_engine import ROI, Regime, budget, reference_mirror_model
+from memslidar.scan_engine import Regime, budget, reference_mirror_model
 from memslidar.scene_io import Primitive, SyntheticSpec, generate_synthetic
 
 OUT = Path(__file__).parent / "out"
@@ -62,11 +62,8 @@ def main():
         sparse = capture(frame, pattern, config, noise_seed=frame.frame_index)
         dense = complete(sparse, frame.rgb)
 
-        score_roi = roi if roi is not None else ROI(0, 0, dims[0], dims[1])
-        mask = np.zeros(frame.depth_gt.shape, dtype=bool)
-        mask[score_roi.y0:score_roi.y1, score_roi.x0:score_roi.x1] = True
-        mask &= frame.depth_gt > 0
-        report = compute(dense.depth_m, frame.depth_gt, mask)
+        crop = np.s_[:, :] if roi is None else np.s_[roi.y0:roi.y1, roi.x0:roi.x1]
+        report = compute(dense.depth_m[crop], frame.depth_gt[crop])
         print(f"  frame {frame.frame_index}  {label:26s} "
               f"MRE {report.mre_pct:5.2f}%  ({len(sparse.samples)} samples)")
         coords = ("", "", "", "") if roi is None else (

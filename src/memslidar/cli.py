@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -48,6 +48,8 @@ from .optics import (
 )
 from .pipeline import frame_pattern, frame_seed, run_frame, track_motion
 from .scan_engine import (
+    DEFAULT_MIRROR_FOV_RAD,
+    REFERENCE_BUDGET_PAIRS,
     ROI,
     MirrorModel,
     Regime,
@@ -194,7 +196,7 @@ def _capture_config(args) -> CaptureConfig:
 
 
 def _fill_params(args) -> GuidedFillParams:
-    sigma_color = args.sigma_color if args.sigma_color > 0 else math.inf
+    sigma_color = math.inf if args.sigma_color <= 0 else args.sigma_color
     return GuidedFillParams(sigma_spatial_px=args.sigma_spatial_px, sigma_color=sigma_color,
                             k_neighbors=args.k_neighbors, fallback=args.fallback)
 
@@ -205,16 +207,18 @@ def _background_model(args) -> BackgroundModel:
 
 
 def _fixed_roi(args, motion: bool = False) -> ROI | None:
-    """The fixed ROI --roi names, if any.  Only the foveated regime reads an
-    ROI, and it needs one: a fixed one, or capture's `auto-motion`."""
+    """The ROI --roi names, if any.  Only the foveated regime reads an ROI,
+    and it needs one: a fixed one, or capture's `auto-motion`, whose ROI is
+    a one-pixel placeholder that carries the density weights, checked here,
+    onto each motion ROI."""
     if args.regime != "foveated":
         if args.roi:
             raise UsageError(f"--roi is read only by the foveated regime, not by {args.regime}")
         return None
     if not args.roi:
         raise UsageError("foveated regime needs --roi")
-    return None if motion else ROI(*_parse_roi(args.roi), args.inside_density,
-                                   args.outside_density)
+    rect = (0, 0, 1, 1) if motion else _parse_roi(args.roi)
+    return ROI(*rect, args.inside_density, args.outside_density)
 
 
 # ---------- optics-sweep ----------
@@ -441,7 +445,8 @@ def cmd_capture(args) -> int:
         cap_cfg = replace(cap_cfg, z_max_m=seq.meta.z_max_m)
 
     if motion:
-        weights = dict(inside_density=args.inside_density, outside_density=args.outside_density)
+        weights = dict(inside_density=fixed_roi.inside_density,
+                       outside_density=fixed_roi.outside_density)
         rois = [None if roi is None else replace(roi, **weights)
                 for roi in track_motion(seq.frames, background)]
     else:
@@ -578,10 +583,7 @@ def cmd_eval(args) -> int:
         rect = rects.get(frame.frame_index)
         if rect is not None:
             x0, y0, x1, y1 = rect
-            sel = np.zeros_like(truth, dtype=bool)
-            sel[y0:y1, x0:x1] = True
-            pred = np.where(sel, pred, 0.0)
-            truth = np.where(sel, truth, 0.0)
+            pred, truth = pred[y0:y1, x0:x1], truth[y0:y1, x0:x1]
         report = compute(pred, truth)
         lines.append(f"{frame.frame_index}," + report.to_csv_row())
         pooled_pairs.append((pred, truth))
@@ -700,13 +702,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-mm", default="15", help="focal lengths, mm")
     p.add_argument("--n", type=int, default=100, help="array detector count per axis")
     p.add_argument("--Z-m", default="0.5:1000:log60", help="range grid: lo:hi:logN, lo:hi:linN, or list")
-    p.add_argument("--mirror-fov-deg", type=float, default=25.0)
+    p.add_argument("--mirror-fov-deg", type=float, default=math.degrees(DEFAULT_MIRROR_FOV_RAD))
     p.add_argument("--find-crossover", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optics_sweep)
 
     p = sub.add_parser("fit-budget", help="fit rate/overhead timing to fps:samples pairs")
-    p.add_argument("--pairs", default="30:28,24:40,18:60,12:104,6:231",
+    p.add_argument("--pairs", default=",".join(f"{fps:g}:{n}" for fps, n in REFERENCE_BUDGET_PAIRS),
                    help="fps:samples,... observations")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_budget)
@@ -715,11 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["plane", "two-plane", "box", "textured", "moving-box"],
                    default="textured")
     p.add_argument("--spec-json", default="", help="full scene spec; overrides --preset")
-    p.add_argument("--dims", default="160x120")
-    p.add_argument("--fov-deg", type=float, default=25.0)
-    p.add_argument("--fps", type=float, default=30.0)
-    p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--z-max-m", type=float, default=3.0)
+    spec = {f.name: f.default for f in fields(SyntheticSpec)}
+    p.add_argument("--dims", default=f"{spec['width']}x{spec['height']}")
+    p.add_argument("--fov-deg", type=float, default=spec["fov_deg"])
+    p.add_argument("--fps", type=float, default=spec["fps"])
+    p.add_argument("--frames", type=int, default=spec["n_frames"])
+    p.add_argument("--z-max-m", type=float, default=spec["z_max_m"])
     p.add_argument("--range-m", type=float, default=1.5,
                    help="plane/box distance for presets that take one")
     p.add_argument("--box-speed-px", type=float, default=30.0,
@@ -732,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--scene", default="", help="scene dir (entropy source / dims)")
     size.add_argument("--dims", default="", help="WxH, without a scene")
-    p.add_argument("--mirror-fov-deg", type=float, default=25.0)
+    p.add_argument("--mirror-fov-deg", type=float, default=math.degrees(DEFAULT_MIRROR_FOV_RAD))
     _add_timing_flags(p)
     _add_pattern_flags(p)
     p.add_argument("--out", required=True)

@@ -184,7 +184,7 @@ def complete(
         raise ValueError(f"a sample lies outside the {w}x{h} depth map")
     k = min(params.k_neighbors, len(zs))
     inv_2ss = 1.0 / (2.0 * params.sigma_spatial_px**2)
-    inv_2sc = 0.0 if math.isinf(params.sigma_color) else 1.0 / (2.0 * params.sigma_color**2)
+    inv_2sc = 1.0 / (2.0 * params.sigma_color**2)  # 0.0 at sigma_color = inf: no guidance
 
     out = depth.copy()
     pending = depth <= 0
@@ -252,11 +252,8 @@ def complete_bruteforce(
             acc = 0.0
             for d2, i in cand:
                 w_s = math.exp(-d2 / (2.0 * params.sigma_spatial_px**2))
-                if math.isinf(params.sigma_color):
-                    w_c = 1.0
-                else:
-                    dc = rgb[py, px].astype(np.float64) - colors[i]
-                    w_c = math.exp(-float(dc @ dc) / (2.0 * params.sigma_color**2))
+                dc = rgb[py, px].astype(np.float64) - colors[i]
+                w_c = math.exp(-float(dc @ dc) / (2.0 * params.sigma_color**2))
                 wgt = w_s * w_c
                 wsum += wgt
                 acc += wgt * zs[i]

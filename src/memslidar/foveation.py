@@ -236,8 +236,8 @@ class BackgroundModel:
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.diff_threshold <= 0:
-            raise ValueError("diff threshold must be positive")
+        if not 0 < self.diff_threshold < np.inf:
+            raise ValueError(f"diff threshold must be finite and > 0, got {self.diff_threshold}")
         if self.min_blob_area_px < 1:
             raise ValueError("min blob area must be >= 1")
         if self.margin_px < 0:

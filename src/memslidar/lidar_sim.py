@@ -101,8 +101,8 @@ class CaptureConfig:
             raise ValueError(f"z_max must be > 0, got {self.z_max_m}")
         if not 0 < self.dot_solid_angle_sr < 2 * math.pi:
             raise ValueError("dot solid angle must be in (0, 2*pi) sr")
-        if self.noise_coeff < 0:
-            raise ValueError("noise coefficient must be >= 0")
+        if not 0 <= self.noise_coeff < math.inf:
+            raise ValueError(f"noise coefficient must be finite and >= 0, got {self.noise_coeff}")
 
 
 # one valid return per record: its scheduled direction, pixel and range

@@ -10,13 +10,11 @@ strictly below 1.25**i.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 DELTA_BASE = 1.25
-
-METRICS_CSV_HEADER = "mre_pct,rmse_m,log10,delta1_pct,delta2_pct,delta3_pct,n_pixels"
 
 
 class MetricsError(ValueError):
@@ -49,11 +47,12 @@ class MetricsReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.mre_pct:.9g},{self.rmse_m:.9g},{self.log10:.9g},"
-            f"{self.delta1_pct:.9g},{self.delta2_pct:.9g},{self.delta3_pct:.9g},"
-            f"{self.n_pixels}"
-        )
+        """The fields in METRICS_CSV_HEADER order: six errors to 9 digits, then the count."""
+        *errors, n_pixels = astuple(self)
+        return ",".join([*(f"{v:.9g}" for v in errors), f"{n_pixels}"])
+
+
+METRICS_CSV_HEADER = ",".join(f.name for f in fields(MetricsReport))
 
 
 def compute(

@@ -416,24 +416,10 @@ def characterize(
 
 
 def _check_sweep_bounds(tx_grid, rx_grid) -> None:
-    for tx in tx_grid:
-        lo, hi = SWEEP_BOUNDS["beam_quality_m"]
-        if not lo <= tx.beam_quality_m <= hi:
-            raise ValueError(f"beam quality {tx.beam_quality_m} outside [{lo}, {hi}]")
-        lo, hi = SWEEP_BOUNDS["waist_radius_m"]
-        if not lo <= tx.waist_radius_m <= hi:
-            raise ValueError(f"waist radius {tx.waist_radius_m} m outside [{lo}, {hi}] m")
-    for rx in rx_grid:
-        if rx.aperture_m > SWEEP_BOUNDS["aperture_m"][1]:
-            raise ValueError(f"aperture {rx.aperture_m} m exceeds {SWEEP_BOUNDS['aperture_m'][1]} m")
-        if rx.focal_length_m > SWEEP_BOUNDS["focal_length_m"][1]:
-            raise ValueError(
-                f"focal length {rx.focal_length_m} m exceeds {SWEEP_BOUNDS['focal_length_m'][1]} m"
-            )
-        if rx.image_distance_m > SWEEP_BOUNDS["image_distance_m"][1]:
-            raise ValueError(
-                f"image distance {rx.image_distance_m} m exceeds {SWEEP_BOUNDS['image_distance_m'][1]} m"
-            )
+    for spec in (*tx_grid, *rx_grid):
+        for field, (lo, hi) in SWEEP_BOUNDS.items():
+            if hasattr(spec, field) and not lo <= getattr(spec, field) <= hi:
+                raise ValueError(f"{field} {getattr(spec, field)} outside [{lo}, {hi}]")
 
 
 def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:

@@ -89,13 +89,10 @@ def compare_foveated(
     patterns = [frame_pattern(dims, None, regime, model, fps, seed=0, roi=roi,
                               density=None, window_px=None)
                 for regime in (Regime.FULL_FOV, Regime.FOVEATED_ROI)]
-    mask = np.zeros(frame.depth_gt.shape, dtype=bool)
-    mask[roi.y0:roi.y1, roi.x0:roi.x1] = True
-    mask &= frame.depth_gt > 0
-
+    crop = np.s_[roi.y0:roi.y1, roi.x0:roi.x1]
     reports = []
     for pattern in patterns:
         sparse = capture(frame, pattern, config, noise_seed)
         dense = complete(sparse, frame.rgb, params)
-        reports.append(compute(dense.depth_m, frame.depth_gt, mask))
+        reports.append(compute(dense.depth_m[crop], frame.depth_gt[crop]))
     return reports[0], reports[1]

@@ -92,10 +92,10 @@ class MirrorModel:
     def __post_init__(self):
         if not 0 < self.fov_rad <= math.pi:
             raise ValueError(f"mirror FOV must be in (0, pi] rad, got {self.fov_rad}")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample rate must be > 0, got {self.sample_rate_hz}")
-        if self.frame_overhead_s < 0:
-            raise ValueError(f"overhead must be >= 0, got {self.frame_overhead_s}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate_hz}")
+        if not 0 <= self.frame_overhead_s < math.inf:
+            raise ValueError(f"overhead must be finite and >= 0, got {self.frame_overhead_s}")
         for gain, _offset in self.volts_to_rad:
             if gain == 0:
                 raise ValueError("drive gain must be nonzero")
@@ -331,8 +331,8 @@ def fit_budget(observations) -> BudgetFit:
         observations, lambda fps: 1.0 / fps, -1.0, SingularFit, "observations",
         "all observations share one fps; overhead is unidentifiable",
     )
-    if rate == 0.0:
-        raise SingularFit("fitted rate is zero")
+    if rate <= 0.0:
+        raise SingularFit(f"fitted rate {rate:g} Hz is not positive")
     overhead = rate_x_overhead / rate
     residuals = tuple(float(r) for r in residuals)
     rmse = float(np.sqrt(np.mean(np.square(residuals))))

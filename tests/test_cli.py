@@ -19,8 +19,9 @@ from memslidar import cli
 from memslidar.cli import main
 from memslidar.completion import GuidedFillParams
 from memslidar.foveation import BackgroundModel
-from memslidar.scan_engine import ScanPattern
-from memslidar.scene_io import load_scene, read_pgm16, write_pgm16
+from memslidar.scan_engine import DEFAULT_MIRROR_FOV_RAD, REFERENCE_BUDGET_PAIRS, ScanPattern
+from memslidar.scene_io import (Primitive, SyntheticSpec, load_scene, read_pgm16,
+                                write_pgm16)
 
 
 def run(*argv):
@@ -242,6 +243,18 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "NOPE", "--fps", "0"],
     ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion", "--alpha", "5"],
     ["fovea", "--scene", "NOPE", "--mode", "motion", "--margin", "-1"],
+    ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion",
+     "--inside-density", "5"],
+    ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion",
+     "--outside-density", "2"],
+    # non-finite mirror, noise and motion settings
+    ["scan", "--dims", "160x120", "--sample-rate-hz", "inf"],
+    ["scan", "--dims", "160x120", "--overhead-ms", "nan"],
+    ["capture", "--scene", "NOPE", "--noise-coeff", "nan"],
+    ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion",
+     "--threshold", "nan"],
+    ["fovea", "--scene", "NOPE", "--mode", "motion", "--threshold", "nan"],
+    ["complete", "--scene", "NOPE", "--sparse", "NOPE", "--sigma-color", "nan"],
     # fps-sweep captures and completes its own frames
     ["fps-sweep", "--scene", "SCENE", "--fps", "62"],
     ["fps-sweep", "--scene", "SCENE", "--fps", "30", "--pred", "SPARSE"],
@@ -866,6 +879,15 @@ def test_flag_defaults_are_the_library_defaults():
     for argv in (["capture", "--scene", "S", "--out", "O"],
                  ["fovea", "--scene", "S", "--out", "O"]):
         assert cli._background_model(parse(argv)) == BackgroundModel()
+    pairs = parse(["fit-budget", "--out", "O"]).pairs
+    assert [tuple(map(float, pair.split(":"))) for pair in pairs.split(",")] == list(
+        REFERENCE_BUDGET_PAIRS)
+    for argv in (["optics-sweep", "--out", "O"], ["scan", "--dims", "1x1", "--out", "O"]):
+        assert math.radians(parse(argv).mirror_fov_deg) == DEFAULT_MIRROR_FOV_RAD
+    args = parse(["gen-scene", "--out", "O"])
+    spec = SyntheticSpec(primitives=(Primitive(kind="plane", z_m=1.0),))
+    assert (*cli._parse_dims(args.dims), args.fov_deg, args.fps, args.frames, args.z_max_m) == (
+        spec.width, spec.height, spec.fov_deg, spec.fps, spec.n_frames, spec.z_max_m)
 
 
 def test_readme_commands_parse():

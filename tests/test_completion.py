@@ -547,6 +547,13 @@ def test_empty_capture_rejected():
         complete(empty, _flat_rgb((8, 8)))
 
 
+def test_bruteforce_rejects_an_empty_capture():
+    empty = SparseDepth(depth_m=np.zeros((8, 8)), samples=[], fps=10.0,
+                        regime=Regime.FULL_FOV, drop_count=5)
+    with pytest.raises(NoSamples):
+        complete_bruteforce(empty, _flat_rgb((8, 8)))
+
+
 def test_rgb_shape_mismatch_rejected():
     sparse = _sparse_from_pixels((8, 8), {(2, 2): 1.0})
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -341,6 +342,12 @@ def test_frame_shape_must_match_model():
     model, _ = update_and_detect(BackgroundModel(), _rgb(np.zeros((30, 40))))
     with pytest.raises(FoveationError):
         update_and_detect(model, _rgb(np.zeros((31, 40))))
+
+
+@pytest.mark.parametrize("threshold", [math.inf, math.nan])
+def test_background_model_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="finite"):
+        BackgroundModel(diff_threshold=threshold)
 
 
 def test_background_model_validation():

@@ -328,6 +328,12 @@ def test_capture_config_validation():
         CaptureConfig(noise_coeff=-0.1)
 
 
+@pytest.mark.parametrize("coeff", [math.inf, math.nan])
+def test_capture_config_rejects_non_finite_noise(coeff):
+    with pytest.raises(ValueError, match="finite"):
+        CaptureConfig(noise_coeff=coeff)
+
+
 # ---------- sparse file I/O ----------
 
 def test_sparse_roundtrip_noiseless_is_exact(tmp_path):

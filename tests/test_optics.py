@@ -6,6 +6,7 @@ import pytest
 
 from memslidar import optics
 from memslidar.optics import (
+    SWEEP_BOUNDS,
     SWEEP_CSV_HEADER,
     CameraSpec,
     DegenerateFocus,
@@ -42,6 +43,24 @@ def rx(kind, a=0.1, u=0.010, f=0.015, n=1):
                         focal_length_m=f, detector_count_n=n)
 
 
+@pytest.mark.parametrize("make, kwargs", [
+    (tx, {"m": 0.5}),
+    (tx, {"w0": 0.0}),
+    (tx, {"lam": -1e-6}),
+    (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"a": 0.0}),
+    (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"u": math.nan}),
+    (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"f": -0.015}),
+    (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"n": 0}),
+    (lambda **kw: rx(DesignKind.SINGLE_DETECTOR, **kw), {"n": 4}),
+    (CameraSpec, {"fov_rad": 4.0, "pixel_count": 100}),
+    (CameraSpec, {"fov_rad": 0.4, "pixel_count": 0}),
+], ids=["M", "w0", "lambda", "A", "u", "f", "n-zero", "n-single", "camera-fov",
+        "camera-pixels"])
+def test_specs_reject_out_of_range_fields(make, kwargs):
+    with pytest.raises(ValueError):
+        make(**kwargs)
+
+
 # ---------- divergence ----------
 
 def test_divergence_reference_value():
@@ -69,6 +88,12 @@ def test_apex_solid_angle_roundtrip():
         sr = apex_to_solid_angle(apex)
         assert solid_angle_to_apex(sr) == pytest.approx(apex, rel=1e-12)
     assert apex_to_solid_angle(math.pi) == pytest.approx(2 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("solid_sr", [-0.1, 4 * math.pi + 0.1, math.nan])
+def test_solid_angle_outside_sphere_rejected(solid_sr):
+    with pytest.raises(ValueError, match="solid angle"):
+        solid_angle_to_apex(solid_sr)
 
 
 def test_acuity_gain_reference_value():
@@ -195,6 +220,12 @@ def test_fov_limit_rejects_conventional_variant():
         fov_limit_underfocused(rx(DesignKind.SINGLE_DETECTOR, u=0.016, f=0.015))
 
 
+@pytest.mark.parametrize("kind", [DesignKind.RETROREFLECTIVE, DesignKind.RECEIVER_ARRAY])
+def test_fov_limit_rejects_other_designs(kind):
+    with pytest.raises(InvalidVariant, match="single_detector"):
+        fov_limit_underfocused(rx(kind))
+
+
 def test_underfocused_fov_converges_to_limit():
     r = rx(DesignKind.SINGLE_DETECTOR, a=0.1, u=0.010, f=0.015)
     limit = fov_limit_underfocused(r)
@@ -276,6 +307,20 @@ def test_sweep_rejects_out_of_bounds_grid():
         sweep([tx(w0=5e-3)], [rx(DesignKind.RECEIVER_ARRAY, a=0.2)], [1.0])
 
 
+@pytest.mark.parametrize("field, txs, rxs", [
+    ("beam_quality_m", [tx(m=101.0, w0=5e-3)], [rx(DesignKind.RETROREFLECTIVE)]),
+    ("waist_radius_m", [tx(w0=0.05e-3)], [rx(DesignKind.RETROREFLECTIVE)]),
+    ("aperture_m", [tx(w0=5e-3)], [rx(DesignKind.RECEIVER_ARRAY, a=0.2)]),
+    ("focal_length_m", [tx(w0=5e-3)], [rx(DesignKind.SINGLE_DETECTOR, f=0.06)]),
+    ("image_distance_m", [tx(w0=5e-3)], [rx(DesignKind.SINGLE_DETECTOR, u=0.06)]),
+], ids=["M", "w0", "A", "f", "u"])
+def test_sweep_rejects_each_bound(field, txs, rxs):
+    # one value outside each SWEEP_BOUNDS entry, named in the message
+    lo, hi = SWEEP_BOUNDS[field]
+    with pytest.raises(ValueError, match=rf"^{field} \S+ outside \[{lo}, {hi}\]$"):
+        sweep(txs, rxs, [1.0])
+
+
 def test_sweep_emits_sentinel_rows():
     # Z = f hits the focus singularity: row kept, flagged, rr sentinel
     r = rx(DesignKind.SINGLE_DETECTOR, a=0.01, u=0.016, f=0.015)
@@ -319,6 +364,13 @@ def test_crossover_single_detector_overtakes_retro():
     assert any(c["z_star_m"] == c["z_lo_m"] for c in crossings)
     for c in crossings:
         assert c["z_lo_m"] <= c["z_star_m"] <= c["z_hi_m"]
+
+
+def test_crossovers_of_an_all_flagged_sweep_are_empty():
+    # the beam diverges past pi, so every row of every design is flagged
+    columns = sweep([tx(m=100.0, w0=0.1e-3)], [rx(kind) for kind in DesignKind], [1.0, 10.0])
+    assert set(columns["flag"]) == {"nonphysical_divergence"}
+    assert find_crossovers(columns) == []
 
 
 def test_log_range_grid_endpoints():

@@ -106,6 +106,14 @@ def test_fit_budget_rejects_fps_without_a_finite_period(fps):
         fit_budget([(fps, 5), (10.0, 7)])
 
 
+@pytest.mark.parametrize("pairs", [[(10, 5), (20, 5)], [(10, 5), (20, 6)]])
+def test_fit_budget_rejects_a_rate_that_is_not_positive(pairs):
+    # equal counts fit a rate of about -1.5e-14 Hz, which rounding keeps off
+    # zero; a count that falls as the period grows fits -20 Hz
+    with pytest.raises(SingularFit, match="not positive"):
+        fit_budget(pairs)
+
+
 def test_mirror_model_validation():
     with pytest.raises(ValueError):
         MirrorModel(fov_rad=0.0)
@@ -115,6 +123,20 @@ def test_mirror_model_validation():
         MirrorModel(frame_overhead_s=-0.1)
     with pytest.raises(ValueError):
         MirrorModel(volts_to_rad=((0.0, 0.0), (0.1, 0.0)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_rate_hz", math.inf), ("sample_rate_hz", math.nan),
+    ("frame_overhead_s", math.inf), ("frame_overhead_s", math.nan),
+])
+def test_mirror_model_rejects_non_finite_timing(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        MirrorModel(**{field: value})
+
+
+def test_fps_for_budget_needs_one_sample():
+    with pytest.raises(ValueError, match=">= 1 sample"):
+        fps_for_budget(MirrorModel(), 0)
 
 
 # ---------- angle <-> pixel <-> volts ----------
@@ -337,6 +359,12 @@ def test_foveated_zero_densities_rejected():
 def test_roi_density_ordering_enforced():
     with pytest.raises(ValueError):
         ROI(0, 0, 8, 8, inside_density=0.2, outside_density=0.9)
+
+
+@pytest.mark.parametrize("inside, outside", [(1.5, 0.1), (1.0, -0.1), (math.nan, 0.0)])
+def test_roi_densities_outside_unit_interval_rejected(inside, outside):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ROI(0, 0, 8, 8, inside_density=inside, outside_density=outside)
 
 
 # ---------- pattern serialization ----------

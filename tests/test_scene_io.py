@@ -70,8 +70,9 @@ def test_malformed_magic_raises(tmp_path):
     (read_pgm16, b"P5x\n1 1\n65535\n" + bytes(2), "magic"),
     (read_ppm, None, "cannot read"),
     (read_pgm16, None, "cannot read"),
+    (read_pgm16, b"P5\n1 1\n", "truncated"),
 ], ids=["ppm-negative-dims", "pgm-negative-dims", "pgm-zero-width", "P6x-magic",
-        "P5x-magic", "ppm-directory", "pgm-directory"])
+        "P5x-magic", "ppm-directory", "pgm-directory", "pgm-truncated-header"])
 def test_malformed_netpbm_raises(tmp_path, read, data, match):
     path = tmp_path / "x"
     if data is None:
@@ -80,6 +81,18 @@ def test_malformed_netpbm_raises(tmp_path, read, data, match):
         path.write_bytes(data)
     with pytest.raises(MalformedHeader, match=match):
         read(path)
+
+
+@pytest.mark.parametrize("write, values", [
+    (write_ppm, np.zeros((4, 4), dtype=np.uint8)),
+    (write_ppm, np.zeros((4, 4, 3), dtype=np.uint16)),
+    (write_pgm16, np.zeros((4, 4, 1), dtype=np.uint16)),
+    (write_pgm16, np.zeros((4, 4), dtype=np.int32)),
+])
+def test_writers_reject_bad_arrays(tmp_path, write, values):
+    with pytest.raises(ValueError, match="must be"):
+        write(tmp_path / "x", values)
+    assert not (tmp_path / "x").exists()
 
 
 def test_only_the_two_readers_read_files():
@@ -113,6 +126,11 @@ def test_depth_millimeter_conversion():
     assert back[0, 0] == 1500
     with pytest.raises(ValueError):
         depth_to_millimeters(np.array([[70.0]]))  # beyond the 16-bit mm range
+
+
+def test_negative_depth_has_no_millimeter_value():
+    with pytest.raises(ValueError, match="non-negative"):
+        depth_to_millimeters(np.array([[1.0, -0.001]]))
 
 
 # ---------- scene save/load ----------
@@ -161,6 +179,23 @@ def test_load_reports_dimension_mismatch(tmp_path):
     save_scene(seq, tmp_path / "scene")
     write_pgm16(tmp_path / "scene" / "0000.pgm", np.zeros((8, 8), dtype=np.uint16))
     with pytest.raises(DimensionMismatch, match="0000"):
+        load_scene(tmp_path / "scene")
+
+
+def test_load_reports_frame_size_against_meta(tmp_path):
+    # the frame's PPM and PGM agree with each other, not with meta.json
+    save_scene(_two_frame_scene(), tmp_path / "scene")
+    write_ppm(tmp_path / "scene" / "0001.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+    write_pgm16(tmp_path / "scene" / "0001.pgm", np.zeros((8, 8), dtype=np.uint16))
+    with pytest.raises(DimensionMismatch, match="meta.json"):
+        load_scene(tmp_path / "scene")
+
+
+def test_load_requires_numeric_frame_stems(tmp_path):
+    save_scene(_two_frame_scene(), tmp_path / "scene")
+    for ext in ("ppm", "pgm"):
+        (tmp_path / "scene" / f"0001.{ext}").rename(tmp_path / "scene" / f"last.{ext}")
+    with pytest.raises(MalformedHeader, match="numeric"):
         load_scene(tmp_path / "scene")
 
 
@@ -311,6 +346,36 @@ def test_render_matches_per_pixel_shading_reference(monkeypatch):
             assert fa.depth_gt.tobytes() == fb.depth_gt.tobytes()
     # noise tiles are cached across renders, so they are read-only
     assert not scene_io._noise_tile(3, 0).flags.writeable
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"kind": "box", "z_m": 1.0}, "size_xy_m"),
+    ({"kind": "quad", "z_m": 1.0}, "size_xy_m"),
+    ({"kind": "plane", "z_m": 1.0, "texture": "marble"}, "texture"),
+])
+def test_primitive_rejects_bad_fields(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Primitive(**kwargs)
+
+
+def test_spec_needs_a_primitive():
+    with pytest.raises(EmptyScene):
+        SyntheticSpec()
+
+
+def test_primitive_behind_camera_is_not_drawn():
+    # the box starts at 0.5 m and moves 1 m toward the camera per 0.1 s frame
+    spec = SyntheticSpec(
+        width=16, height=12, fps=10.0, n_frames=2,
+        primitives=(
+            Primitive(kind="plane", z_m=2.0, texture="flat"),
+            Primitive(kind="box", z_m=0.5, size_xy_m=(0.05, 0.05),
+                      velocity_m_s=(0.0, 0.0, -10.0), texture="flat"),
+        ),
+    )
+    first, second = generate_synthetic(spec, seed=0).frames
+    assert (first.depth_gt == 0.5).any()
+    assert (second.depth_gt == 2.0).all()
 
 
 def test_empty_frustum_raises():
