@@ -53,8 +53,8 @@ def main():
     rows = ["frame,x0,y0,x1,y1,roi_mre_pct,n_samples"]
     for frame, roi in zip(seq.frames, track_motion(seq.frames, BackgroundModel())):
         # nothing moving yet: the foveated pattern falls back to a uniform scan
-        pattern = frame_pattern(dims, frame.rgb, Regime.FOVEATED_ROI, mirror, fps,
-                                seed=0, roi=roi, density=1.0, window_px=15)
+        pattern = frame_pattern(dims, None, Regime.FOVEATED_ROI, mirror, fps,
+                                seed=0, roi=roi, density=1.0)
         if roi is None:
             label = "full fov (warm-up)"
         else:

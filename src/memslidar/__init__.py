@@ -21,6 +21,7 @@ from .foveation import (
     EntropyMap,
     FoveationError,
     entropy_map,
+    entropy_maps,
     grayscale,
     max_entropy_roi,
     update_and_detect,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .completion import GuidedFillParams, complete
-from .foveation import BackgroundModel, entropy_map, max_entropy_roi
+from .foveation import BackgroundModel, check_window, entropy_maps, max_entropy_roi
 from .lidar_sim import (
     CaptureConfig,
     LidarSimError,
@@ -46,7 +46,7 @@ from .optics import (
     sweep,
     write_sweep_csv,
 )
-from .pipeline import frame_pattern, frame_seed, run_frame, track_motion
+from .pipeline import frame_pattern, frame_patterns, frame_seed, run_frame, track_motion
 from .scan_engine import (
     DEFAULT_MIRROR_FOV_RAD,
     REFERENCE_BUDGET_PAIRS,
@@ -55,6 +55,7 @@ from .scan_engine import (
     Regime,
     ScanEngineError,
     budget,
+    check_density,
     fit_budget,
     records_json,
     reference_mirror_model,
@@ -76,7 +77,7 @@ from .scene_io import (
 )
 
 # unused here: bound so the benchmark's span tracer can patch them (bench/workloads.py CLI_TRACED)
-from .foveation import update_and_detect  # noqa: F401
+from .foveation import entropy_map, update_and_detect  # noqa: F401
 from .lidar_sim import capture  # noqa: F401
 from .scan_engine import gen_entropy_adaptive, gen_foveated, gen_full_fov  # noqa: F401
 # bound only because the tracer looks up every name it lists; optics-sweep
@@ -168,12 +169,11 @@ def _pmap(fn, jobs: int, *columns: list) -> list:
         return list(pool.map(fn, *columns))
 
 
-def _run_frames(args, seq: SceneSequence, rois, regime, model, fps, cap_cfg, params,
-                density=None, window_px=None) -> list:
-    """`pipeline.run_frame` over the scene's frames, up to --jobs at a time."""
-    fn = partial(run_frame, regime=regime, model=model, fps=fps, seed=args.seed,
-                 density=density, window_px=window_px, cap_cfg=cap_cfg, params=params)
-    return _pmap(fn, args.jobs, seq.frames, rois)
+def _run_frames(args, seq: SceneSequence, patterns, cap_cfg, params) -> list:
+    """`pipeline.run_frame` over the scene's frames and their patterns, up to
+    --jobs at a time."""
+    fn = partial(run_frame, seed=args.seed, cap_cfg=cap_cfg, params=params)
+    return _pmap(fn, args.jobs, seq.frames, patterns)
 
 
 def _mirror_model(args) -> MirrorModel:
@@ -204,6 +204,15 @@ def _fill_params(args) -> GuidedFillParams:
 def _background_model(args) -> BackgroundModel:
     return BackgroundModel(alpha=args.alpha, diff_threshold=args.threshold,
                            min_blob_area_px=args.min_blob_area, margin_px=args.margin)
+
+
+def _check_pattern_flags(args):
+    """The flag only one regime reads, checked by its own rule: --window-px
+    for entropy, --density for density."""
+    if args.regime == "entropy":
+        check_window(args.window_px)
+    elif args.regime == "density":
+        check_density(args.density)
 
 
 def _fixed_roi(args, motion: bool = False) -> ROI | None:
@@ -399,28 +408,25 @@ _REGIME_FLAG = {
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     roi = _fixed_roi(args)
+    _check_pattern_flags(args)
     model = _mirror_model(args)
     frame_budget = budget(model, args.fps)
     if args.dims:
         if regime == Regime.ENTROPY_ADAPTIVE:
             raise UsageError("entropy regime needs --scene for the guide image")
-        dims, fov_deg, guides = _parse_dims(args.dims), args.mirror_fov_deg, [(0, None)]
+        model = replace(model, fov_rad=math.radians(args.mirror_fov_deg))
+        patterns = {0: frame_pattern(_parse_dims(args.dims), None, regime, model, args.fps,
+                                     frame_seed(args.seed, 0, 0), roi, args.density)}
     else:
         seq = load_scene(args.scene)
-        dims = (seq.meta.width, seq.meta.height)
-        fov_deg = seq.meta.mirror_fov_deg
-        guides = [(frame.frame_index, frame.rgb) for frame in seq.frames]
-    model = replace(model, fov_rad=math.radians(fov_deg))
-    if regime != Regime.ENTROPY_ADAPTIVE:
-        guides = guides[:1]  # pattern is frame-independent; one file is enough
-
-    patterns = {
-        index: frame_pattern(
-            dims, rgb, regime, model, args.fps,
-            frame_seed(args.seed, index, 0), roi, args.density, args.window_px,
-        )
-        for index, rgb in guides
-    }
+        model = replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg))
+        # a pattern read from no guide image is frame-independent; one file is enough
+        frames = seq.frames if regime == Regime.ENTROPY_ADAPTIVE else seq.frames[:1]
+        patterns = dict(zip(
+            (frame.frame_index for frame in frames),
+            frame_patterns(frames, [roi] * len(frames), regime, model, args.fps, args.seed,
+                           args.density, args.window_px),
+        ))
     out = _outdir(args)
     for index, pattern in patterns.items():
         (out / f"pattern_{index:04d}.json").write_text(pattern.to_json() + "\n")
@@ -435,6 +441,7 @@ def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion"
     fixed_roi = _fixed_roi(args, motion)
+    _check_pattern_flags(args)
     model = _mirror_model(args)
     frame_budget = budget(model, args.fps)
     cap_cfg = _capture_config(args)
@@ -451,8 +458,9 @@ def cmd_capture(args) -> int:
                 for roi in track_motion(seq.frames, background)]
     else:
         rois = [fixed_roi] * len(seq.frames)
-    results = _run_frames(args, seq, rois, regime, model, args.fps, cap_cfg, None,
-                          args.density, args.window_px)
+    patterns = frame_patterns(seq.frames, rois, regime, model, args.fps, args.seed,
+                              args.density, args.window_px)
+    results = _run_frames(args, seq, patterns, cap_cfg, None)
 
     out = _outdir(args)
     summary = []
@@ -481,12 +489,15 @@ def cmd_fovea(args) -> int:
     motion = args.mode == "motion"
     background = _background_model(args) if motion else None
     roi_dims = None if motion else _parse_dims(args.roi_dims)
+    if not motion:
+        check_window(args.window_px)
     seq = load_scene(args.scene)
     lines = [ROI_TRACE_HEADER]
     if motion:
         rois = track_motion(seq.frames, background)
     else:
-        rois = [max_entropy_roi(entropy_map(f.rgb, args.window_px), roi_dims) for f in seq.frames]
+        emaps = entropy_maps((frame.rgb for frame in seq.frames), args.window_px)
+        rois = [max_entropy_roi(emap, roi_dims) for emap in emaps]
     for frame, roi in zip(seq.frames, rois):
         if roi is None:
             lines.append(f"{frame.frame_index},,,,,")
@@ -613,7 +624,9 @@ def cmd_fps_sweep(args) -> int:
     no_rois = [None] * len(seq.frames)
     lines = ["fps,budget,samples_per_frame," + METRICS_CSV_HEADER]
     for fps, frame_budget in zip(rates, budgets):
-        results = _run_frames(args, seq, no_rois, Regime.FULL_FOV, model, fps, cap_cfg, params)
+        patterns = frame_patterns(seq.frames, no_rois, Regime.FULL_FOV, model, fps, args.seed,
+                                  None, None)
+        results = _run_frames(args, seq, patterns, cap_cfg, params)
         # run_frame's depth is the millimetre depth `complete` writes, as `eval` reads
         report = _pooled_report([(pred, f.depth_gt) for (_, pred), f in zip(results, seq.frames)])
         mean_samples = sum(len(sparse.samples) for sparse, _ in results) / len(seq.frames)

@@ -114,13 +114,74 @@ def _pair_table(area: int) -> np.ndarray:
     return table
 
 
+def check_window(window_px: int) -> None:
+    """The entropy window rule: an odd side of at least 3 pixels."""
+    if window_px < 3 or window_px % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {window_px}")
+
+
+def _gray_levels(rgb: np.ndarray) -> np.ndarray:
+    """The `uint8` gray levels whose window histograms the entropy counts."""
+    return np.round(grayscale(rgb)).astype(np.uint8)
+
+
 def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
     """Shannon entropy of the grayscale histogram in a sliding window.
 
-    Borders are replicate-padded so every pixel sees a full window.  For
-    each gray level present, in ascending order, the window count of its
-    indicator is summed first down the rows and then across the columns,
-    in the smallest unsigned type that holds `window_px**2`, from
+    Borders are replicate-padded so every pixel sees a full window, and
+    `_count_entropy` counts every pixel of the padded image.
+    """
+    check_window(window_px)
+    padded = np.pad(_gray_levels(rgb), window_px // 2, mode="edge")
+    return EntropyMap(values=_count_entropy(padded, window_px), window_px=window_px)
+
+
+def entropy_maps(rgbs, window_px: int = 15):
+    """`entropy_map` of each image in `rgbs`, in order, as a generator.
+
+    The first image, and any image whose shape differs from the one
+    before, is counted in full.  A later one copies the previous map and
+    recounts only the bounding box of the pixels whose gray level changed,
+    grown by `window_px // 2` and clipped to the image, from the matching
+    crop of the edge-padded gray image; with no change it yields the
+    previous map's array again.  That is exact: a pixel's entropy
+    reads only the levels in its window (a pad cell copies a border pixel
+    within `window_px // 2` of every pixel whose window holds it), and a
+    level missing from a crop would only have subtracted a `0.0` term, so
+    the terms present are still summed in the same ascending level order.
+    The yielded values are read-only, because the next map is built from
+    them.  No state outlives the generator.
+    """
+    check_window(window_px)
+    half = window_px // 2
+    gray = values = None
+    for rgb in rgbs:
+        last, gray = gray, _gray_levels(rgb)
+        padded = np.pad(gray, half, mode="edge")
+        if last is None or last.shape != gray.shape:
+            values = _count_entropy(padded, window_px)
+        else:
+            changed = gray != last
+            ys, xs = np.flatnonzero(changed.any(axis=1)), np.flatnonzero(changed.any(axis=0))
+            if ys.size:
+                values = values.copy()
+                h, w = gray.shape
+                y0, y1 = max(ys[0] - half, 0), min(ys[-1] + 1 + half, h)
+                x0, x1 = max(xs[0] - half, 0), min(xs[-1] + 1 + half, w)
+                values[y0:y1, x0:x1] = _count_entropy(
+                    padded[y0:y1 + 2 * half, x0:x1 + 2 * half], window_px)
+        values.flags.writeable = False
+        yield EntropyMap(values=values, window_px=window_px)
+
+
+def _count_entropy(padded: np.ndarray, window_px: int) -> np.ndarray:
+    """Windowed entropy of each pixel whose whole window lies in `padded`,
+    an edge-padded `uint8` gray image: `(h, w)` values for an
+    `(h + window_px - 1, w + window_px - 1)` input.
+
+    For each gray level present, in ascending order, the window count of
+    its indicator is summed first down the rows and then across the
+    columns, in the smallest unsigned type that holds `window_px**2`, from
     power-of-two block sums built by doubling (`_window_plan`).  The term
     `p * log2(p)` for `p = count / area` is looked up in a table indexed
     by that count (0 for an empty count) and subtracted, a slice at a
@@ -134,18 +195,13 @@ def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
     by b columns an offset of b.  A window that starts in the last
     `window_px - 1` columns of a row runs on into the next row, so its
     count is wrapped; those are exactly the padded columns past the
-    image width, and they are cropped before the map is returned.  A
+    image width, and they are cropped before the values are returned.  A
     wrapped count is still a sum of `window_px` column counts, so it
     never exceeds the area and indexes the table safely.  Small frames
     count up to 8 levels per pass, stacked one even `stride` apart in
     about 2**17 entries; counts between two levels are wrapped ones too.
     """
-    if window_px < 3 or window_px % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window_px}")
-    gray = np.round(grayscale(rgb)).astype(np.uint8)
-    h, w = gray.shape
-    half = window_px // 2
-    padded = np.pad(gray, half, mode="edge")
+    h, w = (n - window_px + 1 for n in padded.shape)
     wp = padded.shape[1]
     area = window_px * window_px
 
@@ -187,8 +243,7 @@ def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
                 # is the fast gather mode for a small-integer index
                 table.take(c, out=t, mode="clip")
                 np.subtract(e, tf, out=e)
-    values = entropy.reshape(h, wp)[:, :w].copy()
-    return EntropyMap(values=values, window_px=window_px)
+    return entropy.reshape(h, wp)[:, :w].copy()
 
 
 def max_entropy_roi(emap: EntropyMap, roi_dims_px: tuple[int, int]) -> ROI:

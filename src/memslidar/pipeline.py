@@ -1,7 +1,8 @@
-"""One frame of the sensor loop: pick a measurement pattern from the guide
-image, capture sparse depth with the mirror, and optionally complete it.
-The CLI and the demos run their frames through here, and the foveated
-versus full-FOV comparison scores its two frames here.
+"""The sensor loop over a scene: pick each frame's measurement pattern from
+its guide image in one ordered pass, then capture sparse depth with the
+mirror and optionally complete it, one frame at a time.  The CLI and the
+demos run their frames through here, and the foveated versus full-FOV
+comparison scores its two frames here.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .completion import GuidedFillParams, complete
-from .foveation import BackgroundModel, entropy_map, update_and_detect
+from .foveation import BackgroundModel, entropy_maps, update_and_detect
 from .lidar_sim import CaptureConfig, SparseDepth, capture
 from .metrics import MetricsReport, compute
 from .scan_engine import (ROI, MirrorModel, Regime, ScanPattern, gen_density_sweep,
@@ -24,12 +25,12 @@ def frame_seed(seed: int, frame_index: int, stream: int) -> int:
 
 
 def frame_pattern(
-    dims: tuple[int, int], rgb: np.ndarray | None, regime: Regime, model: MirrorModel,
-    fps: float, seed: int, roi: ROI | None, density: float | None, window_px: int | None,
+    dims: tuple[int, int], entropy: np.ndarray | None, regime: Regime, model: MirrorModel,
+    fps: float, seed: int, roi: ROI | None, density: float | None,
 ) -> ScanPattern:
     """Scan pattern over a `dims` image; only the entropy regime reads the
-    guide `rgb`, `seed` and `window_px`, and only the density regime reads
-    `density`.  Foveated with no ROI scans the full FOV."""
+    guide image's `entropy` values and `seed`, and only the density regime
+    reads `density`.  Foveated with no ROI scans the full FOV."""
     if regime == Regime.FOVEATED_ROI and roi is None:
         regime = Regime.FULL_FOV
     if regime == Regime.FULL_FOV:
@@ -38,7 +39,7 @@ def frame_pattern(
         return gen_density_sweep(model, fps, dims, density)
     if regime == Regime.FOVEATED_ROI:
         return gen_foveated(model, fps, roi, dims)
-    return gen_entropy_adaptive(model, fps, entropy_map(rgb, window_px).values, seed)
+    return gen_entropy_adaptive(model, fps, entropy, seed)
 
 
 def track_motion(frames, background_model: BackgroundModel) -> list[ROI | None]:
@@ -50,19 +51,29 @@ def track_motion(frames, background_model: BackgroundModel) -> list[ROI | None]:
     return rois
 
 
+def frame_patterns(
+    frames, rois, regime: Regime, model: MirrorModel, fps: float, seed: int,
+    density: float | None, window_px: int | None,
+) -> list[ScanPattern]:
+    """Each frame's pattern (stream-0 seed) from one pass in frame order.
+    Only the entropy regime reads the guide images, through `entropy_maps`,
+    which recounts a frame's map only where its image changed."""
+    entropies = ((m.values for m in entropy_maps((f.rgb for f in frames), window_px))
+                 if regime == Regime.ENTROPY_ADAPTIVE else [None] * len(frames))
+    return [
+        frame_pattern((frame.intrinsics.width, frame.intrinsics.height), entropy, regime,
+                      model, fps, frame_seed(seed, frame.frame_index, 0), roi, density)
+        for frame, roi, entropy in zip(frames, rois, entropies)
+    ]
+
+
 def run_frame(
-    frame: SceneFrame, roi: ROI | None, regime: Regime, model: MirrorModel, fps: float,
-    seed: int, density: float | None, window_px: int | None, cap_cfg: CaptureConfig,
+    frame: SceneFrame, pattern: ScanPattern, seed: int, cap_cfg: CaptureConfig,
     params: GuidedFillParams | None,
 ) -> tuple[SparseDepth, np.ndarray | None]:
-    """Pattern (stream-0 seed), capture (stream-1 seed) and, given `params`,
-    completion of one frame.  Returns the capture and the completed depth
-    in metres quantised to the millimetres `complete` writes, or None."""
-    dims = (frame.intrinsics.width, frame.intrinsics.height)
-    pattern = frame_pattern(
-        dims, frame.rgb, regime, model, fps,
-        frame_seed(seed, frame.frame_index, 0), roi, density, window_px,
-    )
+    """Capture (stream-1 seed) of one frame with its pattern and, given
+    `params`, completion.  Returns the capture and the completed depth in
+    metres quantised to the millimetres `complete` writes, or None."""
     sparse = capture(frame, pattern, cap_cfg, frame_seed(seed, frame.frame_index, 1))
     if params is None:
         return sparse, None
@@ -86,8 +97,7 @@ def compare_foveated(
     Returns (full_fov_report, foveated_report).
     """
     dims = (frame.intrinsics.width, frame.intrinsics.height)
-    patterns = [frame_pattern(dims, None, regime, model, fps, seed=0, roi=roi,
-                              density=None, window_px=None)
+    patterns = [frame_pattern(dims, None, regime, model, fps, seed=0, roi=roi, density=None)
                 for regime in (Regime.FULL_FOV, Regime.FOVEATED_ROI)]
     crop = np.s_[roi.y0:roi.y1, roi.x0:roi.x1]
     reports = []

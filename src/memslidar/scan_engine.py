@@ -430,12 +430,17 @@ def gen_full_fov(
     )
 
 
+def check_density(density: float) -> None:
+    """The density regime's rule: a budget fraction in (0, 1]."""
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+
+
 def gen_density_sweep(
     model: MirrorModel, fps: float, image_dims: tuple[int, int], density: float
 ) -> ScanPattern:
     """Full-FOV raster at a fraction of the budget (density study regime)."""
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+    check_density(density)
     n = budget(model, fps)
     n_used = max(1, int(round(n * density)))
     theta, phi = _serpentine_grid(_angular_extent(model, image_dims), n_used)

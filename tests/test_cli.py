@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,11 @@ import pytest
 from memslidar import cli
 from memslidar.cli import main
 from memslidar.completion import GuidedFillParams
-from memslidar.foveation import BackgroundModel
-from memslidar.scan_engine import DEFAULT_MIRROR_FOV_RAD, REFERENCE_BUDGET_PAIRS, ScanPattern
+from memslidar.foveation import BackgroundModel, entropy_map, grayscale, max_entropy_roi
+from memslidar.lidar_sim import CaptureConfig, capture, save_sparse
+from memslidar.pipeline import frame_seed
+from memslidar.scan_engine import (DEFAULT_MIRROR_FOV_RAD, REFERENCE_BUDGET_PAIRS, ScanPattern,
+                                   gen_entropy_adaptive, reference_mirror_model)
 from memslidar.scene_io import (Primitive, SyntheticSpec, load_scene, read_pgm16,
                                 write_pgm16)
 
@@ -271,6 +275,11 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["scan", "--fps", "30"],
     # the entropy regime reads the guide image, which --dims does not give
     ["scan", "--dims", "160x120", "--regime", "entropy"],
+    # a flag one regime or mode reads is checked by its rule before the scene is read
+    ["capture", "--scene", "NOPE", "--regime", "entropy", "--window-px", "4"],
+    ["fovea", "--scene", "NOPE", "--mode", "entropy", "--window-px", "2"],
+    ["scan", "--scene", "NOPE", "--regime", "density", "--density", "0"],
+    ["capture", "--scene", "NOPE", "--regime", "density", "--density", "1.5"],
     # malformed range grids: no kind, non-numeric bounds, unknown kind, no count
     ["optics-sweep", "--Z-m", "1:2"],
     ["optics-sweep", "--Z-m", "a:b:log5"],
@@ -364,7 +373,8 @@ def test_usage_checks_come_before_any_file_is_read():
     # and usage check comes before the first file read
     reads = {"load_scene", "load_sparse", "load_spec", "read_json", "read_pgm16"}
     checks = {"_parse_roi", "_parse_dims", "_floats", "_range_grid", "_fixed_roi",
-              "_mirror_model", "_capture_config", "_fill_params", "_background_model", "budget"}
+              "_mirror_model", "_capture_config", "_fill_params", "_background_model", "budget",
+              "_check_pattern_flags", "check_window"}
 
     def called(node):
         call = node.exc if isinstance(node, ast.Raise) else node
@@ -750,6 +760,44 @@ def test_capture_rerun_and_jobs_byte_identical(tmp_path, monkeypatch, regime):
         if name == "run.json":
             continue
         assert (a / "cap2" / name).read_bytes() == (a / "cap" / name).read_bytes()
+
+
+def test_entropy_commands_match_per_frame_entropy_maps(tmp_path):
+    # a moving box: each later frame changes in a band, so its map is recounted in part
+    scene = make_scene(tmp_path, "moving-box", 3)
+    seq = load_scene(scene)
+    grays = [np.round(grayscale(frame.rgb)) for frame in seq.frames]
+    assert all(0 < np.mean(a != b) < 0.5 for a, b in zip(grays, grays[1:]))
+    emaps = [entropy_map(frame.rgb, 15) for frame in seq.frames]
+    model = replace(reference_mirror_model(), fov_rad=math.radians(seq.meta.mirror_fov_deg))
+    patterns = [gen_entropy_adaptive(model, 20.0, emap.values, frame_seed(0, frame.frame_index, 0))
+                for frame, emap in zip(seq.frames, emaps)]
+
+    assert run("scan", "--scene", scene, "--regime", "entropy", "--fps", "20",
+               "--out", tmp_path / "scan") == 0
+    for frame, pattern in zip(seq.frames, patterns):
+        written = (tmp_path / "scan" / f"pattern_{frame.frame_index:04d}.json").read_text()
+        assert written == pattern.to_json() + "\n"
+
+    want = tmp_path / "want"
+    want.mkdir()
+    cap_cfg = CaptureConfig(z_max_m=seq.meta.z_max_m)
+    for frame, pattern in zip(seq.frames, patterns):
+        sparse = capture(frame, pattern, cap_cfg, frame_seed(0, frame.frame_index, 1))
+        save_sparse(sparse, want / f"{frame.frame_index:04d}.pgm",
+                    want / f"{frame.frame_index:04d}.json")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"cap{jobs}"
+        assert run("capture", "--scene", scene, "--regime", "entropy", "--fps", "20",
+                   "--jobs", jobs, "--out", out) == 0
+        for path in sorted(want.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), (jobs, path.name)
+
+    assert run("fovea", "--scene", scene, "--mode", "entropy", "--out", tmp_path / "fovea") == 0
+    rows = (tmp_path / "fovea" / "roi_trace.csv").read_text().splitlines()[1:]
+    for frame, emap, row in zip(seq.frames, emaps, rows, strict=True):
+        roi = max_entropy_roi(emap, (40, 30))
+        assert row == f"{frame.frame_index},{roi.x0},{roi.y0},{roi.x1},{roi.y1},{roi.area_px}"
 
 
 def test_complete_fills_every_pixel(tmp_path):

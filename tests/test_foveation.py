@@ -11,10 +11,12 @@ from memslidar.foveation import (
     _pair_table,
     _term_table,
     entropy_map,
+    entropy_maps,
     grayscale,
     max_entropy_roi,
     update_and_detect,
 )
+from memslidar import foveation
 from memslidar.scan_engine import ROIOutOfBounds
 
 
@@ -226,6 +228,80 @@ def test_entropy_window_validation():
         entropy_map(img, window_px=4)
     with pytest.raises(ValueError):
         entropy_map(img, window_px=1)
+
+
+
+# ---------- entropy maps through a sequence ----------
+
+# edges a changed rectangle is pinned to: top, bottom, left, right
+_PINS = {"interior": "", "top": "t", "bottom": "b", "left": "l", "right": "r",
+         "top-left": "tl", "top-right": "tr", "bottom-left": "bl", "bottom-right": "br"}
+
+
+def _changed_rect(rng, shape, pin):
+    (y0, y1), (x0, x1) = (np.sort(rng.integers(0, n, 2)) + (0, 1) for n in shape)
+    return np.s_[0 if "t" in pin else y0:shape[0] if "b" in pin else y1,
+                 0 if "l" in pin else x0:shape[1] if "r" in pin else x1]
+
+
+@pytest.mark.parametrize("window", [3, 5, 15, 17])
+@pytest.mark.parametrize("pin", _PINS.values(), ids=_PINS.keys())
+def test_entropy_maps_match_entropy_map_bytes(window, pin):
+    rng = np.random.default_rng([window, *map(ord, pin)])
+    # narrower and shorter than the window, both, and small frames whose
+    # levels are stacked several to a pass
+    shapes = [(1, 1), (2, 40), (30, 3), (window - 2, window - 1), (24, 32), (60, 80)]
+    for shape in shapes:
+        levels = rng.choice(256, size=int(rng.integers(1, 257)), replace=False)
+        frames = [rng.choice(levels, size=shape)]
+        for change in ("rect", "none", "rect", "all", "rect", "rect"):
+            gray = frames[-1].copy()
+            if change == "all":
+                gray = 255 - gray  # no level is its own complement
+            elif change == "rect":
+                rect = _changed_rect(rng, shape, pin)
+                gray[rect] = rng.choice(levels, size=gray[rect].shape)
+            frames.append(gray)
+        for i, (gray, emap) in enumerate(zip(frames, entropy_maps(map(_rgb, frames), window))):
+            want = entropy_map(_rgb(gray), window_px=window)
+            assert emap.window_px == window
+            assert emap.values.tobytes() == want.values.tobytes(), (shape, i)
+
+
+def test_entropy_maps_recount_one_window_per_changed_pixel(monkeypatch):
+    window, shape = 7, (40, 50)
+    counted = []  # kernel output shape of each count
+
+    def recording(padded, window_px):
+        counted.append(tuple(n - window_px + 1 for n in padded.shape))
+        return count(padded, window_px)
+
+    count = foveation._count_entropy
+    monkeypatch.setattr(foveation, "_count_entropy", recording)
+    gray = np.random.default_rng(8).integers(0, 256, shape)
+    frames = [gray]
+    for y, x in [(20, 25), (0, 0), (39, 49), (0, 30)]:  # interior, corners, an edge
+        frames.append(frames[-1].copy())
+        frames[-1][y, x] ^= 1
+    frames.append(frames[-1])  # unchanged: nothing recounted
+    maps = list(entropy_maps(map(_rgb, frames), window))
+    assert counted == [shape, (7, 7), (4, 4), (4, 4), (4, 7)]
+    monkeypatch.setattr(foveation, "_count_entropy", count)
+    for gray, emap in zip(frames, maps):
+        assert emap.values.tobytes() == entropy_map(_rgb(gray), window).values.tobytes()
+        assert not emap.values.flags.writeable  # the next map is built from it
+
+
+def test_entropy_maps_count_a_resized_frame_in_full():
+    rng = np.random.default_rng(9)
+    frames = [rng.integers(0, 256, shape) for shape in [(20, 30), (21, 30), (21, 30)]]
+    for gray, emap in zip(frames, entropy_maps(map(_rgb, frames), 5)):
+        assert emap.values.tobytes() == entropy_map(_rgb(gray), 5).values.tobytes()
+
+
+def test_entropy_maps_window_validation():
+    with pytest.raises(ValueError, match="window must be odd"):
+        next(entropy_maps([_rgb(np.zeros((8, 8)))], window_px=4))
 
 
 # ---------- max-entropy ROI ----------

@@ -14,7 +14,8 @@ from memslidar.cli import main
 from memslidar.completion import GuidedFillParams, complete
 from memslidar.foveation import BackgroundModel, entropy_map, update_and_detect
 from memslidar.lidar_sim import CaptureConfig, capture
-from memslidar.pipeline import frame_pattern, frame_seed, run_frame, track_motion
+from memslidar.pipeline import (frame_pattern, frame_patterns, frame_seed, run_frame,
+                                track_motion)
 from memslidar.scan_engine import (
     ROI,
     Regime,
@@ -73,20 +74,20 @@ def test_run_frame_matches_reference_chain(textured_frame, regime, roi, fps, see
     cap_cfg, params = CaptureConfig(), GuidedFillParams()
     want_sparse, want_depth = reference_frame(
         textured_frame, regime, model, fps, seed, cap_cfg, roi, params)
-    sparse, depth = run_frame(
-        textured_frame, roi, regime, model, fps, seed, DENSITY, WINDOW_PX, cap_cfg, params)
+    [pattern] = frame_patterns(
+        [textured_frame], [roi], regime, model, fps, seed, DENSITY, WINDOW_PX)
+    sparse, depth = run_frame(textured_frame, pattern, seed, cap_cfg, params)
     assert sparse.to_json() == want_sparse.to_json()
     assert sparse.depth_m.tobytes() == want_sparse.depth_m.tobytes()
     assert depth.tobytes() == want_depth.tobytes()
     # without completion parameters the capture is the same and no depth comes back
-    bare, none = run_frame(
-        textured_frame, roi, regime, model, fps, seed, DENSITY, WINDOW_PX, cap_cfg, None)
+    bare, none = run_frame(textured_frame, pattern, seed, cap_cfg, None)
     assert none is None and bare.to_json() == want_sparse.to_json()
 
 
 def test_foveated_without_roi_scans_full_fov():
     model = reference_mirror_model()
-    args = ((64, 48), None, Regime.FOVEATED_ROI, model, 6.0, 0, None, DENSITY, WINDOW_PX)
+    args = ((64, 48), None, Regime.FOVEATED_ROI, model, 6.0, 0, None, DENSITY)
     pattern = frame_pattern(*args)
     assert pattern.regime == Regime.FULL_FOV
     assert pattern.to_json() == gen_full_fov(model, 6.0, (64, 48)).to_json()
