@@ -1,6 +1,6 @@
 """Desk-scale simulator for an adaptive MEMS-scanned lidar.
 
-The package walks the whole pipeline in plain numpy/scipy: receiver
+The package walks the whole pipeline in plain numpy: receiver
 optics characterization (optics), synthetic rgb-d scenes (scene_io),
 scan budgets and sampling patterns (scan_engine), attention ROIs
 (foveation), per-dot range capture (lidar_sim), guided densification

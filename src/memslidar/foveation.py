@@ -299,7 +299,72 @@ class BackgroundModel:
             raise ValueError("margin must be >= 0")
 
 
-_OPEN_STRUCTURE = np.ones((3, 3), dtype=bool)
+def _open3x3(mask: np.ndarray) -> np.ndarray:
+    """Binary opening of a bool mask by a 3x3 square with a zero border:
+    a 3x3 AND (erosion) and then a 3x3 OR (dilation), each one 3-tap pass
+    along the rows and one down the columns of the zero-padded mask.
+    Equal to `scipy.ndimage.binary_opening(mask, structure=np.ones((3, 3)))`,
+    whose `border_value` is 0."""
+    out = mask
+    for op in (np.logical_and, np.logical_or):
+        padded = np.pad(out, 1)
+        rows = op(op(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+        out = op(op(rows[:-2], rows[1:-1]), rows[2:])
+    return out
+
+
+def _largest_component(mask: np.ndarray) -> tuple[int, int, int, int, int] | None:
+    """(area, y0, x0, y1, x1) of the largest 8-connected component of a
+    bool mask, its bounding box half-open; None for an empty mask.  Of
+    equal-size components the one whose first pixel comes first in raster
+    order wins, as `argmax` over `scipy.ndimage.label`'s labels does.
+
+    No label image is built.  The row runs come from one `np.diff` of the
+    mask with a zero column on each side, keyed by their flat index in that
+    `(h, w + 2)` layout: `start` is a run's first pixel, `end` one past its
+    last.  Run a touches run b of the row above, diagonals included, when
+    `start_a <= end_b` and `end_a >= start_b` on a's keys moved up one
+    row; the zero columns keep those keys clear of every other row, so two
+    `searchsorted` calls give each run its touching runs as one index
+    range.  Runs merge by union-find: each round hooks every root onto the
+    smallest root it touches, then jumps pointers until every run points at
+    its root.  A root is thus always the component's first run in raster
+    order.  Every component that still touches another either hooks or is
+    hooked onto, so each round at least halves their number, and the
+    rounds stay logarithmic even for a spiral or serpentine whose runs
+    chain end to end.
+    """
+    wp = mask.shape[1] + 2
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).ravel().view(np.int8))
+    starts = np.flatnonzero(edges == 1) + 1
+    if not starts.size:
+        return None
+    ends = np.flatnonzero(edges == -1) + 1
+    lo = np.searchsorted(ends, starts - wp, side="left")
+    hi = np.searchsorted(starts, ends - wp, side="right")
+    touching = np.maximum(hi - lo, 0)
+    # one (a, b) pair per touch: b runs from lo to hi - 1 for each a
+    run_a = np.repeat(np.arange(starts.size), touching)
+    run_b = np.arange(run_a.size) - np.repeat(np.cumsum(touching) - touching - lo, touching)
+    parent = np.arange(starts.size)
+    while run_a.size:
+        root_a, root_b = parent[run_a], parent[run_b]
+        apart = root_a != root_b
+        run_a, run_b = run_a[apart], run_b[apart]
+        root_a, root_b = root_a[apart], root_b[apart]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    sizes = np.bincount(parent, weights=ends - starts)
+    best = int(np.argmax(sizes))
+    member = parent == best
+    rows, firsts = np.divmod(starts[member], wp)  # padded columns: x + 1
+    lasts = ends[member] % wp
+    return (int(sizes[best]), int(rows.min()), int(firsts.min()) - 1,
+            int(rows.max()) + 1, int(lasts.max()) - 1)
 
 
 def update_and_detect(
@@ -307,11 +372,12 @@ def update_and_detect(
 ) -> tuple[BackgroundModel, ROI | None]:
     """Detect motion against the running mean, then fold the frame in.
 
-    Pipeline: |gray - mean| > threshold, 3x3 morphological opening,
-    8-connected components, largest component at least min_blob_area_px,
-    bounding box dilated by margin_px and clamped to the image.  Returns
-    the updated model and the ROI (None when nothing moved).  The first
-    frame only seeds the mean.
+    Pipeline: |gray - mean| > threshold, 3x3 morphological opening
+    (`_open3x3`), the largest 8-connected component found from the row
+    runs by union-find (`_largest_component`) if its area is at least
+    min_blob_area_px, and its bounding box dilated by margin_px and
+    clamped to the image.  Returns the updated model and the ROI (None
+    when nothing moved).  The first frame only seeds the mean.
     """
     gray = grayscale(rgb)
     if model.mean_gray is None:
@@ -321,26 +387,15 @@ def update_and_detect(
             f"frame is {gray.shape}, background model is {model.mean_gray.shape}"
         )
 
-    # deferred: importing scipy.ndimage triples the start-up of a process
-    # that never detects motion
-    from scipy import ndimage
-
     diff = np.abs(gray - model.mean_gray) > model.diff_threshold
-    opened = ndimage.binary_opening(diff, structure=_OPEN_STRUCTURE)
+    blob = _largest_component(_open3x3(diff))
     roi = None
-    if opened.any():
-        labels, n_labels = ndimage.label(opened, structure=_OPEN_STRUCTURE)
-        sizes = np.bincount(labels.ravel())[1:]  # skip background label 0
-        best = int(np.argmax(sizes)) + 1
-        if sizes[best - 1] >= model.min_blob_area_px:
-            ys, xs = np.nonzero(labels == best)
-            h, w = gray.shape
-            roi = ROI(
-                x0=max(0, int(xs.min()) - model.margin_px),
-                y0=max(0, int(ys.min()) - model.margin_px),
-                x1=min(w, int(xs.max()) + 1 + model.margin_px),
-                y1=min(h, int(ys.max()) + 1 + model.margin_px),
-            )
+    if blob is not None and blob[0] >= model.min_blob_area_px:
+        _, y0, x0, y1, x1 = blob
+        h, w = gray.shape
+        m = model.margin_px
+        roi = ROI(x0=max(0, x0 - m), y0=max(0, y0 - m),
+                  x1=min(w, x1 + m), y1=min(h, y1 + m))
 
     new_mean = (1.0 - model.alpha) * model.mean_gray + model.alpha * gray
     return replace(model, mean_gray=new_mean), roi

@@ -1058,7 +1058,7 @@ def test_capture_bad_roi_exit_2(tmp_path):
 
 
 def test_entropy_capture_does_not_import_scipy(tmp_path):
-    # only motion detection needs scipy.ndimage, whose import triples start-up
+    # scipy is a test dependency only; the package never imports it
     code = (
         "import sys\n"
         "from memslidar.cli import main\n"
@@ -1073,6 +1073,42 @@ def test_entropy_capture_does_not_import_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+MOTION_CALLS = (
+    ["gen-scene", "--preset", "moving-box", "--frames", "3", "--out", "scene"],
+    ["capture", "--scene", "scene", "--regime", "foveated", "--roi", "auto-motion",
+     "--fps", "20", "--out", "cap"],
+    ["fovea", "--scene", "scene", "--mode", "motion", "--out", "fov"],
+)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_motion_commands_run_with_scipy_blocked(tmp_path, monkeypatch):
+    # a `None` entry in sys.modules makes every `import scipy...` raise
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    blocked.mkdir()
+    free.mkdir()
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from memslidar.cli import main\n"
+        f"print([main(argv) for argv in {list(MOTION_CALLS)!r}])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=blocked,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0]"
+    monkeypatch.chdir(free)  # same relative paths, so run.json matches too
+    assert [main(list(argv)) for argv in MOTION_CALLS] == [0, 0, 0]
+    written = _tree_bytes(free)
+    assert {"cap/capture_summary.json", "fov/roi_trace.csv"} <= set(written)
+    assert _tree_bytes(blocked) == written
 
 
 def test_cli_import_builds_no_entropy_table():
