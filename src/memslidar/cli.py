@@ -37,8 +37,8 @@ from .lidar_sim import (
 )
 from .metrics import METRICS_CSV_HEADER, MetricsError, compute
 from .optics import (
+    MAX_SWEEP_ROWS,
     DesignKind,
-    OpticsError,
     ReceiverSpec,
     TransmitterSpec,
     find_crossovers,
@@ -53,7 +53,7 @@ from .scan_engine import (
     ROI,
     MirrorModel,
     Regime,
-    ScanEngineError,
+    ROIOutOfBounds,
     budget,
     check_density,
     fit_budget,
@@ -71,6 +71,7 @@ from .scene_io import (
     read_json,
     read_pgm16,
     millimeters_to_depth,
+    pinhole_intrinsics,
     save_scene,
     write_pgm16,
     depth_to_millimeters,
@@ -117,6 +118,8 @@ def _range_grid(text: str) -> list[float]:
         kind, count = parts[2][:3], int(parts[2][3:])
     except ValueError:
         raise UsageError(f"bad range grid {text!r}") from None
+    if count > MAX_SWEEP_ROWS:  # checked before an array of that length is built
+        raise UsageError(f"range grid of {count} points exceeds {MAX_SWEEP_ROWS} sweep rows")
     if kind == "log":
         return list(log_range_grid(lo, hi, count))
     if kind == "lin":
@@ -178,7 +181,7 @@ def _run_frames(args, seq: SceneSequence, patterns, cap_cfg, params) -> list:
 
 def _mirror_model(args) -> MirrorModel:
     """The fitted reference mirror, with each timing flag given replacing its
-    field.  Its FOV is the default until the caller sets the scene's."""
+    field.  Its FOV is the default until `_fit_scene` sets the scene's."""
     model = reference_mirror_model()
     if args.sample_rate_hz is not None:
         model = replace(model, sample_rate_hz=args.sample_rate_hz)
@@ -189,10 +192,17 @@ def _mirror_model(args) -> MirrorModel:
 
 def _capture_config(args) -> CaptureConfig:
     """Capture knobs from the flags.  Without --z-max-m the range gate is the
-    default until the caller sets the scene's."""
+    default until `_fit_scene` sets the scene's."""
     z_max_m = args.z_max_m if args.z_max_m is not None else CaptureConfig().z_max_m
     return CaptureConfig(z_max_m=z_max_m, noise_coeff=args.noise_coeff,
                          dot_solid_angle_sr=args.dot_sr)
+
+
+def _fit_scene(args, seq: SceneSequence, model: MirrorModel, cap_cfg=None):
+    """`model` with the scene's mirror FOV; `cap_cfg`, if given, with its range gate."""
+    if cap_cfg is not None and args.z_max_m is None:  # else --z-max-m set the gate
+        cap_cfg = replace(cap_cfg, z_max_m=seq.meta.z_max_m)
+    return replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg)), cap_cfg
 
 
 def _fill_params(args) -> GuidedFillParams:
@@ -296,9 +306,7 @@ def cmd_fit_budget(args) -> int:
         except ValueError:
             raise UsageError(f"pairs must be fps:samples,... got {chunk!r}") from None
     fit = fit_budget(pairs)
-    model = MirrorModel(
-        sample_rate_hz=fit.sample_rate_hz, frame_overhead_s=fit.frame_overhead_s
-    )
+    model = fit.mirror_model()
     forward = [
         {"fps": fps, "observed": n, "predicted": budget(model, fps)}
         for fps, n in pairs
@@ -366,9 +374,8 @@ def _preset_spec(args) -> SyntheticSpec:
         )
     elif args.preset == "moving-box":
         # bright box sweeping left to right over a dark static background
-        speed_m_s = args.box_speed_px * z / (
-            (w / 2.0) / math.tan(math.radians(args.fov_deg) / 2.0)
-        ) * args.fps
+        fx_px = pinhole_intrinsics(w, h, math.radians(args.fov_deg)).fx_px
+        speed_m_s = args.box_speed_px * z / fx_px * args.fps
         prims = (
             Primitive(kind="plane", z_m=2.5, texture="flat", color=(30, 30, 30)),
             Primitive(
@@ -419,7 +426,7 @@ def cmd_scan(args) -> int:
                                      frame_seed(args.seed, 0, 0), roi, args.density)}
     else:
         seq = load_scene(args.scene)
-        model = replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg))
+        model, _ = _fit_scene(args, seq, model)
         # a pattern read from no guide image is frame-independent; one file is enough
         frames = seq.frames if regime == Regime.ENTROPY_ADAPTIVE else seq.frames[:1]
         patterns = dict(zip(
@@ -447,9 +454,7 @@ def cmd_capture(args) -> int:
     cap_cfg = _capture_config(args)
     background = _background_model(args) if motion else None
     seq = load_scene(args.scene)
-    model = replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg))
-    if args.z_max_m is None:
-        cap_cfg = replace(cap_cfg, z_max_m=seq.meta.z_max_m)
+    model, cap_cfg = _fit_scene(args, seq, model, cap_cfg)
 
     if motion:
         weights = dict(inside_density=fixed_roi.inside_density,
@@ -513,12 +518,12 @@ def cmd_fovea(args) -> int:
 # ---------- complete ----------
 
 def cmd_complete(args) -> int:
-    """Complete each captured frame, and copy the capture summary beside the
-    output, so `eval --roi-only` scores the ROIs this prediction was made from."""
+    """Complete each captured frame, and copy the checked capture summary beside
+    the output, so `eval --roi-only` scores the ROIs this prediction was made from."""
     params = _fill_params(args)
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
-    summary = read_json(sparse_dir / "capture_summary.json", MalformedCaptureSummary)
+    _, summary = _load_capture_rois(sparse_dir, seq)
     sparses = [
         load_sparse(sparse_dir / f"{frame.frame_index:04d}.pgm",
                     sparse_dir / f"{frame.frame_index:04d}.json")
@@ -544,28 +549,31 @@ def _pooled_report(pairs):
     return compute(pred, truth)
 
 
-def _load_capture_rois(pred_dir: Path, seq: SceneSequence) -> dict[int, list | None]:
-    """Per-frame ROI rectangles recorded at capture time, checked against the
-    scene, from the capture summary beside --pred (`complete` copies it there)."""
-    path = pred_dir / "capture_summary.json"
+def _load_capture_rois(capture_dir: Path, seq: SceneSequence) -> tuple[dict, list]:
+    """Per-frame ROIs recorded at capture time, checked against the scene, and
+    the rows of the capture summary in `capture_dir` they were read from: a
+    capture's own, or the copy `complete` writes beside its prediction."""
+    path = capture_dir / "capture_summary.json"
     rows = read_json(path, MalformedCaptureSummary)
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise MalformedCaptureSummary(f"{path}: expected a list of objects, one per frame")
     frames = {frame.frame_index for frame in seq.frames}
-    w, h = seq.meta.width, seq.meta.height
     rois = {}
     for row in rows:
         index, roi = row.get("frame"), row.get("roi")
         if type(index) is not int or index not in frames or index in rois:
             raise MalformedCaptureSummary(f"{path}: 'frame' {index!r} does not name a scene frame once")
-        if roi is not None and not (
-            type(roi) is list and len(roi) == 4 and all(type(v) is int for v in roi)
-            and 0 <= roi[0] < roi[2] <= w and 0 <= roi[1] < roi[3] <= h
-        ):
-            raise MalformedCaptureSummary(f"{path}: frame {index}: 'roi' {roi!r} is neither null "
-                                          f"nor a non-empty x0,y0,x1,y1 rectangle inside {w}x{h}")
+        if roi is not None:
+            if not (type(roi) is list and len(roi) == 4 and all(type(v) is int for v in roi)):
+                raise MalformedCaptureSummary(f"{path}: frame {index}: 'roi' {roi!r} is neither "
+                                              f"null nor x0,y0,x1,y1 in whole pixels")
+            try:
+                roi = ROI(*roi)
+                roi.validate_bounds(seq.meta.width, seq.meta.height)
+            except ROIOutOfBounds as exc:
+                raise MalformedCaptureSummary(f"{path}: frame {index}: {exc}") from None
         rois[index] = roi
-    return rois
+    return rois, rows
 
 
 def cmd_eval(args) -> int:
@@ -574,12 +582,12 @@ def cmd_eval(args) -> int:
     roi = ROI(*_parse_roi(args.roi)) if args.roi else None
     seq = load_scene(args.scene)
     pred_dir = Path(args.pred)
-    rects = {}  # frame index -> scored rectangle; a frame without one scores in full
+    rois = {}  # frame index -> scored ROI; a frame without one scores in full
     if roi is not None:
         roi.validate_bounds(seq.meta.width, seq.meta.height)
-        rects = {frame.frame_index: (roi.x0, roi.y0, roi.x1, roi.y1) for frame in seq.frames}
+        rois = {frame.frame_index: roi for frame in seq.frames}
     elif args.roi_only:
-        rects = _load_capture_rois(pred_dir, seq)
+        rois, _ = _load_capture_rois(pred_dir, seq)
 
     lines = ["frame," + METRICS_CSV_HEADER]
     pooled_pairs = []
@@ -591,10 +599,10 @@ def cmd_eval(args) -> int:
                 f"{pgm}: prediction is {pred.shape}, scene is {frame.depth_gt.shape}"
             )
         truth = frame.depth_gt
-        rect = rects.get(frame.frame_index)
-        if rect is not None:
-            x0, y0, x1, y1 = rect
-            pred, truth = pred[y0:y1, x0:x1], truth[y0:y1, x0:x1]
+        crop = rois.get(frame.frame_index)
+        if crop is not None:
+            window = np.s_[crop.y0:crop.y1, crop.x0:crop.x1]
+            pred, truth = pred[window], truth[window]
         report = compute(pred, truth)
         lines.append(f"{frame.frame_index}," + report.to_csv_row())
         pooled_pairs.append((pred, truth))
@@ -618,9 +626,7 @@ def cmd_fps_sweep(args) -> int:
     cap_cfg = _capture_config(args)
     params = _fill_params(args)
     seq = load_scene(args.scene)
-    model = replace(model, fov_rad=math.radians(seq.meta.mirror_fov_deg))
-    if args.z_max_m is None:
-        cap_cfg = replace(cap_cfg, z_max_m=seq.meta.z_max_m)
+    model, cap_cfg = _fit_scene(args, seq, model, cap_cfg)
     no_rois = [None] * len(seq.frames)
     lines = ["fps,budget,samples_per_frame," + METRICS_CSV_HEADER]
     for fps, frame_budget in zip(rates, budgets):
@@ -819,7 +825,7 @@ def main(argv: list[str] | None = None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ScanEngineError, OpticsError, ValueError) as exc:
+    except ValueError as exc:  # UsageError and every config check
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -184,7 +184,7 @@ def complete(
         raise ValueError(f"a sample lies outside the {w}x{h} depth map")
     k = min(params.k_neighbors, len(zs))
     inv_2ss = 1.0 / (2.0 * params.sigma_spatial_px**2)
-    inv_2sc = 1.0 / (2.0 * params.sigma_color**2)  # 0.0 at sigma_color = inf: no guidance
+    inv_2sc = 1.0 / (2.0 * params.sigma_color**2)  # 0.0 at sigma_color = inf: colour weights 1.0
 
     out = depth.copy()
     pending = depth <= 0
@@ -192,23 +192,21 @@ def complete(
         return DenseDepth(depth_m=out)
     z_lo, z_hi = zs.min(), zs.max()
     exp_s = _gauss_table((h - 1) ** 2 + (w - 1) ** 2 + 1, inv_2ss)
-    if inv_2sc > 0.0:
-        exp_c = _gauss_table(3 * 255**2 + 1, inv_2sc)
-        pixel_rgb = [rgb[..., c].ravel().astype(np.int32) for c in range(3)]
-        sample_rgb = [p[ys * w + xs] for p in pixel_rgb]
+    exp_c = _gauss_table(3 * 255**2 + 1, inv_2sc)
+    pixel_rgb = [rgb[..., c].ravel().astype(np.int32) for c in range(3)]
+    sample_rgb = [p[ys * w + xs] for p in pixel_rgb]
 
     for my, mx, d2, nn in _knn_blocks(ys, xs, pending, k):
         weight = exp_s[d2]
-        if inv_2sc > 0.0:
-            at = my * w + mx
-            c2 = np.zeros(nn.shape, dtype=np.int32)
-            dc = np.empty(nn.shape, dtype=np.int32)
-            for p, s in zip(pixel_rgb, sample_rgb):
-                np.take(s, nn, out=dc)
-                np.subtract(p[at][:, None], dc, out=dc)
-                np.multiply(dc, dc, out=dc)
-                c2 += dc
-            weight *= exp_c[c2]
+        at = my * w + mx
+        c2 = np.zeros(nn.shape, dtype=np.int32)
+        dc = np.empty(nn.shape, dtype=np.int32)
+        for p, s in zip(pixel_rgb, sample_rgb):
+            np.take(s, nn, out=dc)
+            np.subtract(p[at][:, None], dc, out=dc)
+            np.multiply(dc, dc, out=dc)
+            c2 += dc
+        weight *= exp_c[c2]
         z_k = zs[nn]
         wsum = weight.sum(axis=1)
         ok = wsum > 0

@@ -20,6 +20,7 @@ from .scan_engine import (
     SCAN_SAMPLE_DTYPE,
     Regime,
     ScanPattern,
+    SingularFit,  # noqa: F401 - raised by fit_calibration, importable from here
     _fit_line,
     angles_to_pixel,
     json_with_records,
@@ -49,10 +50,6 @@ class LidarSimError(ValueError):
 
 class NoSamples(LidarSimError):
     """Capture produced zero valid returns."""
-
-
-class SingularFit(LidarSimError):
-    """Calibration pairs cannot determine a line."""
 
 
 class MalformedSparse(LidarSimError):
@@ -246,7 +243,7 @@ def capture(
 def fit_calibration(pairs) -> CalibrationModel:
     """Least-squares line through (volts, true_range_m) pairs."""
     gain, offset, resid = _fit_line(
-        pairs, lambda v: v, 1.0, SingularFit, "calibration pairs",
+        pairs, lambda v: v, 1.0, "calibration pairs",
         "all calibration pairs share one voltage",
     )
     return CalibrationModel(

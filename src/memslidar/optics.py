@@ -56,6 +56,7 @@ SWEEP_BOUNDS = {
     "focal_length_m": (0.0, 50e-3),
     "image_distance_m": (0.0, 50e-3),
 }
+MAX_SWEEP_ROWS = 1 << 20  # rows of one sweep; 1,036,800 rows peak near 280 MB
 
 SWEEP_CSV_HEADER = (
     "design_kind,M,w0_m,lambda_m,n,A_m,u_m,f_m,Z_m,fov_rad,rr_per_m,volume_m3,flag"
@@ -437,8 +438,8 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     tx_grid = list(tx_grid)
     rx_grid = list(rx_grid)
     z = np.array([float(v) for v in range_grid_m], dtype=np.float64)
-    if not tx_grid or not rx_grid or not len(z):
-        raise ValueError("sweep grids must be non-empty")
+    if not 0 < len(tx_grid) * len(rx_grid) * len(z) <= MAX_SWEEP_ROWS:
+        raise ValueError(f"sweep grids must be non-empty and give at most {MAX_SWEEP_ROWS} rows")
     _check_sweep_bounds(tx_grid, rx_grid)
 
     pairs = [(tx, rx) for tx in tx_grid for rx in rx_grid]

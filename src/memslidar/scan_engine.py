@@ -27,10 +27,11 @@ from enum import Enum
 
 import numpy as np
 
-from .scene_io import Intrinsics
+from .scene_io import Intrinsics, pinhole_intrinsics
 
 DEFAULT_SAMPLE_RATE_HZ = 1600.0
 DEFAULT_MIRROR_FOV_RAD = math.radians(25.0)
+MAX_FRAME_BUDGET = 1 << 20  # samples per frame: ~700x the reference mirror's at 1 fps
 
 # Measured frame-rate / samples-per-frame pairs for the reference engine;
 # fit_budget() recovers (rate, overhead) from them.
@@ -45,10 +46,6 @@ class ScanEngineError(ValueError):
 
 class OverheadExceedsFrame(ScanEngineError):
     """Frame period leaves no time for sampling at this fps."""
-
-
-class SingularFit(ScanEngineError):
-    """Budget observations cannot pin down two parameters."""
 
 
 class DegenerateMap(UserWarning):
@@ -266,11 +263,15 @@ class BudgetFit:
     residual_rmse: float
     residuals: tuple[float, ...]
 
+    def mirror_model(self, fov_rad: float = DEFAULT_MIRROR_FOV_RAD) -> MirrorModel:
+        """The mirror of this timing, scanning `fov_rad`."""
+        return MirrorModel(fov_rad, self.sample_rate_hz, self.frame_overhead_s)
+
 
 # ---------- timing ----------
 
 def budget(model: MirrorModel, fps: float) -> int:
-    """Samples available per frame at the requested rate."""
+    """Samples available per frame at the requested rate, at most MAX_FRAME_BUDGET."""
     if not fps > 0:
         raise ValueError(f"fps must be > 0, got {fps}")
     frame_s = 1.0 / fps
@@ -278,7 +279,10 @@ def budget(model: MirrorModel, fps: float) -> int:
         raise OverheadExceedsFrame(
             f"frame period {frame_s:.6f} s <= overhead {model.frame_overhead_s:.6f} s"
         )
-    n = int(math.floor((frame_s - model.frame_overhead_s) * model.sample_rate_hz))
+    samples = (frame_s - model.frame_overhead_s) * model.sample_rate_hz
+    if samples >= MAX_FRAME_BUDGET + 1:
+        raise ScanEngineError(f"{fps:g} fps gives {samples:.6g} samples, over {MAX_FRAME_BUDGET}")
+    n = int(math.floor(samples))
     if n < 1:
         raise OverheadExceedsFrame(
             f"frame period {frame_s:.6f} s leaves {frame_s - model.frame_overhead_s:.6f} s "
@@ -295,24 +299,28 @@ def fps_for_budget(model: MirrorModel, n_samples: int) -> float:
     return 1.0 / ((n_samples + 1e-9) / model.sample_rate_hz + model.frame_overhead_s)
 
 
-def _fit_line(points, x, const: float, error: type[Exception], noun: str, flat: str):
+class SingularFit(ScanEngineError):
+    """Observations cannot pin down the two parameters of a line."""
+
+
+def _fit_line(points, x, const: float, noun: str, flat: str):
     """Least-squares (a, b) of y = a * x(p) + b * const over (p, y) points,
     and each point's residual (fitted minus observed).
 
     The one two-parameter fit of the package: `fit_budget` and
     `lidar_sim.fit_calibration` differ only in x, the constant column and
-    the error they raise, with `noun` or `flat` as its message, for fewer
+    the messages of the SingularFit they raise, `noun` or `flat`, for fewer
     than two points, a non-finite point or x, or points that share one x.
     """
     points = [(float(p), float(y)) for p, y in points]
     if len(points) < 2:
-        raise error(f"need >= 2 {noun}, got {len(points)}")
+        raise SingularFit(f"need >= 2 {noun}, got {len(points)}")
     xs = np.array([x(p) for p, _ in points])
     ys = np.array([y for _, y in points])
     if not (np.isfinite(points).all() and np.isfinite(xs).all()):
-        raise error(f"{noun} must be finite, got {points}")
+        raise SingularFit(f"{noun} must be finite, got {points}")
     if np.ptp(xs) == 0.0:
-        raise error(flat)
+        raise SingularFit(flat)
     design = np.stack([xs, np.full_like(xs, const)], axis=1)
     (a, b), *_ = np.linalg.lstsq(design, ys, rcond=None)
     return a, b, design @ (a, b) - ys
@@ -328,7 +336,7 @@ def fit_budget(observations) -> BudgetFit:
     if any(fps <= 0.0 for fps, _ in observations):
         raise SingularFit(f"every observation's fps must be > 0, got {observations}")
     rate, rate_x_overhead, residuals = _fit_line(
-        observations, lambda fps: 1.0 / fps, -1.0, SingularFit, "observations",
+        observations, lambda fps: 1.0 / fps, -1.0, "observations",
         "all observations share one fps; overhead is unidentifiable",
     )
     if rate <= 0.0:
@@ -346,22 +354,14 @@ def fit_budget(observations) -> BudgetFit:
 
 def reference_mirror_model(fov_rad: float = DEFAULT_MIRROR_FOV_RAD) -> MirrorModel:
     """Mirror model with timing fitted to the reference budget table."""
-    fit = fit_budget(REFERENCE_BUDGET_PAIRS)
-    return MirrorModel(
-        fov_rad=fov_rad,
-        sample_rate_hz=fit.sample_rate_hz,
-        frame_overhead_s=fit.frame_overhead_s,
-    )
+    return fit_budget(REFERENCE_BUDGET_PAIRS).mirror_model(fov_rad)
 
 
 # ---------- angle <-> pixel mapping (shared-FOV pinhole) ----------
 
 def image_intrinsics(model: MirrorModel, image_dims: tuple[int, int]) -> Intrinsics:
     """Pinhole intrinsics for a camera sharing the mirror's horizontal FOV."""
-    w, h = image_dims
-    fx = (w / 2.0) / math.tan(model.fov_rad / 2.0)
-    return Intrinsics(width=w, height=h, fx_px=fx, fy_px=fx,
-                      cx_px=w / 2.0, cy_px=h / 2.0)
+    return pinhole_intrinsics(*image_dims, model.fov_rad)
 
 
 def pixel_to_angles(

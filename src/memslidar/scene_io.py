@@ -66,6 +66,12 @@ class Intrinsics:
     cy_px: float
 
 
+def pinhole_intrinsics(width: int, height: int, fov_rad: float) -> Intrinsics:
+    """The camera of horizontal FOV `fov_rad`: fx = fy, principal point at the centre."""
+    fx = (width / 2.0) / math.tan(fov_rad / 2.0)
+    return Intrinsics(width, height, fx, fx, width / 2.0, height / 2.0)
+
+
 @dataclass(frozen=True)
 class SceneMeta:
     """Scene-level metadata; maps 1:1 onto meta.json."""
@@ -169,6 +175,19 @@ def _read_netpbm(path: str | Path, magic: bytes, maxval: int, dtype: str,
     return np.frombuffer(raster, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
 
 
+def _write_netpbm(path: str | Path, raster: np.ndarray, magic: bytes, maxval: int,
+                  dtype: str, channels: int, rule: str) -> None:
+    """`_read_netpbm`'s counterpart: write `raster`, or raise ValueError stating `rule`."""
+    raster = np.asarray(raster)
+    tail = () if channels == 1 else (channels,)
+    native = np.dtype(dtype).newbyteorder("=")
+    if raster.ndim < 2 or raster.shape[2:] != tail or raster.dtype != native:
+        raise ValueError(f"{rule}, got {raster.shape} {raster.dtype}")
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n%d\n" % (magic, raster.shape[1], raster.shape[0], maxval))
+        fh.write(np.ascontiguousarray(raster, dtype))  # no copy if already in on-disk layout
+
+
 def read_json(path: str | Path, error: type[Exception]):
     """The JSON value in the UTF-8 file at `path`; raises `error` for a file
     that cannot be read or decoded."""
@@ -186,13 +205,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
 
 def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
-    rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise ValueError(f"rgb must be (H, W, 3) uint8, got {rgb.shape} {rgb.dtype}")
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+    _write_netpbm(path, rgb, b"P6", 255, "u1", 3, "rgb must be (H, W, 3) uint8")
 
 
 def read_pgm16(path: str | Path) -> np.ndarray:
@@ -201,13 +214,7 @@ def read_pgm16(path: str | Path) -> np.ndarray:
 
 
 def write_pgm16(path: str | Path, values: np.ndarray) -> None:
-    values = np.asarray(values)
-    if values.ndim != 2 or values.dtype != np.uint16:
-        raise ValueError(f"values must be (H, W) uint16, got {values.shape} {values.dtype}")
-    h, w = values.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(values.astype(">u2").tobytes())
+    _write_netpbm(path, values, b"P5", 65535, ">u2", 1, "values must be (H, W) uint16")
 
 
 def depth_to_millimeters(depth_m: np.ndarray) -> np.ndarray:
@@ -357,8 +364,7 @@ class SyntheticSpec:
     """Recipe for a generated RGB-D sequence.
 
     The camera's horizontal FOV matches the scan mirror FOV (co-located,
-    matched-FOV convention used across the package); fx = fy, principal
-    point at the image center.
+    matched-FOV convention used across the package): `pinhole_intrinsics`.
     """
 
     width: int = 160
@@ -389,18 +395,9 @@ class SyntheticSpec:
 
     @property
     def meta(self) -> SceneMeta:
-        fx = (self.width / 2.0) / math.tan(math.radians(self.fov_deg) / 2.0)
-        return SceneMeta(
-            width=self.width,
-            height=self.height,
-            fps=self.fps,
-            z_max_m=self.z_max_m,
-            fx_px=fx,
-            fy_px=fx,
-            cx_px=self.width / 2.0,
-            cy_px=self.height / 2.0,
-            mirror_fov_deg=self.fov_deg,
-        )
+        intr = pinhole_intrinsics(self.width, self.height, math.radians(self.fov_deg))
+        return SceneMeta(**asdict(intr), fps=self.fps, z_max_m=self.z_max_m,
+                         mirror_fov_deg=self.fov_deg)
 
 
 def _spec_fields(raw, cls, where: str, error=MalformedSpec) -> dict:

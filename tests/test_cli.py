@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from memslidar import cli
 from memslidar.cli import main
@@ -285,6 +286,13 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["optics-sweep", "--Z-m", "a:b:log5"],
     ["optics-sweep", "--Z-m", "1:2:foo5"],
     ["optics-sweep", "--Z-m", "1:2:log"],
+    # sizes past the row and budget bounds, rejected before any array of that size is built
+    ["optics-sweep", "--Z-m", "1:2:log3000000000"],
+    ["optics-sweep", "--M", ",".join(str(m) for m in range(1, 21)),
+     "--w0-mm", ",".join(f"{w / 10:g}" for w in range(1, 21)),
+     "--A-mm", ",".join(str(a) for a in range(5, 101, 5)), "--Z-m", "1:2:log100000"],
+    ["scan", "--dims", "160x120", "--fps", "1e-7"],
+    ["scan", "--dims", "160x120", "--fps", "1e-300"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -339,6 +347,12 @@ def test_eval_roi_only_bad_capture_summary_exit_3(tmp_path, capsys, plane_captur
     (pred / "capture_summary.json").write_text(text)
     _rejected_run(tmp_path, capsys, plane_capture,
                   ["eval", "--scene", "SCENE", "--pred", pred, "--roi-only"], 3, "error:")
+    # complete checks the summary it copies by the same rule
+    sparse = tmp_path / "cap"
+    shutil.copytree(cap, sparse)
+    (sparse / "capture_summary.json").write_text(text)
+    _rejected_run(tmp_path, capsys, plane_capture,
+                  ["complete", "--scene", "SCENE", "--sparse", sparse], 3, "error:")
 
 
 def test_jobs_capped_at_frame_count(tmp_path, monkeypatch):
@@ -371,7 +385,8 @@ def test_jobs_capped_at_frame_count(tmp_path, monkeypatch):
 def test_usage_checks_come_before_any_file_is_read():
     # a usage error wins over a data error: in every command, each flag parse
     # and usage check comes before the first file read
-    reads = {"load_scene", "load_sparse", "load_spec", "read_json", "read_pgm16"}
+    reads = {"load_scene", "load_sparse", "load_spec", "read_json", "read_pgm16",
+             "_load_capture_rois"}
     checks = {"_parse_roi", "_parse_dims", "_floats", "_range_grid", "_fixed_roi",
               "_mirror_model", "_capture_config", "_fill_params", "_background_model", "budget",
               "_check_pattern_flags", "check_window"}
@@ -680,6 +695,32 @@ def test_gen_scene_bad_spec_json_exit_3(tmp_path, capsys, text, named):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], err
     assert not out.exists()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fps=st.floats(min_value=0.5, max_value=1000))
+@example(fps=0.0)
+@example(fps=-1.0)
+@example(fps=math.nan)
+@example(fps=math.inf)
+@example(fps=-math.inf)
+@example(fps=1e-300)
+@example(fps=1e-7)
+@example(fps=1e308)
+def test_scan_any_fps_exits_0_or_2(tmp_path_factory, capfd, fps):
+    # a rate too slow for the budget bound or too fast for one sample is a usage error
+    out = tmp_path_factory.mktemp("scan") / "out"
+    capfd.readouterr()
+    code = main(["scan", "--dims", "8x6", f"--fps={fps!r}", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code in (0, 2)
+    if code == 0:
+        assert (out / "pattern_0000.json").exists()
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:"), err
+        assert not out.exists()
 
 
 def test_scan_without_scene_single_pattern(tmp_path):
