@@ -71,7 +71,6 @@ from .scene_io import (
     read_json,
     read_pgm16,
     millimeters_to_depth,
-    pinhole_intrinsics,
     save_scene,
     write_pgm16,
     depth_to_millimeters,
@@ -138,9 +137,12 @@ def _parse_roi(text: str) -> tuple[int, int, int, int]:
 def _parse_dims(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError:
         raise UsageError(f"dims must be WxH, got {text!r}") from None
+    if w < 1 or h < 1:
+        raise UsageError(f"dims must be at least 1x1 pixels, got {text!r}")
+    return w, h
 
 
 def _write_run_json(outdir: Path, args: argparse.Namespace, extra: dict | None = None):
@@ -216,9 +218,24 @@ def _background_model(args) -> BackgroundModel:
                            min_blob_area_px=args.min_blob_area, margin_px=args.margin)
 
 
+# pattern flags only one regime reads: dest -> (that regime, parser default)
+_REGIME_ONLY_FLAGS = {
+    "roi": ("foveated", ""),
+    "inside_density": ("foveated", 1.0),
+    "outside_density": ("foveated", 0.1),
+    "density": ("density", 1.0),
+    "window_px": ("entropy", 15),
+}
+
+
 def _check_pattern_flags(args):
-    """The flag only one regime reads, checked by its own rule: --window-px
-    for entropy, --density for density."""
+    """A flag only one regime reads stays at its default under any other,
+    and is checked by its own rule under its own: --window-px for entropy,
+    --density for density."""
+    for name, (regime, default) in _REGIME_ONLY_FLAGS.items():
+        if args.regime != regime and getattr(args, name) != default:
+            raise UsageError(f"--{name.replace('_', '-')} is read only by the {regime} regime, "
+                             f"not by {args.regime}")
     if args.regime == "entropy":
         check_window(args.window_px)
     elif args.regime == "density":
@@ -231,8 +248,6 @@ def _fixed_roi(args, motion: bool = False) -> ROI | None:
     a one-pixel placeholder that carries the density weights, checked here,
     onto each motion ROI."""
     if args.regime != "foveated":
-        if args.roi:
-            raise UsageError(f"--roi is read only by the foveated regime, not by {args.regime}")
         return None
     if not args.roi:
         raise UsageError("foveated regime needs --roi")
@@ -373,11 +388,12 @@ def _preset_spec(args) -> SyntheticSpec:
             ),
         )
     elif args.preset == "moving-box":
-        # bright box sweeping left to right over a dark static background
-        fx_px = pinhole_intrinsics(w, h, math.radians(args.fov_deg)).fx_px
-        speed_m_s = args.box_speed_px * z / fx_px * args.fps
-        prims = (
-            Primitive(kind="plane", z_m=2.5, texture="flat", color=(30, 30, 30)),
+        # bright box sweeping left to right over a dark static background; the
+        # backdrop's spec checks --dims and --fov-deg before its fx is read
+        backdrop = SyntheticSpec(primitives=(
+            Primitive(kind="plane", z_m=2.5, texture="flat", color=(30, 30, 30)),), **common)
+        speed_m_s = args.box_speed_px * z / backdrop.meta.fx_px * args.fps
+        prims = backdrop.primitives + (
             Primitive(
                 kind="box", z_m=z, size_xy_m=(0.25, 0.25),
                 center_xy_m=(-0.45, 0.0), texture="flat", color=(230, 230, 230),
@@ -414,8 +430,8 @@ _REGIME_FLAG = {
 
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
-    roi = _fixed_roi(args)
     _check_pattern_flags(args)
+    roi = _fixed_roi(args)
     model = _mirror_model(args)
     frame_budget = budget(model, args.fps)
     if args.dims:
@@ -447,8 +463,8 @@ def cmd_scan(args) -> int:
 def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion"
-    fixed_roi = _fixed_roi(args, motion)
     _check_pattern_flags(args)
+    fixed_roi = _fixed_roi(args, motion)
     model = _mirror_model(args)
     frame_budget = budget(model, args.fps)
     cap_cfg = _capture_config(args)
@@ -524,11 +540,12 @@ def cmd_complete(args) -> int:
     seq = load_scene(args.scene)
     sparse_dir = Path(args.sparse)
     _, summary = _load_capture_rois(sparse_dir, seq)
-    sparses = [
-        load_sparse(sparse_dir / f"{frame.frame_index:04d}.pgm",
-                    sparse_dir / f"{frame.frame_index:04d}.json")
-        for frame in seq.frames
-    ]
+    sparses = []
+    for frame in seq.frames:
+        pgm = sparse_dir / f"{frame.frame_index:04d}.pgm"
+        sparse = load_sparse(pgm, pgm.with_suffix(".json"))
+        _check_frame_size(pgm, "capture", sparse.depth_m, frame)
+        sparses.append(sparse)
     results = _pmap(
         partial(complete, params=params), args.jobs, sparses, [f.rgb for f in seq.frames]
     )
@@ -542,6 +559,12 @@ def cmd_complete(args) -> int:
 
 
 # ---------- eval ----------
+
+def _check_frame_size(path: Path, noun: str, depth: np.ndarray, frame) -> None:
+    """A per-frame depth file read beside a scene has its frame's size."""
+    if depth.shape != frame.depth_gt.shape:
+        raise SceneIOError(f"{path}: {noun} is {depth.shape}, scene is {frame.depth_gt.shape}")
+
 
 def _pooled_report(pairs):
     pred = np.concatenate([p.ravel() for p, _ in pairs])
@@ -594,10 +617,7 @@ def cmd_eval(args) -> int:
     for frame in seq.frames:
         pgm = pred_dir / f"{frame.frame_index:04d}.pgm"
         pred = millimeters_to_depth(read_pgm16(pgm))
-        if pred.shape != frame.depth_gt.shape:
-            raise SceneIOError(
-                f"{pgm}: prediction is {pred.shape}, scene is {frame.depth_gt.shape}"
-            )
+        _check_frame_size(pgm, "prediction", pred, frame)
         truth = frame.depth_gt
         crop = rois.get(frame.frame_index)
         if crop is not None:
@@ -664,16 +684,17 @@ def _add_timing_flags(p: argparse.ArgumentParser):
 
 
 def _add_pattern_flags(p: argparse.ArgumentParser):
+    default = {name: value for name, (_, value) in _REGIME_ONLY_FLAGS.items()}
     p.add_argument("--fps", type=float, default=6.0)
     p.add_argument("--regime", choices=sorted(_REGIME_FLAG), default="full")
-    p.add_argument("--roi", default="",
+    p.add_argument("--roi", default=default["roi"],
                    help="x0,y0,x1,y1 in pixels; capture also accepts "
                         "'auto-motion' to track the moving region per frame")
-    p.add_argument("--inside-density", type=float, default=1.0)
-    p.add_argument("--outside-density", type=float, default=0.1)
-    p.add_argument("--density", type=float, default=1.0,
+    p.add_argument("--inside-density", type=float, default=default["inside_density"])
+    p.add_argument("--outside-density", type=float, default=default["outside_density"])
+    p.add_argument("--density", type=float, default=default["density"],
                    help="budget fraction for the density regime")
-    p.add_argument("--window-px", type=int, default=15,
+    p.add_argument("--window-px", type=int, default=default["window_px"],
                    help="entropy window side; odd")
 
 
@@ -774,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True)
     p.add_argument("--mode", choices=["motion", "entropy"], default="motion")
     p.add_argument("--roi-dims", default="40x30", help="entropy mode: ROI size WxH")
-    p.add_argument("--window-px", type=int, default=15)
+    p.add_argument("--window-px", type=int, default=_REGIME_ONLY_FLAGS["window_px"][1])
     _add_motion_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fovea)

@@ -120,27 +120,18 @@ def check_window(window_px: int) -> None:
         raise ValueError(f"window must be odd and >= 3, got {window_px}")
 
 
-def _gray_levels(rgb: np.ndarray) -> np.ndarray:
-    """The `uint8` gray levels whose window histograms the entropy counts."""
-    return np.round(grayscale(rgb)).astype(np.uint8)
-
-
 def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
-    """Shannon entropy of the grayscale histogram in a sliding window.
-
-    Borders are replicate-padded so every pixel sees a full window, and
-    `_count_entropy` counts every pixel of the padded image.
-    """
-    check_window(window_px)
-    padded = np.pad(_gray_levels(rgb), window_px // 2, mode="edge")
-    return EntropyMap(values=_count_entropy(padded, window_px), window_px=window_px)
+    """Shannon entropy of the grayscale histogram in a sliding window:
+    the one map of `entropy_maps([rgb], window_px)`, its values read-only."""
+    return next(entropy_maps([rgb], window_px))
 
 
 def entropy_maps(rgbs, window_px: int = 15):
-    """`entropy_map` of each image in `rgbs`, in order, as a generator.
+    """The entropy map of each image in `rgbs`, in order, as a generator.
 
-    The first image, and any image whose shape differs from the one
-    before, is counted in full.  A later one copies the previous map and
+    Borders are replicate-padded so every pixel sees a full window.  The
+    first image, and any image whose shape differs from the one before,
+    is counted in full.  A later one copies the previous map and
     recounts only the bounding box of the pixels whose gray level changed,
     grown by `window_px // 2` and clipped to the image, from the matching
     crop of the edge-padded gray image; with no change it yields the
@@ -156,7 +147,7 @@ def entropy_maps(rgbs, window_px: int = 15):
     half = window_px // 2
     gray = values = None
     for rgb in rgbs:
-        last, gray = gray, _gray_levels(rgb)
+        last, gray = gray, np.round(grayscale(rgb)).astype(np.uint8)
         padded = np.pad(gray, half, mode="edge")
         if last is None or last.shape != gray.shape:
             values = _count_entropy(padded, window_px)

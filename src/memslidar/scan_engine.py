@@ -383,20 +383,20 @@ def angles_to_pixel(
 
 
 def _angular_extent(model: MirrorModel, image_dims: tuple[int, int]) -> tuple[float, float, float, float]:
-    """(theta_min, theta_max, phi_min, phi_max) covered by the image."""
+    """(theta_min, theta_max, phi_min, phi_max) covered by the image's pixel edges."""
     w, h = image_dims
-    intr = image_intrinsics(model, image_dims)
-    theta_half = math.atan((w / 2.0) / intr.fx_px)   # == fov/2 by construction
-    phi_half = math.atan((h / 2.0) / intr.fy_px)
-    return -theta_half, theta_half, -phi_half, phi_half
+    return _roi_angular_rect(ROI(0, 0, w, h), image_intrinsics(model, image_dims))
 
 
 # ---------- pattern generators ----------
 
-def _scan_samples(model: MirrorModel, theta: np.ndarray, phi: np.ndarray) -> np.recarray:
-    """Records for directions in schedule order, timed overhead first, then one per tick."""
+def _scan_pattern(model: MirrorModel, fps: float, regime: Regime, theta: np.ndarray,
+                  phi: np.ndarray, n: int, seed: int | None = None) -> ScanPattern:
+    """The pattern of a frame of budget `n`: the directions in schedule
+    order, timed overhead first, then one per tick."""
     t_s = model.frame_overhead_s + np.arange(len(theta)) / model.sample_rate_hz
-    return np.rec.fromarrays([t_s, theta, phi], dtype=SCAN_SAMPLE_DTYPE)
+    samples = np.rec.fromarrays([t_s, theta, phi], dtype=SCAN_SAMPLE_DTYPE)
+    return ScanPattern(samples=samples, fps=fps, regime=regime, seed=seed, budget=n)
 
 
 def _serpentine_grid(
@@ -419,15 +419,22 @@ def _serpentine_grid(
     return t0 + (c + 0.5) * dt, p0 + (r + 0.5) * dp
 
 
+def _raster(
+    model: MirrorModel, fps: float, image_dims: tuple[int, int], density: float, regime: Regime
+) -> ScanPattern:
+    """Equi-angular serpentine raster over the full (image-clipped) FOV
+    with `density` of the budget, at least one sample."""
+    n = budget(model, fps)
+    theta, phi = _serpentine_grid(_angular_extent(model, image_dims),
+                                  max(1, int(round(n * density))))
+    return _scan_pattern(model, fps, regime, theta, phi, n)
+
+
 def gen_full_fov(
     model: MirrorModel, fps: float, image_dims: tuple[int, int]
 ) -> ScanPattern:
     """Equi-angular serpentine raster over the full (image-clipped) FOV."""
-    n = budget(model, fps)
-    theta, phi = _serpentine_grid(_angular_extent(model, image_dims), n)
-    return ScanPattern(
-        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.FULL_FOV, budget=n
-    )
+    return _raster(model, fps, image_dims, 1.0, Regime.FULL_FOV)
 
 
 def check_density(density: float) -> None:
@@ -441,12 +448,7 @@ def gen_density_sweep(
 ) -> ScanPattern:
     """Full-FOV raster at a fraction of the budget (density study regime)."""
     check_density(density)
-    n = budget(model, fps)
-    n_used = max(1, int(round(n * density)))
-    theta, phi = _serpentine_grid(_angular_extent(model, image_dims), n_used)
-    return ScanPattern(
-        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.DENSITY_SWEEP, budget=n
-    )
+    return _raster(model, fps, image_dims, density, Regime.DENSITY_SWEEP)
 
 
 def gen_entropy_adaptive(
@@ -475,18 +477,15 @@ def gen_entropy_adaptive(
         )
         return gen_full_fov(model, fps, (w, h))
 
-    n = min(budget(model, fps), values.size)
+    n = budget(model, fps)
     weights = values + 0.01 * peak
     p = (weights / weights.sum()).ravel()
     rng = np.random.default_rng(seed)
-    flat = rng.choice(values.size, size=n, replace=False, p=p)
+    flat = rng.choice(values.size, size=min(n, values.size), replace=False, p=p)
     ys, xs = np.divmod(flat, w)
     intr = image_intrinsics(model, (w, h))
     theta, phi = pixel_to_angles(xs, ys, intr)
-    return ScanPattern(
-        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.ENTROPY_ADAPTIVE,
-        seed=seed, budget=budget(model, fps),
-    )
+    return _scan_pattern(model, fps, Regime.ENTROPY_ADAPTIVE, theta, phi, n, seed)
 
 
 def _roi_angular_rect(
@@ -532,9 +531,7 @@ def gen_foveated(
     if n_out > 0:
         theta_out, phi_out = _outside_grid(roi, intr, model, image_dims, n_out)
         theta, phi = np.concatenate((theta, theta_out)), np.concatenate((phi, phi_out))
-    return ScanPattern(
-        samples=_scan_samples(model, theta, phi), fps=fps, regime=Regime.FOVEATED_ROI, budget=n
-    )
+    return _scan_pattern(model, fps, Regime.FOVEATED_ROI, theta, phi, n)
 
 
 def _outside_grid(

@@ -293,6 +293,27 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
      "--A-mm", ",".join(str(a) for a in range(5, 101, 5)), "--Z-m", "1:2:log100000"],
     ["scan", "--dims", "160x120", "--fps", "1e-7"],
     ["scan", "--dims", "160x120", "--fps", "1e-300"],
+    # an image side below one pixel, in --dims or --roi-dims, before any read
+    ["scan", "--dims", "0x5"],
+    ["scan", "--dims", "5x0"],
+    ["scan", "--dims", "0x0"],
+    ["fovea", "--scene", "NOPE", "--mode", "entropy", "--roi-dims", "0x5"],
+    # the moving box's speed reads the camera only after its spec checked --fov-deg
+    ["gen-scene", "--preset", "moving-box", "--fov-deg", "0"],
+    # a flag only one regime reads, set away from its default under another,
+    # before the scene is read
+    ["scan", "--scene", "NOPE", "--regime", "full", "--density", "0.3"],
+    ["scan", "--scene", "NOPE", "--regime", "full", "--window-px", "99"],
+    ["scan", "--scene", "NOPE", "--regime", "full", "--inside-density", "7"],
+    ["scan", "--dims", "160x120", "--regime", "foveated", "--roi", "0,0,40,30",
+     "--density", "0.5"],
+    ["capture", "--scene", "NOPE", "--regime", "full", "--density", "0.3", "--window-px", "99"],
+    ["capture", "--scene", "NOPE", "--regime", "full", "--outside-density", "0.5"],
+    ["capture", "--scene", "NOPE", "--regime", "entropy", "--inside-density", "0.5"],
+    ["capture", "--scene", "NOPE", "--regime", "entropy", "--density", "nan"],
+    ["capture", "--scene", "NOPE", "--regime", "density", "--window-px", "7"],
+    ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion",
+     "--window-px", "7"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -311,6 +332,8 @@ def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     ["eval", "--scene", "SCENE", "--pred", "SCENE", "--roi-only"],
     # complete copies its capture's summary, so it reads it before making --out
     ["complete", "--scene", "SCENE", "--sparse", "BAD_SUMMARY"],
+    # a 160x120 capture against an 80x60 scene, checked before any completion
+    ["complete", "--scene", "SMALL_SCENE", "--sparse", "SPARSE"],
 ], ids=" ".join)
 def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     if "BAD_SUMMARY" in argv:  # a capture dir whose summary is not JSON
@@ -318,6 +341,9 @@ def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
         shutil.copytree(plane_capture[1], sparse)
         (sparse / "capture_summary.json").write_text("not json")
         argv = [sparse if a == "BAD_SUMMARY" else a for a in argv]
+    if "SMALL_SCENE" in argv:
+        small = make_scene(tmp_path, "plane", 1, name="small", dims="80x60")
+        argv = [small if a == "SMALL_SCENE" else a for a in argv]
     _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
 
 
@@ -721,6 +747,43 @@ def test_scan_any_fps_exits_0_or_2(tmp_path_factory, capfd, fps):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:"), err
         assert not out.exists()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dims=st.tuples(*[st.sampled_from([-1, 0, 1, 2, 3, 160, 4096, 10**6])
+                        | st.integers(min_value=1, max_value=300)] * 2))
+@example(dims=(0, 5))
+@example(dims=(5, 0))
+@example(dims=(0, 0))
+def test_scan_any_dims_exits_0_or_2(tmp_path_factory, capfd, dims):
+    # a side below one pixel is a usage error, any other size scans
+    out = tmp_path_factory.mktemp("scan") / "out"
+    capfd.readouterr()
+    code = main(["scan", "--dims={}x{}".format(*dims), "--fps", "6", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == (2 if min(dims) < 1 else 0), err
+    if code == 0:
+        assert (out / "pattern_0000.json").exists()
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:"), err
+        assert not out.exists()
+
+
+def test_regime_only_flags_at_their_defaults_change_no_byte(tmp_path, monkeypatch):
+    # a flag another regime reads, given at its default, is accepted and
+    # changes nothing: run.json too reads as for the call without it
+    scene = make_scene(tmp_path, "moving-box", 2)
+    defaults = ["--density", "1", "--window-px", "15", "--inside-density", "1",
+                "--outside-density", "0.1", "--roi", ""]
+    for name, extra in (("bare", []), ("defaults", defaults)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the same relative --out in both run.json files
+        assert run("capture", "--scene", scene, "--fps", "20", *extra, "--out", "cap") == 0
+    written = _tree_bytes(tmp_path / "bare")
+    assert {"cap/0000.json", "cap/run.json"} <= set(written)
+    assert _tree_bytes(tmp_path / "defaults") == written
 
 
 def test_scan_without_scene_single_pattern(tmp_path):
