@@ -7,7 +7,6 @@ scan at the same quality would need the 6 fps budget; tracking the box
 sustains 20 fps on the same mirror.
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,28 +17,14 @@ from memslidar.lidar_sim import CaptureConfig, capture
 from memslidar.metrics import compute
 from memslidar.pipeline import frame_pattern, track_motion
 from memslidar.scan_engine import Regime, budget, reference_mirror_model
-from memslidar.scene_io import Primitive, SyntheticSpec, generate_synthetic
+from memslidar.scene_io import generate_synthetic, preset_spec
 
 OUT = Path(__file__).parent / "out"
 
 
-def moving_box_sequence(n_frames=6):
-    fx = 80.0 / math.tan(math.radians(12.5))
-    speed_m_s = 30.0 * 1.5 / fx * 30.0  # 30 px per frame at the box depth
-    spec = SyntheticSpec(
-        width=160, height=120, fps=30.0, n_frames=n_frames,
-        primitives=(
-            Primitive(kind="plane", z_m=2.5, texture="flat", color=(30, 30, 30)),
-            Primitive(kind="box", z_m=1.5, size_xy_m=(0.25, 0.25),
-                      center_xy_m=(-0.45, 0.0), texture="flat",
-                      color=(230, 230, 230), velocity_m_s=(speed_m_s, 0.0, 0.0)),
-        ),
-    )
-    return generate_synthetic(spec, seed=0)
-
-
 def main():
-    seq = moving_box_sequence()
+    # the scene of `gen-scene --preset moving-box --frames 6`
+    seq = generate_synthetic(preset_spec("moving-box", n_frames=6), seed=0)
     mirror = reference_mirror_model()
     fps = 20.0
     config = CaptureConfig()

@@ -61,13 +61,16 @@ from .scan_engine import (
     reference_mirror_model,
 )
 from .scene_io import (
-    Primitive,
+    PRESET_KNOBS,
+    SCENE_PRESETS,
     SceneIOError,
     SceneSequence,
     SyntheticSpec,
+    frame_stem,
     generate_synthetic,
     load_scene,
     load_spec,
+    preset_spec,
     read_json,
     read_pgm16,
     millimeters_to_depth,
@@ -218,24 +221,42 @@ def _background_model(args) -> BackgroundModel:
                            min_blob_area_px=args.min_blob_area, margin_px=args.margin)
 
 
-# pattern flags only one regime reads: dest -> (that regime, parser default)
+def _check_unread(args, defaults: dict, read: bool, reader: str):
+    """Unless the call reads them, the flags of `defaults` (dest -> parser
+    default) stay at their defaults: a flag set but not read exits 2."""
+    for name, default in defaults.items():
+        if not read and getattr(args, name) != default:
+            raise UsageError(f"--{name.replace('_', '-')} is read only {reader}")
+
+
+# pattern flags only one regime reads: regime -> {dest: parser default}
 _REGIME_ONLY_FLAGS = {
-    "roi": ("foveated", ""),
-    "inside_density": ("foveated", 1.0),
-    "outside_density": ("foveated", 0.1),
-    "density": ("density", 1.0),
-    "window_px": ("entropy", 15),
+    "foveated": {"roi": "", "inside_density": 1.0, "outside_density": 0.1},
+    "density": {"density": 1.0},
+    "entropy": {"window_px": 15},
 }
+_BACKGROUND = BackgroundModel()
+# flags only motion tracking reads
+_MOTION_FLAGS = {"alpha": _BACKGROUND.alpha, "threshold": _BACKGROUND.diff_threshold,
+                 "min_blob_area": _BACKGROUND.min_blob_area_px, "margin": _BACKGROUND.margin_px}
+# flags only fovea's entropy mode reads
+_ENTROPY_MODE_FLAGS = {"roi_dims": "40x30", **_REGIME_ONLY_FLAGS["entropy"]}
+# flags only scan's --dims reads; with --scene the scene's FOV is the mirror's
+_DIMS_FLAGS = {"mirror_fov_deg": math.degrees(DEFAULT_MIRROR_FOV_RAD)}
+_SPEC = {f.name: f.default for f in fields(SyntheticSpec)}
+# gen-scene flags a preset reads and --spec-json does not
+_PRESET_FLAGS = {"preset": "textured", "dims": f"{_SPEC['width']}x{_SPEC['height']}",
+                 "fov_deg": _SPEC["fov_deg"], "fps": _SPEC["fps"], "frames": _SPEC["n_frames"],
+                 "z_max_m": _SPEC["z_max_m"], **PRESET_KNOBS}
 
 
 def _check_pattern_flags(args):
     """A flag only one regime reads stays at its default under any other,
     and is checked by its own rule under its own: --window-px for entropy,
     --density for density."""
-    for name, (regime, default) in _REGIME_ONLY_FLAGS.items():
-        if args.regime != regime and getattr(args, name) != default:
-            raise UsageError(f"--{name.replace('_', '-')} is read only by the {regime} regime, "
-                             f"not by {args.regime}")
+    for regime, flags in _REGIME_ONLY_FLAGS.items():
+        _check_unread(args, flags, args.regime == regime,
+                      f"by the {regime} regime, not by {args.regime}")
     if args.regime == "entropy":
         check_window(args.window_px)
     elif args.regime == "density":
@@ -347,69 +368,15 @@ def cmd_fit_budget(args) -> int:
 
 # ---------- gen-scene ----------
 
-def _preset_spec(args) -> SyntheticSpec:
-    w, h = _parse_dims(args.dims)
-    common = dict(
-        width=w, height=h, fov_deg=args.fov_deg, fps=args.fps,
-        n_frames=args.frames, z_max_m=args.z_max_m,
-    )
-    z = args.range_m
-    if args.preset == "plane":
-        prims = (
-            Primitive(kind="plane", z_m=z, texture="noise", color=(150, 150, 150)),
-        )
-    elif args.preset == "two-plane":
-        prims = (
-            Primitive(kind="plane", z_m=3.0, texture="flat", color=(90, 90, 90)),
-            Primitive(
-                kind="quad", z_m=0.5, size_xy_m=(0.11, 0.16),
-                center_xy_m=(-0.028, 0.0), texture="flat", color=(200, 60, 60),
-            ),
-        )
-    elif args.preset == "box":
-        prims = (
-            Primitive(kind="plane", z_m=2.5, texture="noise", color=(120, 140, 160)),
-            Primitive(
-                kind="box", z_m=1.2, size_xy_m=(0.18, 0.14),
-                texture="noise", color=(200, 160, 60),
-            ),
-        )
-    elif args.preset == "textured":
-        prims = (
-            Primitive(kind="plane", z_m=2.5, texture="noise", color=(120, 140, 160)),
-            Primitive(
-                kind="quad", z_m=1.2, size_xy_m=(0.16, 0.12),
-                center_xy_m=(-0.08, -0.03), texture="checker",
-                checker_m=0.03, color=(210, 210, 60),
-            ),
-            Primitive(
-                kind="quad", z_m=1.8, size_xy_m=(0.22, 0.16),
-                center_xy_m=(0.12, 0.05), texture="noise", color=(80, 190, 90),
-            ),
-        )
-    elif args.preset == "moving-box":
-        # bright box sweeping left to right over a dark static background; the
-        # backdrop's spec checks --dims and --fov-deg before its fx is read
-        backdrop = SyntheticSpec(primitives=(
-            Primitive(kind="plane", z_m=2.5, texture="flat", color=(30, 30, 30)),), **common)
-        speed_m_s = args.box_speed_px * z / backdrop.meta.fx_px * args.fps
-        prims = backdrop.primitives + (
-            Primitive(
-                kind="box", z_m=z, size_xy_m=(0.25, 0.25),
-                center_xy_m=(-0.45, 0.0), texture="flat", color=(230, 230, 230),
-                velocity_m_s=(speed_m_s, 0.0, 0.0),
-            ),
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown preset {args.preset!r}")
-    return SyntheticSpec(primitives=prims, **common)
-
-
 def cmd_gen_scene(args) -> int:
-    if args.spec_json:
-        spec = load_spec(args.spec_json)
+    _check_unread(args, _PRESET_FLAGS, not args.spec_json, "without --spec-json")
+    if not args.spec_json:
+        w, h = _parse_dims(args.dims)
+        spec = preset_spec(args.preset, range_m=args.range_m, box_speed_px=args.box_speed_px,
+                           width=w, height=h, fov_deg=args.fov_deg, fps=args.fps,
+                           n_frames=args.frames, z_max_m=args.z_max_m)
     else:
-        spec = _preset_spec(args)
+        spec = load_spec(args.spec_json)
     seq = generate_synthetic(spec, seed=args.seed)
     out = _outdir(args)
     save_scene(seq, out)
@@ -431,6 +398,7 @@ _REGIME_FLAG = {
 def cmd_scan(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     _check_pattern_flags(args)
+    _check_unread(args, _DIMS_FLAGS, bool(args.dims), "with --dims")
     roi = _fixed_roi(args)
     model = _mirror_model(args)
     frame_budget = budget(model, args.fps)
@@ -452,7 +420,7 @@ def cmd_scan(args) -> int:
         ))
     out = _outdir(args)
     for index, pattern in patterns.items():
-        (out / f"pattern_{index:04d}.json").write_text(pattern.to_json() + "\n")
+        (out / f"pattern_{frame_stem(index)}.json").write_text(pattern.to_json() + "\n")
     _write_run_json(out, args, {"n_patterns": len(patterns), "budget": frame_budget})
     print(f"wrote {len(patterns)} pattern file(s) to {out}")
     return 0
@@ -464,6 +432,7 @@ def cmd_capture(args) -> int:
     regime = _REGIME_FLAG[args.regime]
     motion = args.roi == "auto-motion"
     _check_pattern_flags(args)
+    _check_unread(args, _MOTION_FLAGS, motion, "with --roi auto-motion")
     fixed_roi = _fixed_roi(args, motion)
     model = _mirror_model(args)
     frame_budget = budget(model, args.fps)
@@ -486,8 +455,8 @@ def cmd_capture(args) -> int:
     out = _outdir(args)
     summary = []
     for frame, roi, (sparse, _) in zip(seq.frames, rois, results):
-        index = frame.frame_index
-        save_sparse(sparse, out / f"{index:04d}.pgm", out / f"{index:04d}.json")
+        index, stem = frame.frame_index, frame_stem(frame.frame_index)
+        save_sparse(sparse, out / f"{stem}.pgm", out / f"{stem}.json")
         summary.append(
             {
                 "frame": index,
@@ -508,6 +477,8 @@ def cmd_capture(args) -> int:
 
 def cmd_fovea(args) -> int:
     motion = args.mode == "motion"
+    _check_unread(args, _MOTION_FLAGS, motion, "in --mode motion")
+    _check_unread(args, _ENTROPY_MODE_FLAGS, not motion, "in --mode entropy")
     background = _background_model(args) if motion else None
     roi_dims = None if motion else _parse_dims(args.roi_dims)
     if not motion:
@@ -542,7 +513,7 @@ def cmd_complete(args) -> int:
     _, summary = _load_capture_rois(sparse_dir, seq)
     sparses = []
     for frame in seq.frames:
-        pgm = sparse_dir / f"{frame.frame_index:04d}.pgm"
+        pgm = sparse_dir / f"{frame_stem(frame.frame_index)}.pgm"
         sparse = load_sparse(pgm, pgm.with_suffix(".json"))
         _check_frame_size(pgm, "capture", sparse.depth_m, frame)
         sparses.append(sparse)
@@ -551,7 +522,8 @@ def cmd_complete(args) -> int:
     )
     out = _outdir(args)
     for frame, dense in zip(seq.frames, results):
-        write_pgm16(out / f"{frame.frame_index:04d}.pgm", depth_to_millimeters(dense.depth_m))
+        write_pgm16(out / f"{frame_stem(frame.frame_index)}.pgm",
+                    depth_to_millimeters(dense.depth_m))
     (out / "capture_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_run_json(out, args)
     print(f"completed {len(results)} frame(s) to {out}")
@@ -615,7 +587,7 @@ def cmd_eval(args) -> int:
     lines = ["frame," + METRICS_CSV_HEADER]
     pooled_pairs = []
     for frame in seq.frames:
-        pgm = pred_dir / f"{frame.frame_index:04d}.pgm"
+        pgm = pred_dir / f"{frame_stem(frame.frame_index)}.pgm"
         pred = millimeters_to_depth(read_pgm16(pgm))
         _check_frame_size(pgm, "prediction", pred, frame)
         truth = frame.depth_gt
@@ -684,7 +656,7 @@ def _add_timing_flags(p: argparse.ArgumentParser):
 
 
 def _add_pattern_flags(p: argparse.ArgumentParser):
-    default = {name: value for name, (_, value) in _REGIME_ONLY_FLAGS.items()}
+    default = {k: v for flags in _REGIME_ONLY_FLAGS.values() for k, v in flags.items()}
     p.add_argument("--fps", type=float, default=6.0)
     p.add_argument("--regime", choices=sorted(_REGIME_FLAG), default="full")
     p.add_argument("--roi", default=default["roi"],
@@ -699,11 +671,10 @@ def _add_pattern_flags(p: argparse.ArgumentParser):
 
 
 def _add_motion_flags(p: argparse.ArgumentParser):
-    bg = BackgroundModel()
-    p.add_argument("--alpha", type=float, default=bg.alpha)
-    p.add_argument("--threshold", type=float, default=bg.diff_threshold)
-    p.add_argument("--min-blob-area", type=int, default=bg.min_blob_area_px)
-    p.add_argument("--margin", type=int, default=bg.margin_px)
+    p.add_argument("--alpha", type=float, default=_MOTION_FLAGS["alpha"])
+    p.add_argument("--threshold", type=float, default=_MOTION_FLAGS["threshold"])
+    p.add_argument("--min-blob-area", type=int, default=_MOTION_FLAGS["min_blob_area"])
+    p.add_argument("--margin", type=int, default=_MOTION_FLAGS["margin"])
 
 
 def _add_capture_flags(p: argparse.ArgumentParser):
@@ -754,18 +725,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_budget)
 
     p = sub.add_parser("gen-scene", help="render a synthetic rgb-d scene to disk")
-    p.add_argument("--preset", choices=["plane", "two-plane", "box", "textured", "moving-box"],
-                   default="textured")
-    p.add_argument("--spec-json", default="", help="full scene spec; overrides --preset")
-    spec = {f.name: f.default for f in fields(SyntheticSpec)}
-    p.add_argument("--dims", default=f"{spec['width']}x{spec['height']}")
-    p.add_argument("--fov-deg", type=float, default=spec["fov_deg"])
-    p.add_argument("--fps", type=float, default=spec["fps"])
-    p.add_argument("--frames", type=int, default=spec["n_frames"])
-    p.add_argument("--z-max-m", type=float, default=spec["z_max_m"])
-    p.add_argument("--range-m", type=float, default=1.5,
+    default = _PRESET_FLAGS
+    p.add_argument("--preset", choices=list(SCENE_PRESETS), default=default["preset"])
+    p.add_argument("--spec-json", default="",
+                   help="full scene spec, in place of --preset and its flags")
+    p.add_argument("--dims", default=default["dims"])
+    p.add_argument("--fov-deg", type=float, default=default["fov_deg"])
+    p.add_argument("--fps", type=float, default=default["fps"])
+    p.add_argument("--frames", type=int, default=default["frames"])
+    p.add_argument("--z-max-m", type=float, default=default["z_max_m"])
+    p.add_argument("--range-m", type=float, default=default["range_m"],
                    help="plane/box distance for presets that take one")
-    p.add_argument("--box-speed-px", type=float, default=30.0,
+    p.add_argument("--box-speed-px", type=float, default=default["box_speed_px"],
                    help="moving-box preset: lateral speed, px/frame")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -775,7 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--scene", default="", help="scene dir (entropy source / dims)")
     size.add_argument("--dims", default="", help="WxH, without a scene")
-    p.add_argument("--mirror-fov-deg", type=float, default=math.degrees(DEFAULT_MIRROR_FOV_RAD))
+    p.add_argument("--mirror-fov-deg", type=float, default=_DIMS_FLAGS["mirror_fov_deg"],
+                   help="with --dims; a scene gives its own")
     _add_timing_flags(p)
     _add_pattern_flags(p)
     p.add_argument("--out", required=True)
@@ -794,8 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fovea", help="trace attention ROIs over a scene")
     p.add_argument("--scene", required=True)
     p.add_argument("--mode", choices=["motion", "entropy"], default="motion")
-    p.add_argument("--roi-dims", default="40x30", help="entropy mode: ROI size WxH")
-    p.add_argument("--window-px", type=int, default=_REGIME_ONLY_FLAGS["window_px"][1])
+    p.add_argument("--roi-dims", default=_ENTROPY_MODE_FLAGS["roi_dims"],
+                   help="entropy mode: ROI size WxH")
+    p.add_argument("--window-px", type=int, default=_ENTROPY_MODE_FLAGS["window_px"])
     _add_motion_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fovea)

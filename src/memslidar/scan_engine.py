@@ -544,9 +544,8 @@ def _outside_grid(
     """(theta, phi) of n_out near-uniform points over the full FOV minus the ROI.
 
     Lays a full-FOV grid sized so that enough points miss the ROI, then
-    thins evenly (by serpentine index) to the exact count.  Pixel positions
-    use math.tan, whose rounding can differ from np.tan's by an ulp, and an
-    ulp can move a point across the ROI edge.
+    thins evenly (by serpentine index) to the exact count.  A point's pixel
+    is the one `angles_to_pixel` gives it, as in capture.
     """
     w, h = image_dims
     frac_out = 1.0 - roi.area_px / (w * h)
@@ -556,8 +555,7 @@ def _outside_grid(
     m = max(n_out, int(math.ceil(n_out / frac_out)))
     for _ in range(64):
         theta, phi = _serpentine_grid(extent, m)
-        ix = np.floor(intr.cx_px + intr.fx_px * np.array([math.tan(t) for t in theta]))
-        iy = np.floor(intr.cy_px + intr.fy_px * np.array([math.tan(p) for p in phi]))
+        ix, iy = np.floor(angles_to_pixel(theta, phi, intr))
         keep = np.flatnonzero(~((roi.x0 <= ix) & (ix < roi.x1) & (roi.y0 <= iy) & (iy < roi.y1)))
         if len(keep) >= n_out:
             keep = keep[np.round(np.linspace(0, len(keep) - 1, n_out)).astype(int)]

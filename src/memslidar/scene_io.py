@@ -92,15 +92,10 @@ class SceneMeta:
         for name in ("width", "height", "fps", "fx_px", "fy_px"):
             value = getattr(self, name)
             if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise ValueError(f"{name!r} must be positive, got {value}")
         if not 0 < self.z_max_m <= MAX_DEPTH_M:
-            raise ValueError(
-                f"z_max_m must be in (0, {MAX_DEPTH_M}] m, got {self.z_max_m}"
-            )
-        if not 0 < self.mirror_fov_deg <= 180:
-            raise ValueError(
-                f"mirror_fov_deg must be in (0, 180], got {self.mirror_fov_deg}"
-            )
+            raise ValueError(f"'z_max_m' must be in (0, {MAX_DEPTH_M}] m, got {self.z_max_m}")
+        _check_fov("mirror_fov_deg", self.mirror_fov_deg)
 
     @property
     def intrinsics(self) -> Intrinsics:
@@ -234,12 +229,18 @@ def millimeters_to_depth(mm: np.ndarray) -> np.ndarray:
 
 # ---------- scene directories ----------
 
+def frame_stem(index: int) -> str:
+    """The file stem of frame `index`, in a scene directory and in every
+    per-frame output made from it: the index, zero-padded to four digits."""
+    return f"{index:04d}"
+
+
 def save_scene(seq: SceneSequence, directory: str | Path) -> None:
-    """Write frames and meta.json; frame files are zero-padded by index."""
+    """Write frames and meta.json; frame files are named by `frame_stem`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for frame in seq.frames:
-        stem = f"{frame.frame_index:04d}"
+        stem = frame_stem(frame.frame_index)
         write_ppm(directory / f"{stem}.ppm", frame.rgb)
         write_pgm16(directory / f"{stem}.pgm", depth_to_millimeters(frame.depth_gt))
     (directory / "meta.json").write_text(
@@ -305,6 +306,11 @@ def _check_number(name: str, value, integral: bool = False):
         what = "an integer" if integral else "a finite number"
         raise ValueError(f"{name!r} must be {what}, got {value!r}")
     return value
+
+
+def _check_fov(name: str, value) -> None:
+    if not 0 < _check_number(name, value) <= 180:
+        raise ValueError(f"{name!r} must be in (0, 180], got {value}")
 
 
 def _check_vector(name: str, value, length: int, integral: bool = False) -> None:
@@ -376,20 +382,18 @@ class SyntheticSpec:
     primitives: tuple[Primitive, ...] = ()
 
     def __post_init__(self):
+        # what SceneMeta cannot say; the sizes and FOV before the pinhole reads them
         for name in ("width", "height", "n_frames"):
-            if _check_number(name, getattr(self, name), integral=True) < 1:
-                raise ValueError(f"{name!r} must be >= 1, got {getattr(self, name)}")
+            _check_number(name, getattr(self, name), integral=True)
+        if self.n_frames < 1:
+            raise ValueError(f"'n_frames' must be >= 1, got {self.n_frames}")
+        _check_fov("fov_deg", self.fov_deg)
+        self.meta  # SceneMeta checks the sizes, rate and range gate
         if self.width * self.height * self.n_frames > MAX_SCENE_PIXELS:
             raise ValueError(
                 f"{self.width}x{self.height} x {self.n_frames} frame(s) exceeds "
                 f"{MAX_SCENE_PIXELS} pixels"
             )
-        if not 0 < _check_number("fov_deg", self.fov_deg) <= 180:
-            raise ValueError(f"'fov_deg' must be in (0, 180], got {self.fov_deg}")
-        if not _check_number("fps", self.fps) > 0:
-            raise ValueError(f"'fps' must be > 0, got {self.fps}")
-        if not 0 < _check_number("z_max_m", self.z_max_m) <= MAX_DEPTH_M:
-            raise ValueError(f"'z_max_m' must be in (0, {MAX_DEPTH_M}] m, got {self.z_max_m}")
         if not self.primitives:
             raise EmptyScene("scene spec has no primitives")
 
@@ -436,6 +440,73 @@ def load_spec(path: str | Path) -> SyntheticSpec:
         where = f"{path}: primitive {i}"
         prims.append(_construct(Primitive, _spec_fields(prim, Primitive, where), where))
     return _construct(SyntheticSpec, {**spec, "primitives": tuple(prims)}, str(path))
+
+
+# the knobs a scene preset may read beyond its camera, at their defaults: the
+# plane's or moving box's distance (m), and the moving box's speed (px/frame)
+PRESET_KNOBS = {"range_m": 1.5, "box_speed_px": 30.0}
+# scene preset name -> the knobs its recipe reads
+SCENE_PRESETS = {"plane": ("range_m",), "two-plane": (), "box": (), "textured": (),
+                 "moving-box": ("range_m", "box_speed_px")}
+
+
+def preset_spec(name: str, *, range_m: float = PRESET_KNOBS["range_m"],
+                box_speed_px: float = PRESET_KNOBS["box_speed_px"], **camera) -> SyntheticSpec:
+    """The recipe of scene preset `name` on the camera that SyntheticSpec's
+    keywords in `camera` describe.  A knob the preset does not read must stay
+    at its default."""
+    if name not in SCENE_PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    for knob, value in (("range_m", range_m), ("box_speed_px", box_speed_px)):
+        if knob not in SCENE_PRESETS[name] and value != PRESET_KNOBS[knob]:
+            raise ValueError(f"{knob!r} is not read by the {name} preset")
+    if name == "plane":
+        prims = (
+            Primitive(kind="plane", z_m=range_m, texture="noise", color=(150, 150, 150)),
+        )
+    elif name == "two-plane":
+        prims = (
+            Primitive(kind="plane", z_m=3.0, texture="flat", color=(90, 90, 90)),
+            Primitive(
+                kind="quad", z_m=0.5, size_xy_m=(0.11, 0.16),
+                center_xy_m=(-0.028, 0.0), texture="flat", color=(200, 60, 60),
+            ),
+        )
+    elif name == "box":
+        prims = (
+            Primitive(kind="plane", z_m=2.5, texture="noise", color=(120, 140, 160)),
+            Primitive(
+                kind="box", z_m=1.2, size_xy_m=(0.18, 0.14),
+                texture="noise", color=(200, 160, 60),
+            ),
+        )
+    elif name == "textured":
+        prims = (
+            Primitive(kind="plane", z_m=2.5, texture="noise", color=(120, 140, 160)),
+            Primitive(
+                kind="quad", z_m=1.2, size_xy_m=(0.16, 0.12),
+                center_xy_m=(-0.08, -0.03), texture="checker",
+                checker_m=0.03, color=(210, 210, 60),
+            ),
+            Primitive(
+                kind="quad", z_m=1.8, size_xy_m=(0.22, 0.16),
+                center_xy_m=(0.12, 0.05), texture="noise", color=(80, 190, 90),
+            ),
+        )
+    else:
+        # bright box sweeping left to right over a dark static background; the
+        # backdrop's spec checks the camera before its fx is read
+        backdrop = SyntheticSpec(primitives=(
+            Primitive(kind="plane", z_m=2.5, texture="flat", color=(30, 30, 30)),), **camera)
+        speed_m_s = box_speed_px * range_m / backdrop.meta.fx_px * backdrop.fps
+        prims = backdrop.primitives + (
+            Primitive(
+                kind="box", z_m=range_m, size_xy_m=(0.25, 0.25),
+                center_xy_m=(-0.45, 0.0), texture="flat", color=(230, 230, 230),
+                velocity_m_s=(speed_m_s, 0.0, 0.0),
+            ),
+        )
+    return SyntheticSpec(primitives=prims, **camera)
 
 
 @functools.lru_cache(maxsize=16)

@@ -314,6 +314,23 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["capture", "--scene", "NOPE", "--regime", "density", "--window-px", "7"],
     ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "auto-motion",
      "--window-px", "7"],
+    # a motion flag without motion tracking, and a fovea flag of the other mode
+    ["capture", "--scene", "NOPE", "--regime", "foveated", "--roi", "0,0,40,30", "--alpha", "0.9"],
+    ["capture", "--scene", "NOPE", "--regime", "entropy", "--margin", "3"],
+    ["capture", "--scene", "NOPE", "--threshold", "nan"],
+    ["fovea", "--scene", "NOPE", "--mode", "motion", "--roi-dims", "3x3"],
+    ["fovea", "--scene", "NOPE", "--mode", "motion", "--window-px", "5"],
+    ["fovea", "--scene", "NOPE", "--mode", "entropy", "--alpha", "0.9"],
+    ["fovea", "--scene", "NOPE", "--mode", "entropy", "--min-blob-area", "5"],
+    # a preset flag beside --spec-json, a knob its preset does not read, and a
+    # mirror FOV beside a scene that gives its own
+    ["gen-scene", "--spec-json", "NOPE", "--dims", "9x9", "--fps", "1"],
+    ["gen-scene", "--spec-json", "NOPE", "--preset", "box"],
+    ["gen-scene", "--spec-json", "NOPE", "--range-m", "2"],
+    ["gen-scene", "--preset", "box", "--range-m", "5", "--box-speed-px", "9"],
+    ["gen-scene", "--preset", "textured", "--box-speed-px", "9"],
+    ["gen-scene", "--preset", "plane", "--box-speed-px", "9"],
+    ["scan", "--scene", "NOPE", "--mirror-fov-deg", "60"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -784,6 +801,25 @@ def test_regime_only_flags_at_their_defaults_change_no_byte(tmp_path, monkeypatc
     written = _tree_bytes(tmp_path / "bare")
     assert {"cap/0000.json", "cap/run.json"} <= set(written)
     assert _tree_bytes(tmp_path / "defaults") == written
+
+    # so does a motion flag without motion tracking, and a preset flag beside --spec-json
+    bg = BackgroundModel()
+    capture = ["capture", "--scene", scene, "--fps", "20"]
+    motion = ["--alpha", bg.alpha, "--threshold", bg.diff_threshold,
+              "--min-blob-area", bg.min_blob_area_px, "--margin", bg.margin_px]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_SPEC))
+    gen = ["gen-scene", "--spec-json", spec]
+    preset = ["--preset", "textured", "--dims", "160x120", "--fov-deg", "25", "--fps", "30",
+              "--frames", "1", "--z-max-m", "3", "--range-m", "1.5", "--box-speed-px", "30"]
+    for command, flags in ((capture, motion), (gen, preset)):
+        for name, extra in (("bare", []), ("flagged", flags)):
+            (tmp_path / command[0] / name).mkdir(parents=True)
+            monkeypatch.chdir(tmp_path / command[0] / name)
+            assert run(*command, *extra, "--out", "out") == 0
+        written = _tree_bytes(tmp_path / command[0] / "bare")
+        assert "out/run.json" in written
+        assert _tree_bytes(tmp_path / command[0] / "flagged") == written
 
 
 def test_scan_without_scene_single_pattern(tmp_path):

@@ -341,6 +341,26 @@ def test_foveated_split_honors_density_ratio():
     assert abs(n_in - 0.8 * 230) <= 1
 
 
+def test_foveated_outside_samples_map_outside_the_roi():
+    # each sample scheduled outside the ROI lands outside it when mapped to a
+    # pixel as capture maps it: the pattern's angle columns through angles_to_pixel
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        dims = w, h = tuple(int(v) for v in rng.integers(2, 400, 2))
+        model = model_with_budget(int(rng.integers(1, 3000)), fov_deg=float(rng.uniform(1, 179)))
+        x0, x1 = np.sort(rng.choice(w + 1, 2, replace=False))
+        y0, y1 = np.sort(rng.choice(h + 1, 2, replace=False))
+        inside = float(rng.uniform(0.01, 1))
+        roi = ROI(int(x0), int(y0), int(x1), int(y1), inside, float(rng.uniform(0.001, inside)))
+        pattern = gen_foveated(model, 10.0, roi, dims)
+        w_in, w_out = roi.inside_density * roi.area_px, roi.outside_density * (w * h - roi.area_px)
+        n_in = int(round(pattern.budget * w_in / (w_in + w_out)))
+        px, py = angles_to_pixel(pattern.samples.theta_rad, pattern.samples.phi_rad,
+                                 image_intrinsics(model, dims))
+        ix, iy = np.floor(px[n_in:]), np.floor(py[n_in:])
+        assert not ((roi.x0 <= ix) & (ix < roi.x1) & (roi.y0 <= iy) & (iy < roi.y1)).any()
+
+
 def test_foveated_roi_bounds_checked():
     model = model_with_budget(50)
     with pytest.raises(ROIOutOfBounds):
