@@ -538,12 +538,6 @@ def _check_frame_size(path: Path, noun: str, depth: np.ndarray, frame) -> None:
         raise SceneIOError(f"{path}: {noun} is {depth.shape}, scene is {frame.depth_gt.shape}")
 
 
-def _pooled_report(pairs):
-    pred = np.concatenate([p.ravel() for p, _ in pairs])
-    truth = np.concatenate([t.ravel() for _, t in pairs])
-    return compute(pred, truth)
-
-
 def _load_capture_rois(capture_dir: Path, seq: SceneSequence) -> tuple[dict, list]:
     """Per-frame ROIs recorded at capture time, checked against the scene, and
     the rows of the capture summary in `capture_dir` they were read from: a
@@ -585,7 +579,7 @@ def cmd_eval(args) -> int:
         rois, _ = _load_capture_rois(pred_dir, seq)
 
     lines = ["frame," + METRICS_CSV_HEADER]
-    pooled_pairs = []
+    preds, truths = [], []
     for frame in seq.frames:
         pgm = pred_dir / f"{frame_stem(frame.frame_index)}.pgm"
         pred = millimeters_to_depth(read_pgm16(pgm))
@@ -597,8 +591,9 @@ def cmd_eval(args) -> int:
             pred, truth = pred[window], truth[window]
         report = compute(pred, truth)
         lines.append(f"{frame.frame_index}," + report.to_csv_row())
-        pooled_pairs.append((pred, truth))
-    pooled = _pooled_report(pooled_pairs)
+        preds.append(pred)
+        truths.append(truth)
+    pooled = compute(preds, truths)
     lines.append("all," + pooled.to_csv_row())
     out = _outdir(args)
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
@@ -626,7 +621,7 @@ def cmd_fps_sweep(args) -> int:
                                   None, None)
         results = _run_frames(args, seq, patterns, cap_cfg, params)
         # run_frame's depth is the millimetre depth `complete` writes, as `eval` reads
-        report = _pooled_report([(pred, f.depth_gt) for (_, pred), f in zip(results, seq.frames)])
+        report = compute([pred for _, pred in results], [f.depth_gt for f in seq.frames])
         mean_samples = sum(len(sparse.samples) for sparse, _ in results) / len(seq.frames)
         lines.append(
             f"{fps:.9g},{frame_budget},{mean_samples:.9g}," + report.to_csv_row()

@@ -68,7 +68,8 @@ FLAG_ZERO_KERNEL = "zero_kernel"
 
 
 class OpticsError(ValueError):
-    """Base class for receiver-geometry errors."""
+    """Base class for optics errors: a spec, range or sweep grid out of
+    range, or a singular focus geometry."""
 
 
 class DegenerateFocus(OpticsError):
@@ -106,13 +107,13 @@ class TransmitterSpec:
 
     def __post_init__(self):
         if not self.beam_quality_m >= 1.0:
-            raise ValueError(f"beam quality must be >= 1, got {self.beam_quality_m}")
+            raise OpticsError(f"beam quality must be >= 1, got {self.beam_quality_m}")
         if not self.waist_radius_m > 0:
-            raise ValueError(f"waist radius must be > 0, got {self.waist_radius_m}")
+            raise OpticsError(f"waist radius must be > 0, got {self.waist_radius_m}")
         if not self.wavelength_m > 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength_m}")
+            raise OpticsError(f"wavelength must be > 0, got {self.wavelength_m}")
         if not 0 < self.mirror_fov_rad <= math.pi:
-            raise ValueError(
+            raise OpticsError(
                 f"mirror FOV must be in (0, pi] rad, got {self.mirror_fov_rad}"
             )
 
@@ -139,15 +140,15 @@ class ReceiverSpec:
 
     def __post_init__(self):
         if not self.aperture_m > 0:
-            raise ValueError(f"aperture must be > 0, got {self.aperture_m}")
+            raise OpticsError(f"aperture must be > 0, got {self.aperture_m}")
         if not self.image_distance_m > 0:
-            raise ValueError(f"image distance must be > 0, got {self.image_distance_m}")
+            raise OpticsError(f"image distance must be > 0, got {self.image_distance_m}")
         if not self.focal_length_m > 0:
-            raise ValueError(f"focal length must be > 0, got {self.focal_length_m}")
+            raise OpticsError(f"focal length must be > 0, got {self.focal_length_m}")
         if self.detector_count_n < 1:
-            raise ValueError(f"detector count must be >= 1, got {self.detector_count_n}")
+            raise OpticsError(f"detector count must be >= 1, got {self.detector_count_n}")
         if self.design_kind != DesignKind.RECEIVER_ARRAY and self.detector_count_n != 1:
-            raise ValueError(f"{self.design_kind.value} design requires n = 1")
+            raise OpticsError(f"{self.design_kind.value} design requires n = 1")
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,9 @@ class CameraSpec:
 
     def __post_init__(self):
         if not 0 < self.fov_rad <= math.pi:
-            raise ValueError(f"camera FOV must be in (0, pi] rad, got {self.fov_rad}")
+            raise OpticsError(f"camera FOV must be in (0, pi] rad, got {self.fov_rad}")
         if self.pixel_count < 1:
-            raise ValueError(f"pixel count must be >= 1, got {self.pixel_count}")
+            raise OpticsError(f"pixel count must be >= 1, got {self.pixel_count}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def apex_to_solid_angle(apex_rad: float) -> float:
 def solid_angle_to_apex(solid_sr: float) -> float:
     """Apex angle (rad) of a cone subtending the given solid angle (sr)."""
     if not 0 <= solid_sr <= 4 * math.pi:
-        raise ValueError(f"solid angle must be in [0, 4*pi] sr, got {solid_sr}")
+        raise OpticsError(f"solid angle must be in [0, 4*pi] sr, got {solid_sr}")
     return 2.0 * math.acos(1.0 - solid_sr / (2.0 * math.pi))
 
 
@@ -312,7 +313,7 @@ def _characterize_ranges(pairs, z: np.ndarray):
     bit for bit.  Single-detector singularities become sentinel entries
     (fov 0, rr +inf) whose flag code carries the reason.
 
-    Raises ValueError for the first (pair, range), in row order, whose range
+    Raises OpticsError for the first (pair, range), in row order, whose range
     is not finite and > 0, or lies below a single detector's focal length.
     """
     kind = pairs[0][1].design_kind
@@ -326,8 +327,8 @@ def _characterize_ranges(pairs, z: np.ndarray):
         p, k = divmod(int(bad.argmax()), len(z))
         z_bad = z[k].item()
         if not (math.isfinite(z_bad) and z_bad > 0):
-            raise ValueError(f"range must be finite and > 0, got {z_bad}")
-        raise ValueError(
+            raise OpticsError(f"range must be finite and > 0, got {z_bad}")
+        raise OpticsError(
             f"single-detector geometry needs Z > f; got Z={z_bad}, "
             f"f={pairs[p][1].focal_length_m}"
         )
@@ -420,7 +421,7 @@ def _check_sweep_bounds(tx_grid, rx_grid) -> None:
     for spec in (*tx_grid, *rx_grid):
         for field, (lo, hi) in SWEEP_BOUNDS.items():
             if hasattr(spec, field) and not lo <= getattr(spec, field) <= hi:
-                raise ValueError(f"{field} {getattr(spec, field)} outside [{lo}, {hi}]")
+                raise OpticsError(f"{field} {getattr(spec, field)} outside [{lo}, {hi}]")
 
 
 def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
@@ -439,7 +440,7 @@ def sweep(tx_grid, rx_grid, range_grid_m) -> dict[str, np.ndarray]:
     rx_grid = list(rx_grid)
     z = np.array([float(v) for v in range_grid_m], dtype=np.float64)
     if not 0 < len(tx_grid) * len(rx_grid) * len(z) <= MAX_SWEEP_ROWS:
-        raise ValueError(f"sweep grids must be non-empty and give at most {MAX_SWEEP_ROWS} rows")
+        raise OpticsError(f"sweep grids must be non-empty and give at most {MAX_SWEEP_ROWS} rows")
     _check_sweep_bounds(tx_grid, rx_grid)
 
     pairs = [(tx, rx) for tx in tx_grid for rx in rx_grid]
@@ -714,5 +715,5 @@ def find_crossovers(columns) -> list[dict]:
 def log_range_grid(z_min_m: float, z_max_m: float, count: int) -> np.ndarray:
     """Log-spaced range grid (m), inclusive of both endpoints."""
     if not (z_min_m > 0 and z_max_m > z_min_m and count >= 2):
-        raise ValueError("need 0 < z_min < z_max and count >= 2")
+        raise OpticsError("need 0 < z_min < z_max and count >= 2")
     return np.geomspace(z_min_m, z_max_m, count)

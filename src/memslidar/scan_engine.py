@@ -273,7 +273,7 @@ class BudgetFit:
 def budget(model: MirrorModel, fps: float) -> int:
     """Samples available per frame at the requested rate, at most MAX_FRAME_BUDGET."""
     if not fps > 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
+        raise ScanEngineError(f"fps must be > 0, got {fps}")
     frame_s = 1.0 / fps
     if frame_s <= model.frame_overhead_s:
         raise OverheadExceedsFrame(

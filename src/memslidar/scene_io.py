@@ -46,6 +46,10 @@ class MalformedHeader(SceneIOError):
     """A netpbm file or meta.json could not be read, or does not hold its format."""
 
 
+class DuplicateFrame(SceneIOError):
+    """Two frame file stems in a scene directory parse to one frame index."""
+
+
 class EmptyScene(SceneIOError):
     """A generated frame contains no valid geometry."""
 
@@ -263,14 +267,19 @@ def load_scene(directory: str | Path) -> SceneSequence:
     for stem in sorted(pgm_stems - ppm_stems):
         raise MissingPair(f"{directory / (stem + '.pgm')}: no matching RGB (.ppm)")
 
+    stems = {}  # frame index -> the stem naming it
     for stem in sorted(ppm_stems):
         if not stem.isdigit():
             raise MalformedHeader(
                 f"{directory / (stem + '.ppm')}: frame stems must be numeric"
             )
+        first = stems.setdefault(int(stem), stem)
+        if first != stem:
+            raise DuplicateFrame(f"{directory / (first + '.ppm')} and "
+                                 f"{directory / (stem + '.ppm')} both name frame {int(stem)}")
 
     frames = []
-    for stem in sorted(ppm_stems, key=lambda s: int(s)):
+    for index, stem in sorted(stems.items()):
         rgb = read_ppm(directory / f"{stem}.ppm")
         mm = read_pgm16(directory / f"{stem}.pgm")
         if rgb.shape[:2] != mm.shape:
@@ -283,7 +292,6 @@ def load_scene(directory: str | Path) -> SceneSequence:
                 f"{directory / (stem + '.ppm')}: image is {rgb.shape[:2]}, "
                 f"meta.json says {(meta.height, meta.width)}"
             )
-        index = int(stem)
         frames.append(
             SceneFrame(
                 rgb=rgb,

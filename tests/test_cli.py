@@ -484,6 +484,15 @@ def test_unreadable_scene_file_exit_3(tmp_path, capsys, plane_capture, command, 
                   f"error: {scene / name}:")
 
 
+def test_capture_scene_with_two_stems_for_one_frame_exit_3(tmp_path, capsys, plane_capture):
+    scene = tmp_path / "scene"
+    shutil.copytree(plane_capture[0], scene)
+    for ext in ("ppm", "pgm"):
+        shutil.copy(scene / f"0000.{ext}", scene / f"00000.{ext}")
+    _rejected_run(tmp_path, capsys, plane_capture, ["capture", "--scene", scene], 3,
+                  f"error: {scene / '0000.ppm'} and {scene / '00000.ppm'} both name frame 0")
+
+
 @pytest.mark.parametrize("command, name", [
     ("complete", "0000.json"), ("complete", "0000.pgm"), ("eval", "0000.pgm"),
 ])

@@ -13,6 +13,7 @@ from memslidar.optics import (
     DesignCharacterization,
     DesignKind,
     InvalidVariant,
+    OpticsError,
     ReceiverSpec,
     TransmitterSpec,
     ZeroKernel,
@@ -47,6 +48,7 @@ def rx(kind, a=0.1, u=0.010, f=0.015, n=1):
     (tx, {"m": 0.5}),
     (tx, {"w0": 0.0}),
     (tx, {"lam": -1e-6}),
+    (tx, {"fov": 4.0}),
     (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"a": 0.0}),
     (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"u": math.nan}),
     (lambda **kw: rx(DesignKind.RECEIVER_ARRAY, **kw), {"f": -0.015}),
@@ -54,11 +56,18 @@ def rx(kind, a=0.1, u=0.010, f=0.015, n=1):
     (lambda **kw: rx(DesignKind.SINGLE_DETECTOR, **kw), {"n": 4}),
     (CameraSpec, {"fov_rad": 4.0, "pixel_count": 100}),
     (CameraSpec, {"fov_rad": 0.4, "pixel_count": 0}),
-], ids=["M", "w0", "lambda", "A", "u", "f", "n-zero", "n-single", "camera-fov",
-        "camera-pixels"])
+], ids=["M", "w0", "lambda", "mirror-fov", "A", "u", "f", "n-zero", "n-single",
+        "camera-fov", "camera-pixels"])
 def test_specs_reject_out_of_range_fields(make, kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(OpticsError):
         make(**kwargs)
+
+
+def test_grid_errors_are_optics_errors():
+    with pytest.raises(OpticsError, match="non-empty"):
+        sweep([tx(w0=5e-3)], [rx(DesignKind.RETROREFLECTIVE)], [])
+    with pytest.raises(OpticsError, match="z_min < z_max"):
+        log_range_grid(1.0, 0.5, 10)
 
 
 # ---------- divergence ----------
@@ -92,7 +101,7 @@ def test_apex_solid_angle_roundtrip():
 
 @pytest.mark.parametrize("solid_sr", [-0.1, 4 * math.pi + 0.1, math.nan])
 def test_solid_angle_outside_sphere_rejected(solid_sr):
-    with pytest.raises(ValueError, match="solid angle"):
+    with pytest.raises(OpticsError, match="solid angle"):
         solid_angle_to_apex(solid_sr)
 
 
@@ -185,16 +194,16 @@ def test_single_zero_kernel_at_exact_focus():
 
 
 def test_single_requires_range_beyond_focal():
-    with pytest.raises(ValueError):
+    with pytest.raises(OpticsError):
         characterize(tx(), rx(DesignKind.SINGLE_DETECTOR, u=0.010, f=0.015), 0.010)
 
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, 0.0, -1.0])
 def test_range_must_be_finite_and_positive(z):
     r = rx(DesignKind.RECEIVER_ARRAY, n=4)
-    with pytest.raises(ValueError, match="finite and > 0"):
+    with pytest.raises(OpticsError, match="finite and > 0"):
         characterize(tx(), r, z)
-    with pytest.raises(ValueError, match="finite and > 0"):
+    with pytest.raises(OpticsError, match="finite and > 0"):
         sweep([tx(w0=5e-3)], [r], [1.0, z])
 
 
@@ -301,9 +310,9 @@ def test_sweep_row_count_and_order():
 
 
 def test_sweep_rejects_out_of_bounds_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(OpticsError):
         sweep([tx(m=300.0, w0=5e-3)], [rx(DesignKind.RETROREFLECTIVE)], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(OpticsError):
         sweep([tx(w0=5e-3)], [rx(DesignKind.RECEIVER_ARRAY, a=0.2)], [1.0])
 
 
@@ -317,7 +326,7 @@ def test_sweep_rejects_out_of_bounds_grid():
 def test_sweep_rejects_each_bound(field, txs, rxs):
     # one value outside each SWEEP_BOUNDS entry, named in the message
     lo, hi = SWEEP_BOUNDS[field]
-    with pytest.raises(ValueError, match=rf"^{field} \S+ outside \[{lo}, {hi}\]$"):
+    with pytest.raises(OpticsError, match=rf"^{field} \S+ outside \[{lo}, {hi}\]$"):
         sweep(txs, rxs, [1.0])
 
 

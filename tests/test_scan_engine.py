@@ -13,6 +13,7 @@ from memslidar.scan_engine import (
     Regime,
     ROI,
     ROIOutOfBounds,
+    ScanEngineError,
     ScanPattern,
     SingularFit,
     _angular_extent,
@@ -52,6 +53,12 @@ def test_budget_overhead_exceeds_frame():
         budget(model, 19.99)
     with pytest.raises(OverheadExceedsFrame):
         budget(reference_mirror_model(), 62.0)
+
+
+@pytest.mark.parametrize("fps", [0.0, -1.0, math.nan])
+def test_budget_rejects_a_rate_that_is_not_positive(fps):
+    with pytest.raises(ScanEngineError, match="fps must be > 0"):
+        budget(reference_mirror_model(), fps)
 
 
 def test_fps_for_budget_inverts_budget():

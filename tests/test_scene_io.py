@@ -9,6 +9,7 @@ import pytest
 from memslidar import scene_io
 from memslidar.scene_io import (
     DimensionMismatch,
+    DuplicateFrame,
     EmptyScene,
     MalformedHeader,
     MissingPair,
@@ -197,6 +198,18 @@ def test_load_requires_numeric_frame_stems(tmp_path):
         (tmp_path / "scene" / f"0001.{ext}").rename(tmp_path / "scene" / f"last.{ext}")
     with pytest.raises(MalformedHeader, match="numeric"):
         load_scene(tmp_path / "scene")
+
+
+def test_load_rejects_two_stems_for_one_frame(tmp_path, monkeypatch):
+    # 0000 and 00000 both parse to frame 0: rejected before any frame is read
+    scene = tmp_path / "scene"
+    save_scene(_two_frame_scene(), scene)
+    for ext in ("ppm", "pgm"):
+        (scene / f"00000.{ext}").write_bytes((scene / f"0000.{ext}").read_bytes())
+    monkeypatch.setattr(scene_io, "read_ppm", None)
+    with pytest.raises(DuplicateFrame) as info:
+        load_scene(scene)
+    assert str(info.value) == f"{scene / '0000.ppm'} and {scene / '00000.ppm'} both name frame 0"
 
 
 def test_load_requires_meta_keys(tmp_path):
