@@ -1,9 +1,10 @@
 """Command-line front end for the simulator.
 
 Subcommands cover the pipeline end to end: optics-sweep, fit-budget,
-gen-scene, scan, capture, fovea, complete, eval, fps-sweep.  Per-frame
-pattern, capture and completion run through `memslidar.pipeline`; this
-module parses flags, builds each config from them once, and writes the files.
+gen-scene, scan, capture, fovea, complete, eval, fps-sweep.  Frames run
+through `memslidar.pipeline`: capture, complete and fps-sweep through its
+scene pass, on up to --jobs worker processes.  This module parses flags,
+builds each config from them once, and writes the files.
 Lengths are taken in millimeters (wavelength in micrometers, angles in
 degrees) and converted to SI internally.  Every run writes run.json with
 the fully resolved configuration into its output directory.
@@ -18,15 +19,14 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .completion import GuidedFillParams, complete
+from .completion import GuidedFillParams
 from .foveation import BackgroundModel, check_window, entropy_maps, max_entropy_roi
 from .lidar_sim import (
     CaptureConfig,
@@ -46,7 +46,7 @@ from .optics import (
     sweep,
     write_sweep_csv,
 )
-from .pipeline import frame_pattern, frame_patterns, frame_seed, run_frame, track_motion
+from .pipeline import frame_pattern, frame_patterns, frame_seed, run_scene, track_motion
 from .scan_engine import (
     DEFAULT_MIRROR_FOV_RAD,
     REFERENCE_BUDGET_PAIRS,
@@ -76,7 +76,6 @@ from .scene_io import (
     millimeters_to_depth,
     save_scene,
     write_pgm16,
-    depth_to_millimeters,
 )
 
 # unused here: bound so the benchmark's span tracer can patch them (bench/workloads.py CLI_TRACED)
@@ -165,23 +164,6 @@ def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _pmap(fn, jobs: int, *columns: list) -> list:
-    """Order-preserving map(fn, *columns); identical output for any job count.
-    At most one worker per item: a forking pool starts all its workers at once."""
-    workers = min(jobs, len(columns[0]))
-    if workers <= 1:
-        return list(map(fn, *columns))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *columns))
-
-
-def _run_frames(args, seq: SceneSequence, patterns, cap_cfg, params) -> list:
-    """`pipeline.run_frame` over the scene's frames and their patterns, up to
-    --jobs at a time."""
-    fn = partial(run_frame, seed=args.seed, cap_cfg=cap_cfg, params=params)
-    return _pmap(fn, args.jobs, seq.frames, patterns)
 
 
 def _mirror_model(args) -> MirrorModel:
@@ -450,11 +432,11 @@ def cmd_capture(args) -> int:
         rois = [fixed_roi] * len(seq.frames)
     patterns = frame_patterns(seq.frames, rois, regime, model, args.fps, args.seed,
                               args.density, args.window_px)
-    results = _run_frames(args, seq, patterns, cap_cfg, None)
+    results = run_scene(seq.frames, patterns, args.seed, cap_cfg, jobs=args.jobs)
 
     out = _outdir(args)
     summary = []
-    for frame, roi, (sparse, _) in zip(seq.frames, rois, results):
+    for frame, roi, sparse in zip(seq.frames, rois, (r.sparse for r in results)):
         index, stem = frame.frame_index, frame_stem(frame.frame_index)
         save_sparse(sparse, out / f"{stem}.pgm", out / f"{stem}.json")
         summary.append(
@@ -517,13 +499,10 @@ def cmd_complete(args) -> int:
         sparse = load_sparse(pgm, pgm.with_suffix(".json"))
         _check_frame_size(pgm, "capture", sparse.depth_m, frame)
         sparses.append(sparse)
-    results = _pmap(
-        partial(complete, params=params), args.jobs, sparses, [f.rgb for f in seq.frames]
-    )
+    results = run_scene(seq.frames, sparses, params=params, jobs=args.jobs)
     out = _outdir(args)
-    for frame, dense in zip(seq.frames, results):
-        write_pgm16(out / f"{frame_stem(frame.frame_index)}.pgm",
-                    depth_to_millimeters(dense.depth_m))
+    for frame, result in zip(seq.frames, results):
+        write_pgm16(out / f"{frame_stem(frame.frame_index)}.pgm", result.depth_mm)
     (out / "capture_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_run_json(out, args)
     print(f"completed {len(results)} frame(s) to {out}")
@@ -619,10 +598,10 @@ def cmd_fps_sweep(args) -> int:
     for fps, frame_budget in zip(rates, budgets):
         patterns = frame_patterns(seq.frames, no_rois, Regime.FULL_FOV, model, fps, args.seed,
                                   None, None)
-        results = _run_frames(args, seq, patterns, cap_cfg, params)
-        # run_frame's depth is the millimetre depth `complete` writes, as `eval` reads
-        report = compute([pred for _, pred in results], [f.depth_gt for f in seq.frames])
-        mean_samples = sum(len(sparse.samples) for sparse, _ in results) / len(seq.frames)
+        results = run_scene(seq.frames, patterns, args.seed, cap_cfg, params, args.jobs)
+        preds = [millimeters_to_depth(r.depth_mm) for r in results]  # as `eval` reads them
+        report = compute(preds, [f.depth_gt for f in seq.frames])
+        mean_samples = sum(len(r.sparse.samples) for r in results) / len(seq.frames)
         lines.append(
             f"{fps:.9g},{frame_budget},{mean_samples:.9g}," + report.to_csv_row()
         )

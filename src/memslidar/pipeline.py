@@ -1,11 +1,16 @@
-"""The sensor loop over a scene: pick each frame's measurement pattern from
-its guide image in one ordered pass, then capture sparse depth with the
-mirror and optionally complete it, one frame at a time.  The CLI and the
-demos run their frames through here, and the foveated versus full-FOV
-comparison scores its two frames here.
+"""The sensor loop over a scene: pick each frame's pattern from its guide
+image in one ordered pass, then capture and optionally complete every frame
+in one pass, `run_scene`, which alone uses worker processes and runs the
+CLI's capture, complete and fps-sweep.  Two loops stay outside it: the
+foveated versus full-FOV comparison captures one frame twice with one noise
+seed and scores unquantised depth; the motion demo seeds noise by frame index.
 """
 
 from __future__ import annotations
+
+import concurrent.futures  # its process pool loads multiprocessing on first use
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -15,7 +20,7 @@ from .lidar_sim import CaptureConfig, SparseDepth, capture
 from .metrics import MetricsReport, compute
 from .scan_engine import (ROI, MirrorModel, Regime, ScanPattern, gen_density_sweep,
                           gen_entropy_adaptive, gen_foveated, gen_full_fov)
-from .scene_io import SceneFrame, depth_to_millimeters, millimeters_to_depth
+from .scene_io import SceneFrame, depth_to_millimeters
 
 
 def frame_seed(seed: int, frame_index: int, stream: int) -> int:
@@ -67,18 +72,36 @@ def frame_patterns(
     ]
 
 
-def run_frame(
-    frame: SceneFrame, pattern: ScanPattern, seed: int, cap_cfg: CaptureConfig,
-    params: GuidedFillParams | None,
-) -> tuple[SparseDepth, np.ndarray | None]:
-    """Capture (stream-1 seed) of one frame with its pattern and, given
-    `params`, completion.  Returns the capture and the completed depth in
-    metres quantised to the millimetres `complete` writes, or None."""
-    sparse = capture(frame, pattern, cap_cfg, frame_seed(seed, frame.frame_index, 1))
+@dataclass(frozen=True)
+class FrameResult:
+    """One frame of `run_scene`: its capture and, given completion
+    parameters, the uint16 millimetres `complete` writes for it (else None)."""
+    sparse: SparseDepth
+    depth_mm: np.ndarray | None
+
+
+def _scene_frame(frame: SceneFrame, source, seed, cap_cfg, params) -> FrameResult:
+    sparse = (capture(frame, source, cap_cfg, frame_seed(seed, frame.frame_index, 1))
+              if isinstance(source, ScanPattern) else source)
     if params is None:
-        return sparse, None
-    dense = complete(sparse, frame.rgb, params)
-    return sparse, millimeters_to_depth(depth_to_millimeters(dense.depth_m))
+        return FrameResult(sparse, None)
+    return FrameResult(sparse, depth_to_millimeters(complete(sparse, frame.rgb, params).depth_m))
+
+
+def run_scene(
+    frames, sources, seed: int = 0, cap_cfg: CaptureConfig = CaptureConfig(),
+    params: GuidedFillParams | None = None, jobs: int = 1,
+) -> list[FrameResult]:
+    """Each frame's `FrameResult`, in frame order.  A frame's source is its
+    `ScanPattern`, captured with the stream-1 seed, or its loaded `SparseDepth`.
+    Up to `jobs` worker processes, at most one per frame (a forking pool
+    starts all its workers at once); the output is the same for any `jobs`."""
+    fn = partial(_scene_frame, seed=seed, cap_cfg=cap_cfg, params=params)
+    workers = min(jobs, len(frames))
+    if workers <= 1:
+        return list(map(fn, frames, sources))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, frames, sources))
 
 
 def compare_foveated(

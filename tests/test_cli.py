@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -351,6 +352,9 @@ def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     ["complete", "--scene", "SCENE", "--sparse", "BAD_SUMMARY"],
     # a 160x120 capture against an 80x60 scene, checked before any completion
     ["complete", "--scene", "SMALL_SCENE", "--sparse", "SPARSE"],
+    # every sample past the range gate, raised inside a worker process
+    ["capture", "--scene", "MULTI_SCENE", "--jobs", "2", "--z-max-m", "0.5"],
+    ["fps-sweep", "--scene", "MULTI_SCENE", "--fps", "6", "--jobs", "2", "--z-max-m", "0.5"],
 ], ids=" ".join)
 def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     if "BAD_SUMMARY" in argv:  # a capture dir whose summary is not JSON
@@ -361,6 +365,9 @@ def test_bad_data_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     if "SMALL_SCENE" in argv:
         small = make_scene(tmp_path, "plane", 1, name="small", dims="80x60")
         argv = [small if a == "SMALL_SCENE" else a for a in argv]
+    if "MULTI_SCENE" in argv:
+        multi = make_scene(tmp_path, "moving-box", 3, name="multi")
+        argv = [multi if a == "MULTI_SCENE" else a for a in argv]
     _rejected_run(tmp_path, capsys, plane_capture, argv, 3, "error:")
 
 
@@ -415,7 +422,7 @@ def test_jobs_capped_at_frame_count(tmp_path, monkeypatch):
         def map(self, fn, *columns):
             return map(fn, *columns)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     scene = make_scene(tmp_path, "moving-box", 2)
     for command in (["capture", "--fps", "30"], ["fps-sweep", "--fps", "30,6"]):
         out = tmp_path / command[0]
@@ -909,6 +916,23 @@ def test_capture_rerun_and_jobs_byte_identical(tmp_path, monkeypatch, regime):
         if name == "run.json":
             continue
         assert (a / "cap2" / name).read_bytes() == (a / "cap" / name).read_bytes()
+
+
+def test_complete_and_fps_sweep_jobs_byte_identical(tmp_path):
+    # three frames: two workers take them unevenly, three take one each
+    scene = make_scene(tmp_path, "moving-box", 3)
+    assert run("capture", "--scene", scene, "--fps", "20", "--out", tmp_path / "cap") == 0
+    outputs = {}
+    for jobs in ("1", "2", "3"):
+        pred, sweep = tmp_path / f"pred{jobs}", tmp_path / f"sweep{jobs}"
+        assert run("complete", "--scene", scene, "--sparse", tmp_path / "cap",
+                   "--jobs", jobs, "--out", pred) == 0
+        assert run("fps-sweep", "--scene", scene, "--fps", "30,6", "--jobs", jobs,
+                   "--out", sweep) == 0
+        pgms = sorted(pred.glob("*.pgm"))
+        assert [p.name for p in pgms] == ["0000.pgm", "0001.pgm", "0002.pgm"]
+        outputs[jobs] = [p.read_bytes() for p in pgms] + [(sweep / "fps_sweep.csv").read_bytes()]
+    assert outputs["2"] == outputs["1"] and outputs["3"] == outputs["1"]
 
 
 def test_entropy_commands_match_per_frame_entropy_maps(tmp_path):

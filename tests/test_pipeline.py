@@ -13,8 +13,8 @@ import pytest
 from memslidar.cli import main
 from memslidar.completion import GuidedFillParams, complete
 from memslidar.foveation import BackgroundModel, entropy_map, update_and_detect
-from memslidar.lidar_sim import CaptureConfig, capture
-from memslidar.pipeline import (frame_pattern, frame_patterns, frame_seed, run_frame,
+from memslidar.lidar_sim import CaptureConfig, capture, load_sparse, save_sparse
+from memslidar.pipeline import (frame_pattern, frame_patterns, frame_seed, run_scene,
                                 track_motion)
 from memslidar.scan_engine import (
     ROI,
@@ -69,20 +69,26 @@ def reference_frame(frame, regime, model, fps, seed, cap_cfg, roi, params):
     (Regime.FOVEATED_ROI, FIXED_ROI),
     (Regime.FOVEATED_ROI, None),
 ], ids=["full", "density", "entropy", "foveated-roi", "foveated-none"])
-def test_run_frame_matches_reference_chain(textured_frame, regime, roi, fps, seed):
+def test_run_frame_matches_reference_chain(tmp_path, textured_frame, regime, roi, fps, seed):
     model = reference_mirror_model(math.radians(25.0))
     cap_cfg, params = CaptureConfig(), GuidedFillParams()
     want_sparse, want_depth = reference_frame(
         textured_frame, regime, model, fps, seed, cap_cfg, roi, params)
     [pattern] = frame_patterns(
         [textured_frame], [roi], regime, model, fps, seed, DENSITY, WINDOW_PX)
-    sparse, depth = run_frame(textured_frame, pattern, seed, cap_cfg, params)
+    [done] = run_scene([textured_frame], [pattern], seed, cap_cfg, params)
+    sparse, depth = done.sparse, millimeters_to_depth(done.depth_mm)
     assert sparse.to_json() == want_sparse.to_json()
     assert sparse.depth_m.tobytes() == want_sparse.depth_m.tobytes()
     assert depth.tobytes() == want_depth.tobytes()
     # without completion parameters the capture is the same and no depth comes back
-    bare, none = run_frame(textured_frame, pattern, seed, cap_cfg, None)
-    assert none is None and bare.to_json() == want_sparse.to_json()
+    [bare] = run_scene([textured_frame], [pattern], seed, cap_cfg, None)
+    assert bare.depth_mm is None and bare.sparse.to_json() == want_sparse.to_json()
+    # the capture written and read back completes to the same millimetres
+    save_sparse(sparse, tmp_path / "0000.pgm", tmp_path / "0000.json")
+    loaded = load_sparse(tmp_path / "0000.pgm", tmp_path / "0000.json")
+    [again] = run_scene([textured_frame], [loaded], params=params)
+    assert again.sparse is loaded and again.depth_mm.tobytes() == done.depth_mm.tobytes()
 
 
 def test_foveated_without_roi_scans_full_fov():
