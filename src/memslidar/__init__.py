@@ -28,13 +28,11 @@ from .foveation import (
 )
 from .lidar_sim import (
     DEPTH_SAMPLE_DTYPE,
-    CalibrationModel,
     CaptureConfig,
     LidarSimError,
     SparseDepth,
     capture,
     dot_footprint_radius_px,
-    fit_calibration,
     load_sparse,
     save_sparse,
 )

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .scan_engine import ROI, ROIOutOfBounds
+from .scene_io import MAX_SCENE_PIXELS
 
 
 class FoveationError(ValueError):
@@ -141,13 +142,18 @@ def entropy_maps(rgbs, window_px: int = 15):
     level missing from a crop would only have subtracted a `0.0` term, so
     the terms present are still summed in the same ascending level order.
     The yielded values are read-only, because the next map is built from
-    them.  No state outlives the generator.
+    them.  No state outlives the generator.  A window that pads an image
+    past `MAX_SCENE_PIXELS` raises FoveationError before the pad is made.
     """
     check_window(window_px)
     half = window_px // 2
     gray = values = None
     for rgb in rgbs:
         last, gray = gray, np.round(grayscale(rgb)).astype(np.uint8)
+        h, w = gray.shape
+        if (h + 2 * half) * (w + 2 * half) > MAX_SCENE_PIXELS:
+            raise FoveationError(
+                f"a {window_px} px window pads the {w}x{h} image past {MAX_SCENE_PIXELS} pixels")
         padded = np.pad(gray, half, mode="edge")
         if last is None or last.shape != gray.shape:
             values = _count_entropy(padded, window_px)
@@ -156,7 +162,6 @@ def entropy_maps(rgbs, window_px: int = 15):
             ys, xs = np.flatnonzero(changed.any(axis=1)), np.flatnonzero(changed.any(axis=0))
             if ys.size:
                 values = values.copy()
-                h, w = gray.shape
                 y0, y1 = max(ys[0] - half, 0), min(ys[-1] + 1 + half, h)
                 x0, x1 = max(xs[0] - half, 0), min(xs[-1] + 1 + half, w)
                 values[y0:y1, x0:x1] = _count_entropy(

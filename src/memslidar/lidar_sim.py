@@ -20,8 +20,6 @@ from .scan_engine import (
     SCAN_SAMPLE_DTYPE,
     Regime,
     ScanPattern,
-    SingularFit,  # noqa: F401 - raised by fit_calibration, importable from here
-    _fit_line,
     angles_to_pixel,
     json_with_records,
     records_from_dicts,
@@ -61,37 +59,17 @@ class MalformedCaptureSummary(LidarSimError):
 
 
 @dataclass(frozen=True)
-class CalibrationModel:
-    """Linear sensor calibration: range_m = gain * volts + offset."""
-
-    gain_m_per_v: float
-    offset_m: float
-    residual_rmse_m: float = 0.0
-
-    def volts_to_range(self, volts: float) -> float:
-        return self.gain_m_per_v * volts + self.offset_m
-
-    def range_to_volts(self, range_m: float) -> float:
-        return (range_m - self.offset_m) / self.gain_m_per_v
-
-
-IDENTITY_CALIBRATION = CalibrationModel(gain_m_per_v=1.0, offset_m=0.0)
-
-
-@dataclass(frozen=True)
 class CaptureConfig:
     """Sensor model knobs.
 
     z_max_m              maximum range; beyond it there is no return
     dot_solid_angle_sr   angular footprint of the measurement dot
     noise_coeff          sigma(Z) = noise_coeff * Z (set 0 for noiseless)
-    sensor_calibration   voltage <-> range map used to synthesize raw volts
     """
 
     z_max_m: float = 3.0
     dot_solid_angle_sr: float = DEFAULT_DOT_SOLID_ANGLE_SR
     noise_coeff: float = DEFAULT_NOISE_COEFF
-    sensor_calibration: CalibrationModel = IDENTITY_CALIBRATION
 
     def __post_init__(self):
         if not self.z_max_m > 0:
@@ -105,7 +83,7 @@ class CaptureConfig:
 # one valid return per record: its scheduled direction, pixel and range
 DEPTH_SAMPLE_DTYPE = np.dtype(
     SCAN_SAMPLE_DTYPE.descr
-    + [("pixel_x", "i8"), ("pixel_y", "i8"), ("range_m", "f8"), ("raw_volts", "f8")]
+    + [("pixel_x", "i8"), ("pixel_y", "i8"), ("range_m", "f8")]
 )
 
 
@@ -227,8 +205,7 @@ def capture(
     depth_out[iy, ix] = measured
     kept = scheduled[keep]
     samples = np.rec.fromarrays(
-        [kept.t_s, kept.theta_rad, kept.phi_rad, ix, iy, measured,
-         config.sensor_calibration.range_to_volts(measured)],
+        [kept.t_s, kept.theta_rad, kept.phi_rad, ix, iy, measured],
         dtype=DEPTH_SAMPLE_DTYPE,
     )
     return SparseDepth(
@@ -237,19 +214,6 @@ def capture(
         fps=pattern.fps,
         regime=pattern.regime,
         drop_count=n - len(keep),
-    )
-
-
-def fit_calibration(pairs) -> CalibrationModel:
-    """Least-squares line through (volts, true_range_m) pairs."""
-    gain, offset, resid = _fit_line(
-        pairs, lambda v: v, 1.0, "calibration pairs",
-        "all calibration pairs share one voltage",
-    )
-    return CalibrationModel(
-        gain_m_per_v=float(gain),
-        offset_m=float(offset),
-        residual_rmse_m=float(np.sqrt(np.mean(np.square(resid)))),
     )
 
 

@@ -74,32 +74,19 @@ class MirrorModel:
     fov_rad            full scan FOV, apex angle (rad)
     sample_rate_hz     depth measurements per second
     frame_overhead_s   fixed per-frame dead time (readout, flyback)
-    volts_to_rad       linear drive map: angle = gain * volts + offset,
-                       per axis ((gain_x, offset_x), (gain_y, offset_y))
     """
 
     fov_rad: float = DEFAULT_MIRROR_FOV_RAD
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     frame_overhead_s: float = 0.0
-    volts_to_rad: tuple[tuple[float, float], tuple[float, float]] = (
-        (math.radians(2.5), 0.0),
-        (math.radians(2.5), 0.0),
-    )
 
     def __post_init__(self):
         if not 0 < self.fov_rad <= math.pi:
-            raise ValueError(f"mirror FOV must be in (0, pi] rad, got {self.fov_rad}")
+            raise ScanEngineError(f"mirror FOV must be in (0, pi] rad, got {self.fov_rad}")
         if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(f"sample rate must be finite and > 0, got {self.sample_rate_hz}")
+            raise ScanEngineError(f"sample rate must be finite and > 0, got {self.sample_rate_hz}")
         if not 0 <= self.frame_overhead_s < math.inf:
-            raise ValueError(f"overhead must be finite and >= 0, got {self.frame_overhead_s}")
-        for gain, _offset in self.volts_to_rad:
-            if gain == 0:
-                raise ValueError("drive gain must be nonzero")
-
-    def angles_to_volts(self, theta_rad: float, phi_rad: float) -> tuple[float, float]:
-        (gx, ox), (gy, oy) = self.volts_to_rad
-        return (theta_rad - ox) / gx, (phi_rad - oy) / gy
+            raise ScanEngineError(f"overhead must be finite and >= 0, got {self.frame_overhead_s}")
 
 
 @dataclass(frozen=True)
@@ -123,9 +110,9 @@ class ROI:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ROIOutOfBounds(f"empty ROI rectangle {(self.x0, self.y0, self.x1, self.y1)}")
         if not (0.0 <= self.outside_density <= 1.0 and 0.0 <= self.inside_density <= 1.0):
-            raise ValueError("densities must be in [0, 1]")
+            raise ScanEngineError("densities must be in [0, 1]")
         if self.inside_density < self.outside_density:
-            raise ValueError("inside density must be >= outside density")
+            raise ScanEngineError("inside density must be >= outside density")
 
     def validate_bounds(self, width: int, height: int) -> None:
         if self.x0 < 0 or self.y0 < 0 or self.x1 > width or self.y1 > height:
@@ -200,11 +187,11 @@ def _json_column(values: list, dtype: np.dtype) -> np.ndarray:
     if kinds:
         raise TypeError(f"expected numbers, got {', '.join(sorted(k.__name__ for k in kinds))}")
     if dtype.kind == "i" and not all(v.is_integer() for v in values if type(v) is float):
-        raise ValueError("expected whole numbers in an integer field")
+        raise ScanEngineError("expected whole numbers in an integer field")
     try:
         return np.array(values, dtype=dtype)
     except OverflowError as exc:
-        raise ValueError(f"value out of range ({exc})") from None
+        raise ScanEngineError(f"value out of range ({exc})") from None
 
 
 def records_from_dicts(rows, dtype: np.dtype) -> np.recarray:
@@ -294,7 +281,7 @@ def budget(model: MirrorModel, fps: float) -> int:
 def fps_for_budget(model: MirrorModel, n_samples: int) -> float:
     """Frame rate at which the budget is exactly n_samples (inverse of budget)."""
     if n_samples < 1:
-        raise ValueError(f"need >= 1 sample, got {n_samples}")
+        raise ScanEngineError(f"need >= 1 sample, got {n_samples}")
     # pad by a sliver of a sample so budget's floor lands on n despite rounding
     return 1.0 / ((n_samples + 1e-9) / model.sample_rate_hz + model.frame_overhead_s)
 
@@ -303,46 +290,32 @@ class SingularFit(ScanEngineError):
     """Observations cannot pin down the two parameters of a line."""
 
 
-def _fit_line(points, x, const: float, noun: str, flat: str):
-    """Least-squares (a, b) of y = a * x(p) + b * const over (p, y) points,
-    and each point's residual (fitted minus observed).
-
-    The one two-parameter fit of the package: `fit_budget` and
-    `lidar_sim.fit_calibration` differ only in x, the constant column and
-    the messages of the SingularFit they raise, `noun` or `flat`, for fewer
-    than two points, a non-finite point or x, or points that share one x.
-    """
-    points = [(float(p), float(y)) for p, y in points]
-    if len(points) < 2:
-        raise SingularFit(f"need >= 2 {noun}, got {len(points)}")
-    xs = np.array([x(p) for p, _ in points])
-    ys = np.array([y for _, y in points])
-    if not (np.isfinite(points).all() and np.isfinite(xs).all()):
-        raise SingularFit(f"{noun} must be finite, got {points}")
-    if np.ptp(xs) == 0.0:
-        raise SingularFit(flat)
-    design = np.stack([xs, np.full_like(xs, const)], axis=1)
-    (a, b), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return a, b, design @ (a, b) - ys
-
-
 def fit_budget(observations) -> BudgetFit:
     """Least-squares (rate, overhead) from (fps, samples) observations.
 
     The model is linear once rewritten as samples = rate/fps - rate*overhead,
-    so an ordinary least-squares solve recovers both parameters.
+    so an ordinary least-squares solve recovers both parameters.  Fewer than
+    two observations, a non-finite observation or period, or observations
+    that share one fps raise SingularFit.
     """
     observations = [(float(fps), n) for fps, n in observations]
     if any(fps <= 0.0 for fps, _ in observations):
         raise SingularFit(f"every observation's fps must be > 0, got {observations}")
-    rate, rate_x_overhead, residuals = _fit_line(
-        observations, lambda fps: 1.0 / fps, -1.0, "observations",
-        "all observations share one fps; overhead is unidentifiable",
-    )
+    points = [(fps, float(n)) for fps, n in observations]
+    if len(points) < 2:
+        raise SingularFit(f"need >= 2 observations, got {len(points)}")
+    periods = np.array([1.0 / fps for fps, _ in points])
+    samples = np.array([n for _, n in points])
+    if not (np.isfinite(points).all() and np.isfinite(periods).all()):
+        raise SingularFit(f"observations must be finite, got {points}")
+    if np.ptp(periods) == 0.0:
+        raise SingularFit("all observations share one fps; overhead is unidentifiable")
+    design = np.stack([periods, np.full_like(periods, -1.0)], axis=1)
+    (rate, rate_x_overhead), *_ = np.linalg.lstsq(design, samples, rcond=None)
     if rate <= 0.0:
         raise SingularFit(f"fitted rate {rate:g} Hz is not positive")
     overhead = rate_x_overhead / rate
-    residuals = tuple(float(r) for r in residuals)
+    residuals = tuple(float(r) for r in design @ (rate, rate_x_overhead) - samples)
     rmse = float(np.sqrt(np.mean(np.square(residuals))))
     return BudgetFit(
         sample_rate_hz=float(rate),
@@ -440,7 +413,7 @@ def gen_full_fov(
 def check_density(density: float) -> None:
     """The density regime's rule: a budget fraction in (0, 1]."""
     if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
+        raise ScanEngineError(f"density must be in (0, 1], got {density}")
 
 
 def gen_density_sweep(
@@ -465,9 +438,9 @@ def gen_entropy_adaptive(
     """
     values = np.asarray(entropy_values, dtype=np.float64)
     if values.ndim != 2:
-        raise ValueError(f"entropy map must be 2-D, got shape {values.shape}")
+        raise ScanEngineError(f"entropy map must be 2-D, got shape {values.shape}")
     if np.any(values < 0):
-        raise ValueError("entropy values must be non-negative")
+        raise ScanEngineError("entropy values must be non-negative")
     h, w = values.shape
     peak = float(values.max()) if values.size else 0.0
     if peak == 0.0:
@@ -523,7 +496,7 @@ def gen_foveated(
     w_in = roi.inside_density * area_in
     w_out = roi.outside_density * area_out
     if w_in + w_out == 0:
-        raise ValueError("ROI densities are both zero; nothing to sample")
+        raise ScanEngineError("ROI densities are both zero; nothing to sample")
     n_in = int(round(n * w_in / (w_in + w_out)))
     n_out = n - n_in
 
@@ -550,7 +523,7 @@ def _outside_grid(
     w, h = image_dims
     frac_out = 1.0 - roi.area_px / (w * h)
     if frac_out <= 0:
-        raise ValueError("ROI covers the image; no outside region to sample")
+        raise ScanEngineError("ROI covers the image; no outside region to sample")
     extent = _angular_extent(model, image_dims)
     m = max(n_out, int(math.ceil(n_out / frac_out)))
     for _ in range(64):

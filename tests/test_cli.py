@@ -22,7 +22,7 @@ from memslidar import cli
 from memslidar.cli import main
 from memslidar.completion import GuidedFillParams
 from memslidar.foveation import BackgroundModel, entropy_map, grayscale, max_entropy_roi
-from memslidar.lidar_sim import CaptureConfig, capture, save_sparse
+from memslidar.lidar_sim import CaptureConfig, capture, load_sparse, save_sparse
 from memslidar.pipeline import frame_seed
 from memslidar.scan_engine import (DEFAULT_MIRROR_FOV_RAD, REFERENCE_BUDGET_PAIRS, ScanPattern,
                                    gen_entropy_adaptive, reference_mirror_model)
@@ -332,6 +332,10 @@ def _rejected_run(tmp_path, capsys, plane_capture, argv, code, prefix):
     ["gen-scene", "--preset", "textured", "--box-speed-px", "9"],
     ["gen-scene", "--preset", "plane", "--box-speed-px", "9"],
     ["scan", "--scene", "NOPE", "--mirror-fov-deg", "60"],
+    # a window whose edge-padded frame would pass the scene pixel bound
+    ["fovea", "--scene", "SCENE", "--mode", "entropy", "--window-px", "1000000001"],
+    ["capture", "--scene", "SCENE", "--regime", "entropy", "--window-px", "1000000001"],
+    ["scan", "--scene", "SCENE", "--regime", "entropy", "--window-px", "1000000001"],
 ], ids=" ".join)
 def test_rejected_call_leaves_no_out_dir(tmp_path, capsys, plane_capture, argv):
     _rejected_run(tmp_path, capsys, plane_capture, argv, 2, "usage error:")
@@ -993,6 +997,33 @@ def _captured_completed(tmp_path, preset="plane", frames="2", fps="10"):
     pred = tmp_path / "pred"
     assert run("complete", "--sparse", cap, "--scene", scene, "--out", pred) == 0
     return scene, cap, pred
+
+
+def test_captures_with_raw_volts_still_load_and_complete(tmp_path):
+    # older captures carry a "raw_volts" key, equal to range_m, in every sample
+    scene, cap, pred = _captured_completed(tmp_path)
+    old = tmp_path / "old"
+    shutil.copytree(cap, old)
+    stems = sorted(path.stem for path in cap.glob("[0-9]*.json"))
+    assert len(stems) == 2
+    for stem in stems:
+        doc = read_json(cap / f"{stem}.json")
+        for sample in doc["samples"]:
+            sample["raw_volts"] = sample["range_m"]
+        (old / f"{stem}.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        new_sparse = load_sparse(cap / f"{stem}.pgm", cap / f"{stem}.json")
+        old_sparse = load_sparse(old / f"{stem}.pgm", old / f"{stem}.json")
+        assert old_sparse.depth_m.tobytes() == new_sparse.depth_m.tobytes()
+        assert old_sparse.samples.dtype == new_sparse.samples.dtype
+        assert old_sparse.samples.tobytes() == new_sparse.samples.tobytes()
+        assert ((old_sparse.fps, old_sparse.regime, old_sparse.drop_count)
+                == (new_sparse.fps, new_sparse.regime, new_sparse.drop_count))
+        # saved again, it is in the current format
+        assert old_sparse.to_json() == (cap / f"{stem}.json").read_text()
+    old_pred = tmp_path / "old_pred"
+    assert run("complete", "--sparse", old, "--scene", scene, "--out", old_pred) == 0
+    for stem in stems:
+        assert (old_pred / f"{stem}.pgm").read_bytes() == (pred / f"{stem}.pgm").read_bytes()
 
 
 def test_eval_row_layout_and_roi(tmp_path):

@@ -36,7 +36,7 @@ def _sparse_from_pixels(shape, pixel_depths):
     samples = []
     for (x, y), z in pixel_depths.items():
         depth[y, x] = z
-        samples.append((0.0, 0.0, 0.0, x, y, float(z), float(z)))
+        samples.append((0.0, 0.0, 0.0, x, y, float(z)))
     samples = np.rec.fromrecords(samples, dtype=DEPTH_SAMPLE_DTYPE)
     return SparseDepth(depth_m=depth, samples=samples, fps=10.0,
                        regime=Regime.FULL_FOV, drop_count=0)

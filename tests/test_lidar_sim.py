@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 
 from memslidar.lidar_sim import (
-    CalibrationModel,
     CaptureConfig,
     DEPTH_SAMPLE_DTYPE,
-    IDENTITY_CALIBRATION,
     NoSamples,
-    SingularFit,
     SparseDepth,
     _disk_offsets,
     capture,
     dot_footprint_radius_px,
-    fit_calibration,
     load_sparse,
     save_sparse,
 )
@@ -218,58 +214,6 @@ def test_aggregate_relative_error_band():
     assert 8.0 <= pooled <= 13.0
 
 
-# ---------- calibration ----------
-
-def test_fit_calibration_exact_line():
-    volts = [1.0, 3.0, 5.0, 7.0, 9.0]
-    cal = fit_calibration([(v, (v - 1.0) / 2.0) for v in volts])
-    assert cal.gain_m_per_v == pytest.approx(0.5, rel=1e-12)
-    assert cal.offset_m == pytest.approx(-0.5, rel=1e-9, abs=1e-12)
-    assert cal.residual_rmse_m < 1e-12
-
-
-def test_fit_calibration_recovers_noisy_line():
-    rng = np.random.default_rng(0)
-    v = rng.uniform(0.0, 5.0, 200)
-    z = 0.8 * v + 0.3 + rng.normal(0, 0.01, 200)
-    cal = fit_calibration(zip(v, z))
-    assert cal.gain_m_per_v == pytest.approx(0.8, abs=0.01)
-    assert cal.offset_m == pytest.approx(0.3, abs=0.02)
-    assert cal.residual_rmse_m == pytest.approx(0.01, rel=0.3)
-
-
-def test_fit_calibration_singular_cases():
-    with pytest.raises(SingularFit):
-        fit_calibration([(1.0, 2.0)])
-    with pytest.raises(SingularFit):
-        fit_calibration([(1.0, 2.0), (1.0, 3.0)])
-
-
-@pytest.mark.parametrize("pair", [(math.nan, 2.0), (1.0, math.inf), (-math.inf, 1.0)])
-def test_fit_calibration_rejects_non_finite_pairs(pair):
-    with pytest.raises(SingularFit):
-        fit_calibration([pair, (2.0, 3.0)])
-
-
-def test_raw_volts_use_identity_calibration_by_default():
-    frame = _plane(2.0)
-    pattern = gen_full_fov(model_with_budget(30), 10.0, (64, 48))
-    sparse = capture(frame, pattern, CaptureConfig(noise_coeff=0.01))
-    for s in sparse.samples:
-        assert s.raw_volts == s.range_m
-
-
-def test_raw_volts_follow_custom_calibration():
-    cal = CalibrationModel(gain_m_per_v=2.0, offset_m=1.0)
-    frame = _plane(2.0)
-    pattern = gen_full_fov(model_with_budget(30), 10.0, (64, 48))
-    config = CaptureConfig(noise_coeff=0.01, sensor_calibration=cal)
-    sparse = capture(frame, pattern, config)
-    for s in sparse.samples:
-        assert s.raw_volts == pytest.approx((s.range_m - 1.0) / 2.0, rel=1e-12)
-        assert cal.volts_to_range(s.raw_volts) == pytest.approx(s.range_m, rel=1e-12)
-
-
 # ---------- evaluation ----------
 
 def test_evaluation_of_exact_capture_is_perfect():
@@ -287,7 +231,7 @@ def test_single_sample_arithmetic():
     depth[1, 2] = 1.10
     sparse = SparseDepth(
         depth_m=depth,
-        samples=np.rec.fromrecords([(0.0, 0.0, 0.0, 2, 1, 1.10, 1.10)], dtype=DEPTH_SAMPLE_DTYPE),
+        samples=np.rec.fromrecords([(0.0, 0.0, 0.0, 2, 1, 1.10)], dtype=DEPTH_SAMPLE_DTYPE),
         fps=10.0,
         regime=Regime.FULL_FOV,
         drop_count=0,
@@ -304,7 +248,7 @@ def test_no_overlap_raises():
     depth[1, 2] = 1.0
     sparse = SparseDepth(
         depth_m=depth,
-        samples=np.rec.fromrecords([(0.0, 0.0, 0.0, 2, 1, 1.0, 1.0)], dtype=DEPTH_SAMPLE_DTYPE),
+        samples=np.rec.fromrecords([(0.0, 0.0, 0.0, 2, 1, 1.0)], dtype=DEPTH_SAMPLE_DTYPE),
         fps=10.0,
         regime=Regime.FULL_FOV,
         drop_count=0,
@@ -414,7 +358,6 @@ def _capture_reference_json(frame, pattern, config, noise_seed):
         samples.append({
             "t_s": t_s, "theta_rad": theta, "phi_rad": phi, "pixel_x": ix, "pixel_y": iy,
             "range_m": measured,
-            "raw_volts": config.sensor_calibration.range_to_volts(measured),
         })
     if not samples:
         return None
@@ -467,9 +410,8 @@ def test_capture_matches_per_sample_reference(seed):
     samples = np.rec.fromarrays(
         [np.arange(len(theta)) * 1e-3, theta, phi], dtype=SCAN_SAMPLE_DTYPE)
     pattern = ScanPattern(samples=samples, fps=10.0, regime=Regime.FULL_FOV)
-    cal = CalibrationModel(gain_m_per_v=0.37, offset_m=-0.21)
     for config in (
-        CaptureConfig(z_max_m=3.0, noise_coeff=0.05, sensor_calibration=cal),
+        CaptureConfig(z_max_m=3.0, noise_coeff=0.05),
         CaptureConfig(z_max_m=2.2, noise_coeff=0.3, dot_solid_angle_sr=2e-3),
         CaptureConfig(z_max_m=3.0, noise_coeff=0.0, dot_solid_angle_sr=1e-6),
         # a 20.4 px dot, as at 640x480: ~1300 offsets, so the survivors span
@@ -516,17 +458,17 @@ def _depth_samples(n: int) -> np.recarray:
     rng = np.random.default_rng(n)
     return np.rec.fromarrays(
         [rng.random(n), rng.normal(size=n), rng.normal(size=n), np.arange(n), np.arange(n) * 3,
-         rng.uniform(0.1, 3.0, n), rng.normal(size=n)],
+         rng.uniform(0.1, 3.0, n)],
         dtype=DEPTH_SAMPLE_DTYPE,
     )
 
 
 @pytest.mark.parametrize("fields, value", [
-    *[(("t_s", "theta_rad", "phi_rad", "range_m", "raw_volts"), v)
+    *[(("t_s", "theta_rad", "phi_rad", "range_m"), v)
       for v in (-0.0, 0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308, 0.1 + 0.2)],
     (("pixel_x", "pixel_y"), 2**53 + 1),
     (("pixel_x", "pixel_y"), -(2**63)),
-    *[(("raw_volts",), v) for v in (math.inf, -math.inf, math.nan)],
+    *[(("t_s",), v) for v in (math.inf, -math.inf, math.nan)],
 ], ids=repr)
 def test_sample_json_matches_json_encoder(fields, value):
     samples = _depth_samples(5)

@@ -17,10 +17,12 @@ from memslidar.scan_engine import (
     ScanPattern,
     SingularFit,
     _angular_extent,
+    _outside_grid,
     _roi_angular_rect,
     _serpentine_grid,
     angles_to_pixel,
     budget,
+    check_density,
     fit_budget,
     fps_for_budget,
     gen_density_sweep,
@@ -29,6 +31,7 @@ from memslidar.scan_engine import (
     gen_full_fov,
     image_intrinsics,
     pixel_to_angles,
+    records_from_dicts,
     reference_mirror_model,
 )
 
@@ -128,8 +131,6 @@ def test_mirror_model_validation():
         MirrorModel(sample_rate_hz=0.0)
     with pytest.raises(ValueError):
         MirrorModel(frame_overhead_s=-0.1)
-    with pytest.raises(ValueError):
-        MirrorModel(volts_to_rad=((0.0, 0.0), (0.1, 0.0)))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -146,7 +147,30 @@ def test_fps_for_budget_needs_one_sample():
         fps_for_budget(MirrorModel(), 0)
 
 
-# ---------- angle <-> pixel <-> volts ----------
+def test_config_errors_are_scan_engine_errors():
+    model, whole = MirrorModel(), ROI(0, 0, *DIMS)
+    count = np.dtype([("n", "i8")])
+    for call, match in [
+        (lambda: MirrorModel(fov_rad=0.0), "mirror FOV"),
+        (lambda: MirrorModel(sample_rate_hz=0.0), "sample rate"),
+        (lambda: MirrorModel(frame_overhead_s=-0.1), "overhead"),
+        (lambda: ROI(0, 0, 5, 5, inside_density=2.0), "densities must be in"),
+        (lambda: ROI(0, 0, 5, 5, 0.1, 0.5), "inside density must be"),
+        (lambda: records_from_dicts([{"n": 1.5}], count), "whole numbers"),
+        (lambda: records_from_dicts([{"n": 2**70}], count), "out of range"),
+        (lambda: fps_for_budget(model, 0), ">= 1 sample"),
+        (lambda: check_density(0.0), "density must be in"),
+        (lambda: gen_entropy_adaptive(model, 10.0, np.ones(5)), "2-D"),
+        (lambda: gen_entropy_adaptive(model, 10.0, -np.ones((4, 4))), "non-negative"),
+        (lambda: gen_foveated(model, 10.0, ROI(0, 0, 5, 5, 0.0, 0.0), DIMS), "both zero"),
+        (lambda: _outside_grid(whole, image_intrinsics(model, DIMS), model, DIMS, 5),
+         "covers the image"),
+    ]:
+        with pytest.raises(ScanEngineError, match=match):
+            call()
+
+
+# ---------- angle <-> pixel ----------
 
 def test_pixel_angle_roundtrip():
     model = MirrorModel()
@@ -157,20 +181,6 @@ def test_pixel_angle_roundtrip():
     bx, by = angles_to_pixel(theta, phi, intr)
     np.testing.assert_allclose(bx, px + 0.5, atol=1e-9)
     np.testing.assert_allclose(by, np.resize(py, px.shape) + 0.5, atol=1e-9)
-
-
-def test_angles_to_volts_default_gain():
-    model = MirrorModel()
-    vx, vy = model.angles_to_volts(math.radians(1.0), -math.radians(2.0))
-    assert vx == pytest.approx(0.4, rel=1e-12)
-    assert vy == pytest.approx(-0.8, rel=1e-12)
-
-
-def test_angles_to_volts_with_offsets():
-    model = MirrorModel(volts_to_rad=((0.1, 0.02), (0.2, -0.01)))
-    vx, vy = model.angles_to_volts(0.12, 0.19)
-    assert vx == pytest.approx(1.0, rel=1e-12)
-    assert vy == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------- full-FOV raster ----------
