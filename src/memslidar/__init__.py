@@ -11,6 +11,7 @@ on the command line drives the same code.
 __version__ = "0.1.0"
 
 from .completion import (
+    CompletionError,
     DenseDepth,
     GuidedFillParams,
     complete,
@@ -44,14 +45,11 @@ from .metrics import (
     planar_rmse,
 )
 from .optics import (
-    CameraSpec,
     DesignCharacterization,
     DesignKind,
     OpticsError,
     ReceiverSpec,
     TransmitterSpec,
-    acuity_gain,
-    apex_to_solid_angle,
     beam_divergence,
     characterize,
     find_crossovers,

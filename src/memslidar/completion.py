@@ -42,6 +42,10 @@ from .lidar_sim import NoSamples, SparseDepth
 _CHUNK_TARGET = int(1e5)
 
 
+class CompletionError(ValueError):
+    """Completion parameters or inputs that `complete` cannot take."""
+
+
 @dataclass(frozen=True)
 class GuidedFillParams:
     """Completion knobs.
@@ -53,6 +57,10 @@ class GuidedFillParams:
     fallback           value when every weight underflows to zero:
                        "nearest" copies the closest sample, "mean" takes
                        the unweighted mean of the k neighbors
+
+    Each sigma must leave `complete`'s weight scale 1/(2*sigma**2) a float:
+    sigma**2 may not overflow and 2*sigma**2 may not round to 0, which
+    rejects sigmas above about 1.34e154 or below about 1.57e-162.
     """
 
     sigma_spatial_px: float = 12.0
@@ -62,13 +70,21 @@ class GuidedFillParams:
 
     def __post_init__(self):
         if not self.sigma_spatial_px > 0:
-            raise ValueError("sigma_spatial_px must be > 0")
+            raise CompletionError("sigma_spatial_px must be > 0")
         if not self.sigma_color > 0:
-            raise ValueError("sigma_color must be > 0")
+            raise CompletionError("sigma_color must be > 0")
         if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+            raise CompletionError("k_neighbors must be >= 1")
         if self.fallback not in ("nearest", "mean"):
-            raise ValueError(f"unknown fallback policy {self.fallback!r}")
+            raise CompletionError(f"unknown fallback policy {self.fallback!r}")
+        for name in ("sigma_spatial_px", "sigma_color"):
+            sigma = getattr(self, name)
+            try:
+                1.0 / (2.0 * sigma**2)  # the weight scale `complete` computes
+            except ArithmeticError:  # sigma**2 overflows, or 2*sigma**2 rounds to 0
+                raise CompletionError(
+                    f"{name} {sigma!r} is out of range: 1/(2*{name}**2) is not a float"
+                ) from None
 
 
 @dataclass
@@ -178,10 +194,10 @@ def complete(
     depth = sparse.depth_m
     h, w = depth.shape
     if rgb.shape != (h, w, 3) or rgb.dtype != np.uint8:
-        raise ValueError(f"rgb must be {(h, w, 3)} uint8, got {rgb.shape} {rgb.dtype}")
+        raise CompletionError(f"rgb must be {(h, w, 3)} uint8, got {rgb.shape} {rgb.dtype}")
     ys, xs, zs = sparse.samples.pixel_y, sparse.samples.pixel_x, sparse.samples.range_m
     if not (np.all((0 <= ys) & (ys < h)) and np.all((0 <= xs) & (xs < w))):
-        raise ValueError(f"a sample lies outside the {w}x{h} depth map")
+        raise CompletionError(f"a sample lies outside the {w}x{h} depth map")
     k = min(params.k_neighbors, len(zs))
     inv_2ss = 1.0 / (2.0 * params.sigma_spatial_px**2)
     inv_2sc = 1.0 / (2.0 * params.sigma_color**2)  # 0.0 at sigma_color = inf: colour weights 1.0

@@ -25,7 +25,7 @@ def grayscale(rgb: np.ndarray) -> np.ndarray:
     """Luma conversion (BT.601 weights) to float64, 0..255."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) image, got {rgb.shape}")
+        raise FoveationError(f"expected (H, W, 3) image, got {rgb.shape}")
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     return 0.299 * r + 0.587 * g + 0.114 * b
 
@@ -118,7 +118,7 @@ def _pair_table(area: int) -> np.ndarray:
 def check_window(window_px: int) -> None:
     """The entropy window rule: an odd side of at least 3 pixels."""
     if window_px < 3 or window_px % 2 == 0:
-        raise ValueError(f"window must be odd and >= 3, got {window_px}")
+        raise FoveationError(f"window must be odd and >= 3, got {window_px}")
 
 
 def entropy_map(rgb: np.ndarray, window_px: int = 15) -> EntropyMap:
@@ -286,13 +286,13 @@ class BackgroundModel:
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+            raise FoveationError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0 < self.diff_threshold < np.inf:
-            raise ValueError(f"diff threshold must be finite and > 0, got {self.diff_threshold}")
+            raise FoveationError(f"diff threshold must be finite and > 0, got {self.diff_threshold}")
         if self.min_blob_area_px < 1:
-            raise ValueError("min blob area must be >= 1")
+            raise FoveationError("min blob area must be >= 1")
         if self.margin_px < 0:
-            raise ValueError("margin must be >= 0")
+            raise FoveationError("margin must be >= 0")
 
 
 def _open3x3(mask: np.ndarray) -> np.ndarray:

@@ -14,10 +14,11 @@ Three receiver architectures are characterized at a working range Z:
   fixed sensitivity cost.
 
 Conventions: SI units (meters, seconds) and *apex* angles in radians
-throughout.  Solid-angle steradians appear only in `acuity_gain`, via
-``2*pi*(1 - cos(apex/2))``.  Received radiance is reported in inverse
-meters: it is a normalized area-times-solid-angle proxy, useful for
-comparing designs, not an absolute photon count.
+throughout.  Steradians appear only in `solid_angle_to_apex`, which turns
+the laser dot's solid angle into the apex angle of its cone.  Received
+radiance is reported in inverse meters: it is a normalized
+area-times-solid-angle proxy, useful for comparing designs, not an
+absolute photon count.
 
 Sweeps are columnar.  `sweep` evaluates the (transmitter, receiver) pairs
 of each design kind over the whole range grid in one `_characterize_ranges`
@@ -152,24 +153,6 @@ class ReceiverSpec:
 
 
 @dataclass(frozen=True)
-class CameraSpec:
-    """Guide-camera geometry for angular-acuity comparisons.
-
-    fov_rad         full camera FOV, apex angle (rad)
-    pixel_count     total pixel count I (e.g. 640*480)
-    """
-
-    fov_rad: float
-    pixel_count: int
-
-    def __post_init__(self):
-        if not 0 < self.fov_rad <= math.pi:
-            raise OpticsError(f"camera FOV must be in (0, pi] rad, got {self.fov_rad}")
-        if self.pixel_count < 1:
-            raise OpticsError(f"pixel count must be >= 1, got {self.pixel_count}")
-
-
-@dataclass(frozen=True)
 class DesignCharacterization:
     """Figures of merit for one design at one working range.
 
@@ -187,11 +170,6 @@ class DesignCharacterization:
     volume_m3: float
     range_m: float
     flag: str = ""
-
-
-def apex_to_solid_angle(apex_rad: float) -> float:
-    """Solid angle (sr) of a cone with the given apex angle (rad)."""
-    return 2.0 * math.pi * (1.0 - math.cos(apex_rad / 2.0))
 
 
 def solid_angle_to_apex(solid_sr: float) -> float:
@@ -218,20 +196,6 @@ def beam_divergence(tx: TransmitterSpec) -> float:
 
 def divergence_is_physical(omega_laser_rad: float) -> bool:
     return omega_laser_rad < math.pi
-
-
-def acuity_gain(tx: TransmitterSpec, cam: CameraSpec) -> float:
-    """How much coarser the laser dot is than one camera pixel.
-
-    Ratio of the dot's solid angle to the per-pixel solid angle of the
-    guide camera.  A gain of ~1000 means one depth sample covers about a
-    thousand camera pixels worth of angular resolution, which is the
-    opening for guided completion: the camera sees structure the scanner
-    cannot afford to sample.
-    """
-    dot_sr = apex_to_solid_angle(beam_divergence(tx))
-    pixel_sr = apex_to_solid_angle(cam.fov_rad) / cam.pixel_count
-    return dot_sr / pixel_sr
 
 
 def fov_limit_underfocused(rx: ReceiverSpec) -> float:

@@ -1,9 +1,9 @@
 """The sensor loop over a scene: pick each frame's pattern from its guide
 image in one ordered pass, then capture and optionally complete every frame
 in one pass, `run_scene`, which alone uses worker processes and runs the
-CLI's capture, complete and fps-sweep.  Two loops stay outside it: the
-foveated versus full-FOV comparison captures one frame twice with one noise
-seed and scores unquantised depth; the motion demo seeds noise by frame index.
+CLI's capture, complete and fps-sweep and the foveated versus full-FOV
+comparison.  One loop stays outside it: the motion demo seeds noise by frame
+index.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .lidar_sim import CaptureConfig, SparseDepth, capture
 from .metrics import MetricsReport, compute
 from .scan_engine import (ROI, MirrorModel, Regime, ScanPattern, gen_density_sweep,
                           gen_entropy_adaptive, gen_foveated, gen_full_fov)
-from .scene_io import SceneFrame, depth_to_millimeters
+from .scene_io import SceneFrame, depth_to_millimeters, millimeters_to_depth
 
 
 def frame_seed(seed: int, frame_index: int, stream: int) -> int:
@@ -115,17 +115,15 @@ def compare_foveated(
 ) -> tuple[MetricsReport, MetricsReport]:
     """Full-FOV vs foveated completion quality inside the ROI.
 
-    Both pipelines run with the same per-frame budget and the same noise
-    seed; metrics are restricted to ROI pixels with valid ground truth.
+    One `run_scene` pass takes the frame twice, with a full-FOV and a
+    foveated pattern of one budget, so both captures draw the same noise
+    seed.  Each completed depth, in the millimetres a depth PGM holds, is
+    scored against the ROI pixels with valid ground truth.
     Returns (full_fov_report, foveated_report).
     """
     dims = (frame.intrinsics.width, frame.intrinsics.height)
-    patterns = [frame_pattern(dims, None, regime, model, fps, seed=0, roi=roi, density=None)
-                for regime in (Regime.FULL_FOV, Regime.FOVEATED_ROI)]
+    patterns = [gen_full_fov(model, fps, dims), gen_foveated(model, fps, roi, dims)]
     crop = np.s_[roi.y0:roi.y1, roi.x0:roi.x1]
-    reports = []
-    for pattern in patterns:
-        sparse = capture(frame, pattern, config, noise_seed)
-        dense = complete(sparse, frame.rgb, params)
-        reports.append(compute(dense.depth_m[crop], frame.depth_gt[crop]))
-    return reports[0], reports[1]
+    full, foveated = (compute(millimeters_to_depth(r.depth_mm)[crop], frame.depth_gt[crop])
+                      for r in run_scene([frame, frame], patterns, noise_seed, config, params))
+    return full, foveated

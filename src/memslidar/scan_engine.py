@@ -32,6 +32,9 @@ from .scene_io import Intrinsics, pinhole_intrinsics
 DEFAULT_SAMPLE_RATE_HZ = 1600.0
 DEFAULT_MIRROR_FOV_RAD = math.radians(25.0)
 MAX_FRAME_BUDGET = 1 << 20  # samples per frame: ~700x the reference mirror's at 1 fps
+# points in the largest grid `gen_foveated` lays to place its outside-ROI samples;
+# its first grid holds at most about twice the frame budget
+MAX_OUTSIDE_GRID = 4 * MAX_FRAME_BUDGET
 
 # Measured frame-rate / samples-per-frame pairs for the reference engine;
 # fit_budget() recovers (rate, overhead) from them.
@@ -54,10 +57,6 @@ class DegenerateMap(UserWarning):
 
 class ROIOutOfBounds(ScanEngineError):
     """Region of interest does not fit the image."""
-
-
-class MalformedPattern(ScanEngineError):
-    """Scan pattern JSON is not JSON, lacks a field, or has one of the wrong type."""
 
 
 class Regime(str, Enum):
@@ -224,23 +223,6 @@ class ScanPattern:
         doc = {"fps": self.fps, "regime": self.regime.value, "seed": self.seed,
                "budget": self.budget}
         return json_with_records(doc, "samples", self.samples)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScanPattern":
-        try:
-            doc = json.loads(text)
-            if type(doc["fps"]) not in (int, float) or any(
-                    type(doc.get(key)) not in (int, type(None)) for key in ("seed", "budget")):
-                raise TypeError("fps must be a number, seed and budget integers or null")
-            return cls(
-                samples=records_from_dicts(doc["samples"], SCAN_SAMPLE_DTYPE),
-                fps=doc["fps"],
-                regime=Regime(doc["regime"]),
-                seed=doc.get("seed"),
-                budget=doc.get("budget"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise MalformedPattern(f"not a scan pattern ({exc!r})") from None
 
 
 @dataclass(frozen=True)
@@ -516,9 +498,11 @@ def _outside_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(theta, phi) of n_out near-uniform points over the full FOV minus the ROI.
 
-    Lays a full-FOV grid sized so that enough points miss the ROI, then
-    thins evenly (by serpentine index) to the exact count.  A point's pixel
-    is the one `angles_to_pixel` gives it, as in capture.
+    Lays a full-FOV grid sized so that enough points miss the ROI, growing
+    it 1.2x until they do, then thins evenly (by serpentine index) to the
+    exact count.  A point's pixel is the one `angles_to_pixel` gives it, as
+    in capture.  An outside region that no grid of at most
+    `MAX_OUTSIDE_GRID` points reaches often enough raises ScanEngineError.
     """
     w, h = image_dims
     frac_out = 1.0 - roi.area_px / (w * h)
@@ -526,7 +510,7 @@ def _outside_grid(
         raise ScanEngineError("ROI covers the image; no outside region to sample")
     extent = _angular_extent(model, image_dims)
     m = max(n_out, int(math.ceil(n_out / frac_out)))
-    for _ in range(64):
+    while m <= MAX_OUTSIDE_GRID:
         theta, phi = _serpentine_grid(extent, m)
         ix, iy = np.floor(angles_to_pixel(theta, phi, intr))
         keep = np.flatnonzero(~((roi.x0 <= ix) & (ix < roi.x1) & (roi.y0 <= iy) & (iy < roi.y1)))
@@ -534,4 +518,5 @@ def _outside_grid(
             keep = keep[np.round(np.linspace(0, len(keep) - 1, n_out)).astype(int)]
             return theta[keep], phi[keep]
         m = max(m + 1, int(m * 1.2))
-    raise RuntimeError("could not place outside-ROI samples")  # pragma: no cover
+    raise ScanEngineError(
+        f"no grid of at most {MAX_OUTSIDE_GRID} points puts {n_out} samples outside the ROI")

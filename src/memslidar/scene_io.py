@@ -120,7 +120,6 @@ class SceneFrame:
     depth_gt: np.ndarray
     intrinsics: Intrinsics
     frame_index: int
-    timestamp_s: float
 
 
 @dataclass
@@ -298,7 +297,6 @@ def load_scene(directory: str | Path) -> SceneSequence:
                 depth_gt=millimeters_to_depth(mm),
                 intrinsics=meta.intrinsics,
                 frame_index=index,
-                timestamp_s=index / meta.fps,
             )
         )
     return SceneSequence(frames=frames, meta=meta)
@@ -622,7 +620,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> SceneSequence:
                 depth_gt=millimeters_to_depth(depth_to_millimeters(depth)),
                 intrinsics=intr,
                 frame_index=k,
-                timestamp_s=t,
             )
         )
     return SceneSequence(frames=frames, meta=meta)

@@ -30,7 +30,7 @@ def make_frame(depth: np.ndarray, rgb: np.ndarray | None = None,
     intr = Intrinsics(width=w, height=h, fx_px=fx, fy_px=fx,
                       cx_px=w / 2.0, cy_px=h / 2.0)
     return SceneFrame(rgb=rgb, depth_gt=depth.astype(np.float64),
-                      intrinsics=intr, frame_index=0, timestamp_s=0.0)
+                      intrinsics=intr, frame_index=0)
 
 
 @pytest.fixture

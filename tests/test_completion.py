@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import memslidar.completion as completion
-from memslidar.completion import GuidedFillParams, complete, complete_bruteforce
+from memslidar.cli import DATA_ERRORS
+from memslidar.completion import (CompletionError, GuidedFillParams, complete,
+                                   complete_bruteforce)
 from memslidar.lidar_sim import (
     CaptureConfig,
     DEPTH_SAMPLE_DTYPE,
@@ -601,6 +603,49 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             GuidedFillParams(**kwargs)
+
+
+def test_config_errors_are_completion_errors():
+    sparse = _sparse_from_pixels((4, 5), {(1, 1): 2.0})
+    outside = _sparse_from_pixels((4, 5), {(1, 1): 2.0})
+    outside.samples.pixel_x[0] = 5
+    rgb = np.zeros((4, 5, 3), dtype=np.uint8)
+    for call, match in [
+        (lambda: GuidedFillParams(sigma_spatial_px=0.0), "sigma_spatial_px must be > 0"),
+        (lambda: GuidedFillParams(sigma_color=0.0), "sigma_color must be > 0"),
+        (lambda: GuidedFillParams(k_neighbors=0), "k_neighbors must be >= 1"),
+        (lambda: GuidedFillParams(fallback="zeros"), "unknown fallback policy"),
+        (lambda: GuidedFillParams(sigma_spatial_px=1e-300), "sigma_spatial_px 1e-300 is out"),
+        (lambda: GuidedFillParams(sigma_color=1e308), r"sigma_color 1e\+308 is out"),
+        (lambda: complete(sparse, rgb[:, :4]), "rgb must be"),
+        (lambda: complete(outside, rgb), "outside the 5x4 depth map"),
+    ]:
+        with pytest.raises(CompletionError, match=match):
+            call()
+    # a usage error (exit 2), not a data error (exit 3)
+    assert issubclass(CompletionError, ValueError)
+    assert not issubclass(CompletionError, DATA_ERRORS)
+
+
+# the extreme sigmas on each side: 2*sigma**2 rounds to 0 up to the first,
+# and sigma**2 overflows from the second on
+SIGMA_TINY = 1.5717277847026285e-162
+SIGMA_HUGE = 1.3407807929942597e154
+
+
+@pytest.mark.parametrize("sigma, rejected", [
+    (5e-324, True), (1e-300, True), (SIGMA_TINY, True),
+    (math.nextafter(SIGMA_TINY, 1.0), False), (1e-154, False),
+    (math.nextafter(SIGMA_HUGE, 0.0), False), (SIGMA_HUGE, True), (1e308, True),
+    (math.inf, False),
+])
+@pytest.mark.parametrize("name", ["sigma_spatial_px", "sigma_color"])
+def test_sigma_rejected_where_its_weight_scale_is_no_float(name, sigma, rejected):
+    if rejected:
+        with pytest.raises(CompletionError, match=f"{name} .* is out of range"):
+            GuidedFillParams(**{name: sigma})
+    else:
+        assert getattr(GuidedFillParams(**{name: sigma}), name) == sigma
 
 
 # ---------- foveated comparison ----------

@@ -10,6 +10,7 @@ from memslidar.foveation import (
     FoveationError,
     _pair_table,
     _term_table,
+    check_window,
     entropy_map,
     entropy_maps,
     grayscale,
@@ -436,3 +437,20 @@ def test_background_model_validation():
     ):
         with pytest.raises(ValueError):
             BackgroundModel(**kwargs)
+
+
+def test_config_errors_are_foveation_errors():
+    rgb = _rgb(np.zeros((30, 40)))
+    model, _ = update_and_detect(BackgroundModel(), rgb)
+    for call, match in [
+        (lambda: grayscale(np.zeros((4, 4))), r"\(H, W, 3\)"),
+        (lambda: check_window(4), "odd and >= 3"),
+        (lambda: next(entropy_maps([rgb], 4097)), "pads the 40x30 image"),
+        (lambda: BackgroundModel(alpha=0.0), "alpha"),
+        (lambda: BackgroundModel(diff_threshold=0.0), "diff threshold"),
+        (lambda: BackgroundModel(min_blob_area_px=0), "min blob area"),
+        (lambda: BackgroundModel(margin_px=-1), "margin"),
+        (lambda: update_and_detect(model, _rgb(np.zeros((31, 40)))), "background model is"),
+    ]:
+        with pytest.raises(FoveationError, match=match):
+            call()

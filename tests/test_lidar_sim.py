@@ -487,9 +487,8 @@ def test_sample_json_matches_json_encoder(fields, value):
 
 
 def test_empty_sample_json_matches_json_encoder():
-    text = json.dumps({"fps": 6.0, "regime": "full_fov", "seed": None, "budget": 0,
-                       "samples": []})
-    pattern = ScanPattern.from_json(text)
+    pattern = ScanPattern(samples=np.zeros(0, SCAN_SAMPLE_DTYPE).view(np.recarray), fps=6.0,
+                          regime=Regime.FULL_FOV, seed=None, budget=0)
     assert len(pattern) == 0
     assert pattern.to_json() == _reference_pattern_json(pattern)
     sparse = SparseDepth(depth_m=np.zeros((2, 2)), samples=_depth_samples(0), fps=1.0,

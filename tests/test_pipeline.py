@@ -14,8 +14,9 @@ from memslidar.cli import main
 from memslidar.completion import GuidedFillParams, complete
 from memslidar.foveation import BackgroundModel, entropy_map, update_and_detect
 from memslidar.lidar_sim import CaptureConfig, capture, load_sparse, save_sparse
-from memslidar.pipeline import (frame_pattern, frame_patterns, frame_seed, run_scene,
-                                track_motion)
+from memslidar.metrics import compute
+from memslidar.pipeline import (compare_foveated, frame_pattern, frame_patterns, frame_seed,
+                                run_scene, track_motion)
 from memslidar.scan_engine import (
     ROI,
     Regime,
@@ -89,6 +90,25 @@ def test_run_frame_matches_reference_chain(tmp_path, textured_frame, regime, roi
     loaded = load_sparse(tmp_path / "0000.pgm", tmp_path / "0000.json")
     [again] = run_scene([textured_frame], [loaded], params=params)
     assert again.sparse is loaded and again.depth_mm.tobytes() == done.depth_mm.tobytes()
+
+
+@pytest.mark.parametrize("noise_seed", [0, 23])
+def test_compare_foveated_scores_one_scene_pass(textured_frame, noise_seed):
+    # both patterns go through one run_scene call as two frames, so both
+    # captures draw the frame's stream-1 seed, and the ROI scores read the
+    # millimetres a completed depth PGM holds
+    model = reference_mirror_model(math.radians(25.0))
+    config = CaptureConfig(z_max_m=2.6, noise_coeff=0.03)
+    params = GuidedFillParams(sigma_spatial_px=7.0, sigma_color=35.0, k_neighbors=9,
+                              fallback="mean")
+    dims = (textured_frame.intrinsics.width, textured_frame.intrinsics.height)
+    patterns = [gen_full_fov(model, 6.0, dims), gen_foveated(model, 6.0, FIXED_ROI, dims)]
+    crop = np.s_[FIXED_ROI.y0:FIXED_ROI.y1, FIXED_ROI.x0:FIXED_ROI.x1]
+    want = [compute(millimeters_to_depth(r.depth_mm)[crop], textured_frame.depth_gt[crop])
+            for r in run_scene([textured_frame, textured_frame], patterns, noise_seed, config,
+                               params)]
+    got = compare_foveated(textured_frame, FIXED_ROI, model, 6.0, params, config, noise_seed)
+    assert list(got) == want
 
 
 def test_foveated_without_roi_scans_full_fov():

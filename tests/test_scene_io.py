@@ -155,7 +155,6 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(a.rgb, b.rgb)
         assert np.array_equal(a.depth_gt, b.depth_gt)
         assert a.frame_index == b.frame_index
-        assert a.timestamp_s == pytest.approx(b.timestamp_s)
     assert loaded.meta == seq.meta
 
 
@@ -220,13 +219,6 @@ def test_load_requires_meta_keys(tmp_path):
     (tmp_path / "scene" / "meta.json").write_text(json.dumps(meta))
     with pytest.raises(MalformedHeader, match="fps"):
         load_scene(tmp_path / "scene")
-
-
-def test_loaded_timestamps_strictly_increase(tmp_path):
-    save_scene(_two_frame_scene(), tmp_path / "s")
-    loaded = load_scene(tmp_path / "s")
-    ts = [f.timestamp_s for f in loaded.frames]
-    assert ts == sorted(ts) and len(set(ts)) == len(ts)
 
 
 # ---------- synthetic generation ----------
